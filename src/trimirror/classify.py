@@ -2,11 +2,22 @@
 
 Every motion of 3-space is exactly one of: the identity, a translation, a
 rotation, a screw, a reflection, a glide reflection, a point inversion, or a
-rotary reflection.  `classify_fixed_point` sorts out the fixed-point cases by
-probing how the motion moves a small frame of points near the fixed one;
-`classify` handles arbitrary motions by splitting off the translation part
-and relocating the fixed-point answer.  `reconstruct` rebuilds a motion from
-its record, closing the loop.
+rotary reflection.
+
+The classifiers read the motion off its action on the probe frame
+{0, e1, e2, e3} (motion.PROBE_POINTS).  That action is the affine form
+itself: the translation t is the image of 0, and column i of the linear
+part L is the image of e_i minus the image of 0.  One closed-form kernel
+works on L: the determinant gives the parity, the skew and symmetric parts
+give the axis or mirror normal, and trace against skew gives the angle.
+`classify_fixed_point` places the kernel's answer through a given fixed
+point; `classify` recombines it with t, keeping the component along the
+axis or mirror as slide and using the rest to relocate the axis, mirror or
+center.  `reconstruct` rebuilds a motion from its record, closing the loop.
+
+The paper's own construction, which walks probe points and their images
+(`find_probe`, `ProbeWitness`, `rotation_from_plane_pair`), stays available
+for the worked example and for cross-checking the kernel.
 """
 
 from __future__ import annotations
@@ -32,24 +43,24 @@ from .geom import (
     as_vec3,
     collinear,
     intersect_planes,
-    perpendicular_bisector_plane,
     planes_equal,
     points_coincide,
+    _canonical_sign,
+    _cross,
     _frozen,
 )
 from .motion import (
     AffineIsometry,
     Motion,
-    OrientationParity,
     apply,
     identity,
-    iso_equal,
-    orientation,
     plane_reflection,
     rotation_about_axis,
     then,
     translation,
     _as_affine,
+    _reflection_parts,
+    _rotation_parts,
 )
 
 # Validation slack for reconstruct(): parameter records are expected to come
@@ -175,17 +186,15 @@ def _canonical_angle(angle: float) -> float:
     return wrapped
 
 
+def _skew_vector(a: np.ndarray) -> Vec3:
+    """Axial vector of the skew part of `a`; sin(angle) times the axis for a rotation."""
+    return 0.5 * np.array([a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]])
+
+
 def _angle_about(linear: np.ndarray, direction: Vec3) -> float:
     """Signed rotation angle of an orthogonal `linear` about the unit `direction`."""
     cos = float(np.clip((np.trace(linear) - 1.0) / 2.0, -1.0, 1.0))
-    skew = 0.5 * np.array(
-        [
-            linear[2, 1] - linear[1, 2],
-            linear[0, 2] - linear[2, 0],
-            linear[1, 0] - linear[0, 1],
-        ]
-    )
-    return _canonical_angle(float(np.arctan2(float(skew @ direction), cos)))
+    return _canonical_angle(float(np.arctan2(float(_skew_vector(linear) @ direction), cos)))
 
 
 def find_probe(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> ProbeWitness:
@@ -234,67 +243,62 @@ def rotation_from_plane_pair(
     return Rotation(axis=axis, angle=angle)
 
 
-def _widest_cross(directions: list) -> Union[Vec3, None]:
-    """Unit cross product of the best-separated pair among unit `directions`.
+def _rotation_axis(r: np.ndarray) -> Vec3:
+    """Unit axis of the proper orthogonal `r`, with canonical sign.
 
-    Returns None when no pair is usefully independent.  Working with unit
-    vectors keeps the selection scale-free: near a degenerate boundary the
-    candidate vectors are all short, but their directions stay accurate, and
-    normalizing first stops the cross products from underflowing the
-    conditioning contest.
+    The skew vector of r is accurate while cos(angle) > 0.  Toward a half
+    turn it vanishes, but the symmetric part minus cos(angle)*I is
+    (1 - cos(angle)) axis axis^T, whose column on its largest diagonal entry
+    is then long and accurate; the skew vector fixes its sign.  Returns the
+    zero vector only for r = I up to rounding, where the angle reads zero and
+    every caller collapses before using the axis.
     """
-    best = None
-    best_norm = 0.0
-    for i in range(len(directions)):
-        for j in range(i + 1, len(directions)):
-            n = np.cross(directions[i], directions[j])
-            size = float(np.linalg.norm(n))
-            if size > best_norm:
-                best, best_norm = n, size
-    if best is None or best_norm <= 1e-12:
-        return None
-    return best / best_norm
+    cos = (float(np.trace(r)) - 1.0) / 2.0
+    skew = _skew_vector(r)
+    if cos > 0.0:
+        axis = skew
+    else:
+        sym = 0.5 * (r + r.T) - cos * np.eye(3)
+        axis = sym[:, int(np.argmax(np.diag(sym)))]
+        if float(axis @ skew) < 0.0:
+            axis = -axis
+    length = float(np.linalg.norm(axis))
+    if length == 0.0:
+        return axis
+    axis = axis / length
+    return _canonical_sign(axis) * axis
 
 
-def _mirror_through_midpoints(m: Motion, c: Vec3, s: float, tol: Tolerance) -> Plane:
-    """Canonical mirror of an orientation-reversing motion fixing c.
+def _linear_kernel(linear: np.ndarray, tol: Tolerance) -> tuple[type, Vec3 | None, float]:
+    """Class of the linear part as a motion fixing the origin.
 
-    For such a motion the midpoint of X and m(X) always lands on the mirror
-    of its reflection factor, so the offsets of those midpoints from c span
-    the mirror plane.
+    Returns the record class (Identity, Rotation, Reflection, Inversion or
+    RotaryReflection), the canonical unit axis or mirror normal, and the
+    angle signed about it.  Orientation parity comes from the determinant;
+    an improper `linear` is minus a rotation by angle + pi about the mirror
+    normal.  Columns of linear -/+ I within eps_len give Identity and
+    Inversion; angles within eps_angle of 0 (or of 0 and pi for a rotary
+    reflection) collapse to the simpler class.
     """
-    directions = []
-    for w in _PROBE_DIRECTIONS:
-        x = c + s * w
-        offset = 0.5 * (x + apply(m, x)) - c
-        length = float(np.linalg.norm(offset))
-        if length > 1e-10 * s:
-            directions.append(offset / length)
-    normal = _widest_cross(directions)
-    if normal is None:
-        raise ProbeExhausted("midpoint offsets do not span a mirror plane")
-    return Plane(normal, float(normal @ c))
-
-
-def _axis_direction_from_displacements(m: Motion, c: Vec3, s: float) -> Vec3:
-    """Unit axis direction of an orientation-preserving motion fixing c.
-
-    Every displacement X to m(X) lies in the plane perpendicular to the
-    rotation axis, whatever the angle, so crossing the two best-separated
-    displacement directions recovers the axis even when the angle is far too
-    small for bisector planes to intersect reliably.
-    """
-    directions = []
-    for w in _PROBE_DIRECTIONS:
-        x = c + s * w
-        d = apply(m, x) - x
-        length = float(np.linalg.norm(d))
-        if length > 1e-10 * s:
-            directions.append(d / length)
-    axis = _widest_cross(directions)
-    if axis is None:
-        raise ProbeExhausted("probe displacements do not isolate a rotation axis")
-    return axis
+    eye = np.eye(3)
+    if float(np.max(np.linalg.norm(linear - eye, axis=0))) <= tol.eps_len:
+        return Identity, None, 0.0
+    if float(np.max(np.linalg.norm(linear + eye, axis=0))) <= tol.eps_len:
+        return Inversion, None, 0.0
+    proper = float(np.linalg.det(linear)) > 0.0
+    r = linear if proper else -linear
+    direction = _rotation_axis(r)
+    angle = _angle_about(r, direction)
+    if proper:
+        if abs(angle) <= tol.eps_angle:
+            return Identity, None, 0.0
+        return Rotation, direction, angle
+    angle = _canonical_angle(angle - np.pi)
+    if abs(angle) <= tol.eps_angle:
+        return Reflection, direction, 0.0
+    if abs(abs(angle) - np.pi) <= tol.eps_angle:
+        return Inversion, None, 0.0
+    return RotaryReflection, direction, angle
 
 
 def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
@@ -304,6 +308,9 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
     (mirror through c), Inversion (center c), and RotaryReflection (center c).
     Raises NotAFixedPoint when m moves c by more than eps_len.
 
+    A motion fixing c acts around c as its linear part acts around the
+    origin, so the linear part alone sets the class, the axis or mirror
+    direction and the angle; the answer is then placed through c.
     Near-degenerate parameters collapse to the simpler class: rotation angles
     within eps_angle of zero give Identity, rotary angles within eps_angle of
     zero or pi give Reflection or Inversion.
@@ -311,42 +318,16 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
     c = as_vec3(c)
     if not points_coincide(apply(m, c), c, tol):
         raise NotAFixedPoint("the supplied point is moved by the motion")
-    if iso_equal(m, identity(), tol):
+    kind, direction, angle = _linear_kernel(_as_affine(m).linear, tol)
+    if kind is Identity:
         return Identity()
-
-    s = max(1.0, float(np.linalg.norm(c)))
-    if all(
-        points_coincide(apply(m, c + s * e), c - s * e, tol) for e in np.eye(3)
-    ):
+    if kind is Inversion:
         return Inversion(center=c)
-
-    if orientation(m) is OrientationParity.PROPER:
-        # The axis runs through the fixed point; its direction comes from the
-        # probe displacements, which sweep the plane perpendicular to it.
-        axis = Line3(c, _axis_direction_from_displacements(m, c, s))
-        angle = _angle_about(_as_affine(m).linear, axis.direction)
-        if abs(angle) <= tol.eps_angle:
-            return Identity()
-        return Rotation(axis=axis, angle=angle)
-
-    witness = find_probe(m, c, tol)
-    a, b = witness.a, witness.b
-
-    if witness.case_tag == "half-turn":
-        # B' = A: swapping a single pair while fixing c is a pure reflection.
-        return Reflection(mirror=perpendicular_bisector_plane(a, b, tol))
-
-    mirror = _mirror_through_midpoints(m, c, s, tol)
-    # Dividing out the mirror leaves the rotation factor, which shares axis c.
-    residue = classify_fixed_point(then(m, plane_reflection(mirror)), c, tol)
-    if isinstance(residue, Identity):
+    if kind is Rotation:
+        return Rotation(axis=Line3(c, direction), angle=angle)
+    mirror = Plane(direction, float(direction @ c))
+    if kind is Reflection:
         return Reflection(mirror=mirror)
-    sign = 1.0 if float(residue.axis.direction @ mirror.normal) >= 0.0 else -1.0
-    angle = _canonical_angle(sign * residue.angle)
-    if abs(angle) <= tol.eps_angle:
-        return Reflection(mirror=mirror)
-    if abs(abs(angle) - np.pi) <= tol.eps_angle:
-        return Inversion(center=c)
     return RotaryReflection(mirror=mirror, center=c, angle=angle)
 
 
@@ -379,9 +360,9 @@ def _relocate_axis(linear: np.ndarray, v: Vec3, d: Vec3) -> Vec3:
     orthonormal basis of that plane pins the relocated axis.
     """
     seed = np.eye(3)[int(np.argmin(np.abs(d)))]
-    p = np.cross(d, seed)
+    p = _cross(d, seed)
     p = p / float(np.linalg.norm(p))
-    q = np.cross(d, p)
+    q = _cross(d, p)
     shifted = np.eye(3) - linear
     system = np.array([[p @ shifted @ p, p @ shifted @ q], [q @ shifted @ p, q @ shifted @ q]])
     rhs = np.array([p @ v, q @ v])
@@ -399,47 +380,48 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     """
     m = _as_affine(m)
     u = m.translation
-    linear_motion = AffineIsometry(m.linear, np.zeros(3))
-    at_origin = classify_fixed_point(linear_motion, np.zeros(3), tol)
+    kind, direction, angle = _linear_kernel(m.linear, tol)
 
-    if isinstance(at_origin, Identity):
+    if kind is Identity:
         if float(np.linalg.norm(u)) <= tol.eps_len:
             return Identity()
         return Translation(v=u)
 
-    if isinstance(at_origin, Rotation):
-        n, v = split_translation(u, at_origin.axis)
-        foot = _relocate_axis(m.linear, v, at_origin.axis.direction)
-        axis = Line3(foot, at_origin.axis.direction)
+    if kind is Rotation:
+        n, v = split_translation(u, direction)
+        axis = Line3(_relocate_axis(m.linear, v, direction), direction)
         if float(np.linalg.norm(n)) <= tol.eps_len:
-            return Rotation(axis=axis, angle=at_origin.angle)
-        return Screw(axis=axis, angle=at_origin.angle, slide=n)
+            return Rotation(axis=axis, angle=angle)
+        return Screw(axis=axis, angle=angle, slide=n)
 
-    if isinstance(at_origin, Reflection):
-        base = at_origin.mirror
-        n, v = split_translation(u, base)
-        mirror = Plane(base.normal, base.offset + 0.5 * float(base.normal @ n))
+    if kind is Reflection:
+        n, v = split_translation(u, direction)
+        mirror = Plane(direction, 0.5 * float(direction @ n))
         if float(np.linalg.norm(v)) <= tol.eps_len:
             return Reflection(mirror=mirror)
         return GlideReflection(mirror=mirror, slide=v)
 
-    if isinstance(at_origin, Inversion):
-        return Inversion(center=at_origin.center + 0.5 * u)
+    if kind is Inversion:
+        return Inversion(center=0.5 * u)
 
     # Rotary reflection: the full motion still has exactly one fixed point,
     # and I - linear is invertible, so solve for it directly.
     center = np.linalg.solve(m.linear - np.eye(3), -u)
-    base = at_origin.mirror
     return RotaryReflection(
-        mirror=Plane(base.normal, float(base.normal @ center)),
+        mirror=Plane(direction, float(direction @ center)),
         center=center,
-        angle=at_origin.angle,
+        angle=angle,
     )
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidClassParameters(message)
+
+
+def _require_turn(angle: float, name: str) -> None:
+    _require(np.isfinite(angle), f"{name} angle must be finite")
+    _require(1e-12 < abs(angle) <= np.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
 
 
 def reconstruct(record: MotionClass) -> AffineIsometry:
@@ -457,25 +439,17 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
         return translation(record.v)
 
     if isinstance(record, Rotation):
-        _require(np.isfinite(record.angle), "rotation angle must be finite")
-        _require(
-            1e-12 < abs(record.angle) <= np.pi + 1e-12,
-            "rotation angle must be nonzero and in (-pi, pi]",
-        )
+        _require_turn(record.angle, "rotation")
         return rotation_about_axis(record.axis.point, record.axis.direction, record.angle)
 
     if isinstance(record, Screw):
-        _require(np.isfinite(record.angle), "screw angle must be finite")
-        _require(
-            1e-12 < abs(record.angle) <= np.pi + 1e-12,
-            "screw angle must be nonzero and in (-pi, pi]",
-        )
+        _require_turn(record.angle, "screw")
         slide_len = float(np.linalg.norm(record.slide))
         _require(slide_len > 0.0, "screw slide must be nonzero")
-        drift = float(np.linalg.norm(np.cross(record.slide, record.axis.direction)))
+        drift = float(np.linalg.norm(_cross(record.slide, record.axis.direction)))
         _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
-        turn = rotation_about_axis(record.axis.point, record.axis.direction, record.angle)
-        return then(turn, translation(record.slide))
+        turn, shift = _rotation_parts(record.axis.point, record.axis.direction, record.angle)
+        return AffineIsometry(turn, shift + record.slide)
 
     if isinstance(record, Reflection):
         return plane_reflection(record.mirror)
@@ -485,7 +459,8 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
         _require(slide_len > 0.0, "glide slide must be nonzero")
         drift = abs(float(record.slide @ record.mirror.normal))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
-        return then(plane_reflection(record.mirror), translation(record.slide))
+        flip, shift = _reflection_parts(record.mirror)
+        return AffineIsometry(flip, shift + record.slide)
 
     if isinstance(record, Inversion):
         return AffineIsometry(-np.eye(3), 2.0 * record.center)
@@ -500,7 +475,8 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
             abs(record.mirror.signed_distance(record.center)) <= _PARAM_EPS,
             "rotary center must lie on the mirror",
         )
-        turn = rotation_about_axis(record.center, record.mirror.normal, record.angle)
-        return then(plane_reflection(record.mirror), turn)
+        flip, flip_shift = _reflection_parts(record.mirror)
+        turn, turn_shift = _rotation_parts(record.center, record.mirror.normal, record.angle)
+        return AffineIsometry(turn @ flip, turn @ flip_shift + turn_shift)
 
     raise InvalidClassParameters(f"unrecognized class record {record!r}")

@@ -104,18 +104,19 @@ def translation(v) -> AffineIsometry:
     return AffineIsometry(np.eye(3), as_vec3(v))
 
 
+def _reflection_parts(plane: Plane) -> tuple[np.ndarray, Vec3]:
+    """Linear part and translation of the reflection in `plane`, unvalidated."""
+    n = plane.normal
+    return np.eye(3) - 2.0 * np.outer(n, n), 2.0 * plane.offset * n
+
+
 def plane_reflection(plane: Plane) -> AffineIsometry:
     """The reflection in `plane` as an affine map."""
-    n = plane.normal
-    return AffineIsometry(np.eye(3) - 2.0 * np.outer(n, n), 2.0 * plane.offset * n)
+    return AffineIsometry(*_reflection_parts(plane))
 
 
-def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:
-    """Rotation by `angle` about the axis through `point` along `direction`.
-
-    The sense is right-handed about `direction` exactly as given; the
-    direction is normalized but never flipped, unlike Line3 canonicalization.
-    """
+def _rotation_parts(point, direction, angle: float) -> tuple[np.ndarray, Vec3]:
+    """Linear part and translation of rotation_about_axis, unvalidated."""
     d = as_vec3(direction)
     length = float(np.linalg.norm(d))
     if length <= 1e-12:
@@ -127,7 +128,16 @@ def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:
     k = np.array([[0.0, -d[2], d[1]], [d[2], 0.0, -d[0]], [-d[1], d[0], 0.0]])
     r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
     p = as_vec3(point)
-    return AffineIsometry(r, p - r @ p)
+    return r, p - r @ p
+
+
+def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:
+    """Rotation by `angle` about the axis through `point` along `direction`.
+
+    The sense is right-handed about `direction` exactly as given; the
+    direction is normalized but never flipped, unlike Line3 canonicalization.
+    """
+    return AffineIsometry(*_rotation_parts(point, direction, angle))
 
 
 def rotation_about_line(axis, angle: float) -> AffineIsometry:

@@ -3,10 +3,17 @@
 `spectral_classify` re-derives the canonical form of a motion from the
 eigenstructure of its linear part (trace for the angle, SVD null spaces for
 axis and mirror directions, linear solves for fixed points).  It shares no
-code with the library's probe-based classifier beyond the parameter record
-types, so agreement between the two is meaningful.  The module also carries
-random generators for motions and canonical records, and tolerant
-comparison helpers for the geometric parameter types.
+code with the library's closed-form classifier beyond the parameter record
+types, so agreement between the two is meaningful.
+
+`probe_classify_fixed_point` is the probe walk the library's fixed-point
+classifier used before it read the class off the linear part: it moves a
+frame of points near the fixed point and reads the axis and mirror from
+their displacements and midpoints.  It uses only the public API, so it
+checks the library's kernel by a second, independent route.
+
+The module also carries random generators for motions and canonical
+records, and tolerant comparison helpers for the geometric parameter types.
 """
 
 from __future__ import annotations
@@ -19,8 +26,11 @@ from trimirror import (
     Identity,
     Inversion,
     Line3,
+    NotAFixedPoint,
+    OrientationParity,
     Plane,
     PointTriple,
+    ProbeExhausted,
     ReflectionSequence,
     Reflection,
     Rotation,
@@ -28,7 +38,14 @@ from trimirror import (
     Screw,
     Tolerance,
     Translation,
+    apply,
+    find_probe,
+    identity,
+    iso_equal,
+    orientation,
+    perpendicular_bisector_plane,
     plane_reflection,
+    points_coincide,
     rotation_about_axis,
     seq_to_affine,
     then,
@@ -106,6 +123,101 @@ def spectral_classify(motion: AffineIsometry, tol: Tolerance = TOL):
     center = np.linalg.solve(l - np.eye(3), -t)
     mirror = Plane(n, float(n @ center))
     return RotaryReflection(mirror=mirror, center=center, angle=angle)
+
+
+# ---------------------------------------------------------------- probe walk
+
+_PROBE_DIRECTIONS = tuple(
+    np.array(w, dtype=float)
+    for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+)
+
+
+def _wrap_angle(angle: float) -> float:
+    """Wrap into (-pi, pi], sending the seam to +pi."""
+    wrapped = float(np.arctan2(np.sin(angle), np.cos(angle)))
+    return np.pi if wrapped <= -np.pi else wrapped
+
+
+def _probe_angle(linear: np.ndarray, direction: np.ndarray) -> float:
+    cos = float(np.clip((np.trace(linear) - 1.0) / 2.0, -1.0, 1.0))
+    return _wrap_angle(float(np.arctan2(float(_skew_vee(linear) @ direction), cos)))
+
+
+def _widest_cross(directions: list) -> np.ndarray | None:
+    """Unit cross product of the best-separated pair among unit `directions`."""
+    best, best_norm = None, 0.0
+    for i in range(len(directions)):
+        for j in range(i + 1, len(directions)):
+            n = np.cross(directions[i], directions[j])
+            size = float(np.linalg.norm(n))
+            if size > best_norm:
+                best, best_norm = n, size
+    if best is None or best_norm <= 1e-12:
+        return None
+    return best / best_norm
+
+
+def _probe_offsets(motion, c: np.ndarray, s: float, midpoints: bool) -> list:
+    """Unit directions of the probe displacements X -> m(X), or of the
+    midpoint offsets (X + m(X))/2 - c, for the probes X = c + s*w."""
+    directions = []
+    for w in _PROBE_DIRECTIONS:
+        x = c + s * w
+        image = apply(motion, x)
+        offset = 0.5 * (x + image) - c if midpoints else image - x
+        length = float(np.linalg.norm(offset))
+        if length > 1e-10 * s:
+            directions.append(offset / length)
+    return directions
+
+
+def probe_classify_fixed_point(motion, c, tol: Tolerance = TOL):
+    """Canonical form of a motion fixing c, from probe points alone.
+
+    Every displacement of a proper motion fixing c is perpendicular to its
+    axis, so the cross product of two well-separated displacements is the
+    axis.  For an improper one the midpoint of X and m(X) lies on the mirror
+    of its reflection factor, so midpoint offsets span the mirror; dividing
+    the mirror out leaves a rotation about the mirror normal, classified by
+    the same walk.
+    """
+    c = np.asarray(c, dtype=float)
+    if not points_coincide(apply(motion, c), c, tol):
+        raise NotAFixedPoint("the supplied point is moved by the motion")
+    if iso_equal(motion, identity(), tol):
+        return Identity()
+    s = max(1.0, float(np.linalg.norm(c)))
+    if all(points_coincide(apply(motion, c + s * e), c - s * e, tol) for e in np.eye(3)):
+        return Inversion(center=c)
+
+    if orientation(motion) is OrientationParity.PROPER:
+        direction = _widest_cross(_probe_offsets(motion, c, s, midpoints=False))
+        if direction is None:
+            raise ProbeExhausted("probe displacements do not isolate a rotation axis")
+        axis = Line3(c, direction)
+        angle = _probe_angle(np.asarray(motion.linear), axis.direction)
+        if abs(angle) <= tol.eps_angle:
+            return Identity()
+        return Rotation(axis=axis, angle=angle)
+
+    witness = find_probe(motion, c, tol)
+    if witness.case_tag == "half-turn":
+        return Reflection(mirror=perpendicular_bisector_plane(witness.a, witness.b, tol))
+    normal = _widest_cross(_probe_offsets(motion, c, s, midpoints=True))
+    if normal is None:
+        raise ProbeExhausted("midpoint offsets do not span a mirror plane")
+    mirror = Plane(normal, float(normal @ c))
+    residue = probe_classify_fixed_point(then(motion, plane_reflection(mirror)), c, tol)
+    if isinstance(residue, Identity):
+        return Reflection(mirror=mirror)
+    sign = 1.0 if float(residue.axis.direction @ mirror.normal) >= 0.0 else -1.0
+    angle = _wrap_angle(sign * residue.angle)
+    if abs(angle) <= tol.eps_angle:
+        return Reflection(mirror=mirror)
+    if abs(abs(angle) - np.pi) <= tol.eps_angle:
+        return Inversion(center=c)
+    return RotaryReflection(mirror=mirror, center=c, angle=angle)
 
 
 # ---------------------------------------------------------------- generators

@@ -348,3 +348,66 @@ def test_proper_and_improper_never_mix():
         got = classify(motion)
         expected = proper if mirrors % 2 == 0 else improper
         assert isinstance(got, expected)
+
+
+def test_reconstruct_matches_composed_factors():
+    # reconstruct builds one AffineIsometry from the composed linear part and
+    # translation; the factor-by-factor composition must agree
+    rng = np.random.default_rng(50)
+    for variant in ("screw", "glide_reflection", "rotary_reflection"):
+        for _ in range(100):
+            record = oracle.random_record(rng, variant)
+            got, want = reconstruct(record), oracle.record_motion(record)
+            assert np.max(np.abs(got.linear - want.linear)) <= 1e-15, record
+            assert np.max(np.abs(got.translation - want.translation)) <= 1e-15, record
+
+
+def _fixed_point_motion(rng, kind, c):
+    """A seeded motion of class `kind` that fixes c."""
+    n = oracle.random_unit(rng)
+    mirror = Plane(n, float(n @ c))
+    if kind is Identity:
+        return identity()
+    if kind is Rotation:
+        return rotation_about_axis(c, n, oracle.random_angle(rng))
+    if kind is Reflection:
+        return plane_reflection(mirror)
+    if kind is Inversion:
+        return AffineIsometry(-np.eye(3), 2.0 * c)
+    return _rotary_motion(mirror, c, oracle.random_angle(rng, lo=1e-2))
+
+
+def test_fixed_point_kernel_agrees_with_probe_walk():
+    rng = np.random.default_rng(51)
+    for kind in (Identity, Rotation, Reflection, Inversion, RotaryReflection):
+        for _ in range(40):
+            c = oracle.random_point(rng, 20.0)
+            while float(np.linalg.norm(c)) < 2.0:
+                c = oracle.random_point(rng, 20.0)
+            motion = _fixed_point_motion(rng, kind, c)
+            got = classify_fixed_point(motion, c)
+            want = oracle.probe_classify_fixed_point(motion, c)
+            assert isinstance(got, kind), got
+            assert oracle.records_match(got, want, 1e-8), (got, want)
+
+
+def test_far_mirror_is_a_reflection_not_a_glide():
+    rng = np.random.default_rng(52)
+    for _ in range(500):
+        mirror = Plane(oracle.random_unit(rng), 1e6)
+        got = classify(plane_reflection(mirror))
+        assert isinstance(got, Reflection), got
+        assert oracle.planes_close(got.mirror, mirror, 1e-8)
+
+
+@pytest.mark.parametrize("angle", [np.pi, np.pi - 1e-7, -(np.pi - 1e-10)])
+def test_half_turn_screw_axis_direction(angle):
+    # the skew vector vanishes at a half turn, so the axis must come from the
+    # symmetric part of the linear part
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        axis = oracle.random_line(rng)
+        record = Screw(axis=axis, angle=angle, slide=0.7 * np.asarray(axis.direction))
+        got = classify(reconstruct(record))
+        assert isinstance(got, Screw), got
+        assert np.linalg.norm(np.cross(got.axis.direction, axis.direction)) <= 1e-12

@@ -20,6 +20,7 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
+from trimirror.geom import _cross
 
 # Orbit points of the worked example, in closed radical form.
 A_EX = vec3(1.0, 2.0, -2.0)
@@ -278,3 +279,15 @@ def test_stored_fields_are_read_only():
     line = Line3((0, 0, 0), (1, 0, 0))
     with pytest.raises(ValueError):
         line.direction[1] = 1.0
+
+
+def test_cross_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    n = 20000
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 2, 1))
+    a = rng.normal(size=(n, 3)) * scales[:, 0]
+    b = rng.normal(size=(n, 3)) * scales[:, 1]
+    a[::37, 1] = 0.0
+    b[::53, 2] = -0.0
+    got = np.array([_cross(x, y) for x, y in zip(a, b)])
+    assert got.tobytes() == np.cross(a, b).tobytes()
