@@ -48,15 +48,17 @@ from .geom import (
     _canonical_sign,
     _cross,
     _frozen,
+    _norm,
 )
 from .motion import (
     AffineIsometry,
     Motion,
+    ReflectionSequence,
     apply,
     identity,
     plane_reflection,
     rotation_about_axis,
-    then,
+    seq_to_affine,
     translation,
     _as_affine,
     _reflection_parts,
@@ -207,7 +209,7 @@ def find_probe(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> ProbeWitness:
     ProbeExhausted signals inputs far outside the supported scale.
     """
     c = as_vec3(c)
-    s = max(1.0, float(np.linalg.norm(c)))
+    s = max(1.0, _norm(c))
     for w in _PROBE_DIRECTIONS:
         a = c + s * w
         b = apply(m, a)
@@ -238,7 +240,7 @@ def rotation_from_plane_pair(
         raise ParallelDistinctMirrors(
             "parallel distinct mirrors compose to a translation, not a rotation"
         ) from exc
-    composite = then(plane_reflection(alpha), plane_reflection(beta))
+    composite = seq_to_affine(ReflectionSequence((alpha, beta)))
     angle = _angle_about(composite.linear, axis.direction)
     return Rotation(axis=axis, angle=angle)
 
@@ -262,7 +264,7 @@ def _rotation_axis(r: np.ndarray) -> Vec3:
         axis = sym[:, int(np.argmax(np.diag(sym)))]
         if float(axis @ skew) < 0.0:
             axis = -axis
-    length = float(np.linalg.norm(axis))
+    length = _norm(axis)
     if length == 0.0:
         return axis
     axis = axis / length
@@ -344,7 +346,7 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
         d = splitter.normal
     else:
         d = as_vec3(splitter)
-        length = float(np.linalg.norm(d))
+        length = _norm(d)
         if length <= 1e-12:
             raise ValueError("splitter direction must be nonzero")
         d = d / length
@@ -361,7 +363,7 @@ def _relocate_axis(linear: np.ndarray, v: Vec3, d: Vec3) -> Vec3:
     """
     seed = np.eye(3)[int(np.argmin(np.abs(d)))]
     p = _cross(d, seed)
-    p = p / float(np.linalg.norm(p))
+    p = p / _norm(p)
     q = _cross(d, p)
     shifted = np.eye(3) - linear
     system = np.array([[p @ shifted @ p, p @ shifted @ q], [q @ shifted @ p, q @ shifted @ q]])
@@ -383,21 +385,21 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     kind, direction, angle = _linear_kernel(m.linear, tol)
 
     if kind is Identity:
-        if float(np.linalg.norm(u)) <= tol.eps_len:
+        if _norm(u) <= tol.eps_len:
             return Identity()
         return Translation(v=u)
 
     if kind is Rotation:
         n, v = split_translation(u, direction)
         axis = Line3(_relocate_axis(m.linear, v, direction), direction)
-        if float(np.linalg.norm(n)) <= tol.eps_len:
+        if _norm(n) <= tol.eps_len:
             return Rotation(axis=axis, angle=angle)
         return Screw(axis=axis, angle=angle, slide=n)
 
     if kind is Reflection:
         n, v = split_translation(u, direction)
         mirror = Plane(direction, 0.5 * float(direction @ n))
-        if float(np.linalg.norm(v)) <= tol.eps_len:
+        if _norm(v) <= tol.eps_len:
             return Reflection(mirror=mirror)
         return GlideReflection(mirror=mirror, slide=v)
 
@@ -435,7 +437,7 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
         return identity()
 
     if isinstance(record, Translation):
-        _require(float(np.linalg.norm(record.v)) > 0.0, "translation vector must be nonzero")
+        _require(_norm(record.v) > 0.0, "translation vector must be nonzero")
         return translation(record.v)
 
     if isinstance(record, Rotation):
@@ -444,9 +446,9 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
 
     if isinstance(record, Screw):
         _require_turn(record.angle, "screw")
-        slide_len = float(np.linalg.norm(record.slide))
+        slide_len = _norm(record.slide)
         _require(slide_len > 0.0, "screw slide must be nonzero")
-        drift = float(np.linalg.norm(_cross(record.slide, record.axis.direction)))
+        drift = _norm(_cross(record.slide, record.axis.direction))
         _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
         turn, shift = _rotation_parts(record.axis.point, record.axis.direction, record.angle)
         return AffineIsometry(turn, shift + record.slide)
@@ -455,7 +457,7 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
         return plane_reflection(record.mirror)
 
     if isinstance(record, GlideReflection):
-        slide_len = float(np.linalg.norm(record.slide))
+        slide_len = _norm(record.slide)
         _require(slide_len > 0.0, "glide slide must be nonzero")
         drift = abs(float(record.slide @ record.mirror.normal))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")

@@ -44,7 +44,7 @@ from .errors import (
     NotCongruent,
 )
 from .example import DEFAULT_ITERATES, analyze, iterate
-from .geom import DEFAULT_TOL, Line3, Plane, PointTriple, Tolerance, as_vec3
+from .geom import DEFAULT_TOL, Line3, Plane, PointTriple, Tolerance, _norm, as_vec3
 from .motion import (
     AffineIsometry,
     apply,
@@ -299,8 +299,8 @@ def cmd_triples(args) -> int:
     partner = seq_to_affine(second)
     residuals = []
     for source_point, target in zip(src.points(), pair.dst):
-        residuals.append(float(np.linalg.norm(apply(first_motion, source_point) - target)))
-        residuals.append(float(np.linalg.norm(apply(partner, source_point) - target)))
+        residuals.append(_norm(apply(first_motion, source_point) - target))
+        residuals.append(_norm(apply(partner, source_point) - target))
     _emit(
         {
             "mirrors": [_plane_json(p) for p in first.planes],

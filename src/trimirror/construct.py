@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateSource, NotCongruent
 from .geom import (
     DEFAULT_TOL,
@@ -26,6 +24,7 @@ from .geom import (
     points_coincide,
     reflect_point,
     _frozen,
+    _norm,
 )
 from .motion import ReflectionSequence
 
@@ -61,8 +60,8 @@ def congruent_triples(src, dst, tol: Tolerance = DEFAULT_TOL) -> bool:
     a, b, c = _points_of(src)
     a2, b2, c2 = _points_of(dst)
     for p, q, p2, q2 in ((a, b, a2, b2), (a, c, a2, c2), (b, c, b2, c2)):
-        d = float(np.linalg.norm(q - p))
-        d2 = float(np.linalg.norm(q2 - p2))
+        d = _norm(q - p)
+        d2 = _norm(q2 - p2)
         if abs(d - d2) > tol.eps_len:
             return False
     return True

@@ -24,6 +24,7 @@ from .geom import (
     intersect_planes,
     perpendicular_bisector_plane,
     _frozen,
+    _norm,
 )
 from .motion import (
     AffineIsometry,
@@ -95,7 +96,7 @@ class ExampleReport:
 
     def residual_dot_n(self) -> float:
         """Normalized perpendicularity certificate for residual against the axis."""
-        scale = float(np.linalg.norm(self.residual)) * float(np.linalg.norm(self.n_direction))
+        scale = _norm(self.residual) * _norm(self.n_direction)
         return abs(float(self.residual @ self.n_direction)) / scale
 
 

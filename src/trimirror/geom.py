@@ -8,6 +8,7 @@ to loosen or tighten them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ def as_vec3(value) -> Vec3:
     v = np.array(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector components must be finite")
     return v
 
@@ -53,6 +54,11 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(v: Vec3) -> float:
+    """Length of a 1-D vector: sqrt(v . v), bit for bit as np.linalg.norm, minus its dispatch."""
+    return math.sqrt(float(v @ v))
 
 
 def _canonical_sign(v: Vec3) -> float:
@@ -94,7 +100,7 @@ class Plane:
 
     def __post_init__(self) -> None:
         n = as_vec3(self.normal)
-        length = float(np.linalg.norm(n))
+        length = _norm(n)
         if length <= _SIGN_EPS:
             raise ValueError("plane normal must be nonzero")
         d = float(self.offset) / length
@@ -123,7 +129,7 @@ class Line3:
 
     def __post_init__(self) -> None:
         d = as_vec3(self.direction)
-        length = float(np.linalg.norm(d))
+        length = _norm(d)
         if length <= _SIGN_EPS:
             raise ValueError("line direction must be nonzero")
         d = d / length
@@ -135,7 +141,7 @@ class Line3:
 
     def distance_to(self, point) -> float:
         w = as_vec3(point) - self.point
-        return float(np.linalg.norm(w - (w @ self.direction) * self.direction))
+        return _norm(w - (w @ self.direction) * self.direction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +172,7 @@ def reflect_point(plane: Plane, point) -> Vec3:
 
 
 def points_coincide(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return float(np.linalg.norm(as_vec3(a) - as_vec3(b))) <= tol.eps_len
+    return _norm(as_vec3(a) - as_vec3(b)) <= tol.eps_len
 
 
 def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -178,19 +184,17 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     a, b, c = as_vec3(a), as_vec3(b), as_vec3(c)
     ab, ac, bc = b - a, c - a, c - b
-    doubled_area = float(np.linalg.norm(_cross(ab, ac)))
-    longest = max(float(np.linalg.norm(e)) for e in (ab, ac, bc))
+    doubled_area = _norm(_cross(ab, ac))
+    longest = max(_norm(e) for e in (ab, ac, bc))
     return doubled_area <= 2.0 * tol.eps_len * longest
 
 
 def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the tetrahedron abcd is flat within tolerance."""
     a, b, c, d = (as_vec3(p) for p in (a, b, c, d))
-    spread = float(np.abs(_cross(b - a, c - a) @ (d - a)))
+    spread = abs(float(_cross(b - a, c - a) @ (d - a)))
     pts = (a, b, c, d)
-    widest = max(
-        float(np.linalg.norm(pts[i] - pts[j])) for i in range(4) for j in range(i + 1, 4)
-    )
+    widest = max(_norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
     return spread <= 6.0 * tol.eps_len * widest * widest
 
 
@@ -206,7 +210,7 @@ def perpendicular_bisector_plane(a, b, tol: Tolerance = DEFAULT_TOL) -> Plane:
     """
     a, b = as_vec3(a), as_vec3(b)
     chord = b - a
-    if float(np.linalg.norm(chord)) <= tol.eps_len:
+    if _norm(chord) <= tol.eps_len:
         raise CoincidentPoints("bisector plane needs two distinct points")
     return Plane(chord, float(chord @ midpoint(a, b)))
 
@@ -227,7 +231,7 @@ def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
     two normals; its stored point is the point of the line nearest the origin.
     """
     direction = _cross(p.normal, q.normal)
-    if float(np.linalg.norm(direction)) <= tol.eps_angle:
+    if _norm(direction) <= tol.eps_angle:
         raise ParallelPlanes("planes are parallel within tolerance")
     system = np.vstack((p.normal, q.normal, direction))
     rhs = np.array([p.offset, q.offset, 0.0])
@@ -236,7 +240,7 @@ def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
 
 def planes_equal(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two planes describe the same point set, orientation aside."""
-    if float(np.linalg.norm(_cross(p.normal, q.normal))) > tol.eps_angle:
+    if _norm(_cross(p.normal, q.normal)) > tol.eps_angle:
         return False
     s = 1.0 if float(p.normal @ q.normal) >= 0.0 else -1.0
     return abs(p.offset - s * q.offset) <= tol.eps_len
@@ -244,6 +248,6 @@ def planes_equal(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def lines_equal(a: Line3, b: Line3, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two lines describe the same point set, orientation aside."""
-    if float(np.linalg.norm(_cross(a.direction, b.direction))) > tol.eps_angle:
+    if _norm(_cross(a.direction, b.direction)) > tol.eps_angle:
         return False
     return points_coincide(a.point, b.point, tol)

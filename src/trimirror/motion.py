@@ -14,13 +14,14 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _frozen, reflect_point
+from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _frozen, _norm, reflect_point
 
 # Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
 # given, up to _ORTHO_FIX it is silently re-orthonormalized, beyond that the
 # matrix is rejected as not an isometry.
 _ORTHO_PASS = 1e-10
 _ORTHO_FIX = 1e-6
+_EYE = _frozen(np.eye(3))
 
 PROBE_POINTS = tuple(
     _frozen(np.array(p, dtype=float))
@@ -39,7 +40,7 @@ def _mgs(m: np.ndarray) -> np.ndarray:
     for j in range(3):
         for k in range(j):
             q[:, j] -= (q[:, k] @ q[:, j]) * q[:, k]
-        length = float(np.linalg.norm(q[:, j]))
+        length = _norm(q[:, j])
         if length <= 1e-12:
             raise ValueError("linear part is numerically singular")
         q[:, j] /= length
@@ -60,10 +61,10 @@ class AffineIsometry:
 
     def __post_init__(self) -> None:
         l = np.array(self.linear, dtype=float)
-        if l.shape != (3, 3) or not np.all(np.isfinite(l)):
+        if l.shape != (3, 3) or not np.isfinite(l).all():
             raise ValueError("linear part must be a finite 3x3 matrix")
         t = as_vec3(self.translation)
-        residual = float(np.max(np.abs(l.T @ l - np.eye(3))))
+        residual = float(np.abs(l.T @ l - _EYE).max())
         if residual > _ORTHO_FIX:
             raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
         if residual > _ORTHO_PASS:
@@ -107,7 +108,7 @@ def translation(v) -> AffineIsometry:
 def _reflection_parts(plane: Plane) -> tuple[np.ndarray, Vec3]:
     """Linear part and translation of the reflection in `plane`, unvalidated."""
     n = plane.normal
-    return np.eye(3) - 2.0 * np.outer(n, n), 2.0 * plane.offset * n
+    return _EYE - 2.0 * np.outer(n, n), 2.0 * plane.offset * n
 
 
 def plane_reflection(plane: Plane) -> AffineIsometry:
@@ -118,7 +119,7 @@ def plane_reflection(plane: Plane) -> AffineIsometry:
 def _rotation_parts(point, direction, angle: float) -> tuple[np.ndarray, Vec3]:
     """Linear part and translation of rotation_about_axis, unvalidated."""
     d = as_vec3(direction)
-    length = float(np.linalg.norm(d))
+    length = _norm(d)
     if length <= 1e-12:
         raise ValueError("rotation axis direction must be nonzero")
     d = d / length
@@ -164,10 +165,13 @@ def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
 
 
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
-    out = identity()
+    """The planes folded in reading order as `then` would, validated once: products
+    of reflections in unit normals drift from orthogonality far below _ORTHO_PASS."""
+    linear, shift = _EYE, np.zeros(3)
     for plane in seq.planes:
-        out = then(out, plane_reflection(plane))
-    return out
+        flip, flip_shift = _reflection_parts(plane)
+        linear, shift = flip @ linear, flip @ shift + flip_shift
+    return AffineIsometry(linear, shift)
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:
@@ -186,6 +190,6 @@ def orientation(motion: Motion) -> OrientationParity:
 def iso_equal(a: Motion, b: Motion, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two motions agree as maps, tested on a non-coplanar probe frame."""
     return all(
-        float(np.linalg.norm(apply(a, p) - apply(b, p))) <= tol.eps_len
+        _norm(apply(a, p) - apply(b, p)) <= tol.eps_len
         for p in PROBE_POINTS
     )

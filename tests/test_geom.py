@@ -6,6 +6,7 @@ from trimirror import (
     Plane,
     PointTriple,
     Tolerance,
+    as_vec3,
     collinear,
     coplanar,
     intersect_planes,
@@ -20,7 +21,7 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
-from trimirror.geom import _cross
+from trimirror.geom import _cross, _norm
 
 # Orbit points of the worked example, in closed radical form.
 A_EX = vec3(1.0, 2.0, -2.0)
@@ -259,6 +260,9 @@ def test_lines_equal():
 def test_vec3_validation():
     with pytest.raises(ValueError):
         vec3(1.0, np.inf, 0.0)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="components must be finite"):
+            as_vec3((0.0, 0.0, bad))
     with pytest.raises(ValueError):
         PointTriple((0, 0), (1, 0, 0), (0, 1, 0))
 
@@ -291,3 +295,17 @@ def test_cross_matches_numpy_bit_for_bit():
     b[::53, 2] = -0.0
     got = np.array([_cross(x, y) for x, y in zip(a, b)])
     assert got.tobytes() == np.cross(a, b).tobytes()
+
+
+def test_norm_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(9)
+    n = 20001
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 1))
+    v[0] = 0.0
+    v[::41, 2] = -0.0
+    got = np.array([_norm(x) for x in v])
+    assert got.tobytes() == np.array([np.linalg.norm(x) for x in v]).tobytes()
+    # strided column views, as _mgs passes them
+    columns = [q[:, j] for q in v.reshape(-1, 3, 3) for j in range(3)]
+    got = np.array([_norm(c) for c in columns])
+    assert got.tobytes() == np.array([np.linalg.norm(c) for c in columns]).tobytes()

@@ -121,6 +121,30 @@ def test_seq_to_affine_agrees_with_apply():
             assert np.linalg.norm(apply(seq, p) - apply(affine, p)) <= 1e-10
 
 
+def _then_fold(seq):
+    """Reference: the sequence composed plane by plane, validating every step."""
+    out = identity()
+    for plane in seq.planes:
+        out = then(out, plane_reflection(plane))
+    return out
+
+
+def test_seq_to_affine_matches_then_fold_bit_for_bit():
+    rng = np.random.default_rng(24)
+    empty = seq_to_affine(ReflectionSequence(()))
+    assert empty.linear.tobytes() == identity().linear.tobytes()
+    assert empty.translation.tobytes() == identity().translation.tobytes()
+    got, want = [], []
+    for _ in range(1500):
+        offsets = rng.choice((-1.0, 1.0), size=5) * 10.0 ** rng.uniform(-6.0, 6.0, size=5)
+        k = int(rng.integers(0, 6))
+        seq = ReflectionSequence(tuple(Plane(rng.normal(size=3), d) for d in offsets[:k]))
+        for out, fold in ((got, seq_to_affine), (want, _then_fold)):
+            motion = fold(seq)
+            out.append(motion.linear.tobytes() + motion.translation.tobytes())
+    assert got == want
+
+
 def test_seq_to_affine_axis_aligned():
     seq = ReflectionSequence((Plane((1, 0, 0), 0.0), Plane((0, 1, 0), 0.0)))
     affine = seq_to_affine(seq)
@@ -199,10 +223,31 @@ def test_affine_isometry_absorbs_small_drift():
 
 
 def test_affine_isometry_rejects_large_drift():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not orthogonal"):
         AffineIsometry(np.eye(3) * 1.5, np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not orthogonal"):
         AffineIsometry(np.eye(3) + 1e-3, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "linear, shift, message",
+    [
+        (np.diag([1.0, np.nan, 1.0]), np.zeros(3), "finite 3x3 matrix"),
+        (np.diag([np.inf, 1.0, 1.0]), np.zeros(3), "finite 3x3 matrix"),
+        (np.diag([1.0, 1.0, -np.inf]), np.zeros(3), "finite 3x3 matrix"),
+        (np.eye(2), np.zeros(3), "finite 3x3 matrix"),
+        (np.eye(3, 4), np.zeros(3), "finite 3x3 matrix"),
+        (np.eye(3), (0.0, np.nan, 0.0), "components must be finite"),
+        (np.eye(3), (np.inf, 0.0, 0.0), "components must be finite"),
+        (np.eye(3), (0.0, 0.0, -np.inf), "components must be finite"),
+        (np.eye(3), np.zeros(4), r"expected 3 components, got shape \(4,\)"),
+        # residual 8e-11 passes unrepaired, but |det| - 1 is 1.2e-10
+        ((1.0 + 4e-11) * np.eye(3), np.zeros(3), "determinant"),
+    ],
+)
+def test_affine_isometry_rejects_malformed_parts(linear, shift, message):
+    with pytest.raises(ValueError, match=message):
+        AffineIsometry(linear, shift)
 
 
 def test_translation_composes_additively():
