@@ -12,20 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateSource, NotCongruent
-from .geom import (
-    DEFAULT_TOL,
-    PointTriple,
-    Tolerance,
-    Vec3,
-    as_vec3,
-    collinear,
-    perpendicular_bisector_plane,
-    plane_through_points,
-    points_coincide,
-    reflect_point,
-    _frozen,
-    _norm,
-)
+from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, as_vec3, _finite, _frozen, _norm
+from .geom import _bisector, _coincide, _collinear, _plane_through, _reflect
 from .motion import ReflectionSequence
 
 
@@ -57,8 +45,11 @@ def congruent_triples(src, dst, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Either argument may be a PointTriple or a plain sequence of three points.
     """
-    a, b, c = _points_of(src)
-    a2, b2, c2 = _points_of(dst)
+    return _congruent(_points_of(src), _points_of(dst), tol)
+
+
+def _congruent(src: tuple[Vec3, Vec3, Vec3], dst: tuple[Vec3, Vec3, Vec3], tol: Tolerance) -> bool:
+    (a, b, c), (a2, b2, c2) = src, dst
     for p, q, p2, q2 in ((a, b, a2, b2), (a, c, a2, c2), (b, c, b2, c2)):
         d = _norm(q - p)
         d2 = _norm(q2 - p2)
@@ -82,33 +73,33 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     """
     a, b, c = pair.src.points()
     a2, b2, c2 = pair.dst
-    if collinear(a, b, c, tol):
+    if _collinear(a, b, c, tol):
         raise DegenerateSource("source triple is collinear at this tolerance")
-    if not congruent_triples(pair.src, pair.dst, tol):
+    if not _congruent((a, b, c), pair.dst, tol):
         raise NotCongruent("triples are not congruent at this tolerance")
 
-    if points_coincide(a, a2, tol):
-        alpha = plane_through_points(a, b, c, tol)
+    if _coincide(a, a2, tol):
+        alpha = _plane_through(a, b, c, tol)
     else:
-        alpha = perpendicular_bisector_plane(a, a2, tol)
+        alpha = _bisector(a, a2, tol)
 
-    b_stage = reflect_point(alpha, b)
-    if points_coincide(b_stage, b2, tol):
+    b_stage = _finite(_reflect(alpha, b))  # stage images are new: check they are finite
+    if _coincide(b_stage, b2, tol):
         # B is already in place; reflect in a plane through A' and B'.  When C
         # happens to lie on line(A', B') that plane would be underdetermined,
         # but in that case the source plane itself contains both images.
-        if collinear(a2, b2, c, tol):
-            beta = plane_through_points(a, b, c, tol)
+        if _collinear(a2, b2, c, tol):
+            beta = _plane_through(a, b, c, tol)
         else:
-            beta = plane_through_points(a2, b2, c, tol)
+            beta = _plane_through(a2, b2, c, tol)
     else:
-        beta = perpendicular_bisector_plane(b_stage, b2, tol)
+        beta = _bisector(b_stage, b2, tol)
 
-    c_stage = reflect_point(beta, reflect_point(alpha, c))
-    if points_coincide(c_stage, c2, tol):
-        gamma = plane_through_points(a2, b2, c2, tol)
+    c_stage = _finite(_reflect(beta, _finite(_reflect(alpha, c))))
+    if _coincide(c_stage, c2, tol):
+        gamma = _plane_through(a2, b2, c2, tol)
     else:
-        gamma = perpendicular_bisector_plane(c_stage, c2, tol)
+        gamma = _bisector(c_stage, c2, tol)
 
     return ReflectionSequence((alpha, beta, gamma))
 
@@ -126,5 +117,5 @@ def second_motion(
     if not isinstance(dst, PointTriple):
         p, q, r = dst
         dst = PointTriple(p, q, r, tol)
-    closing = plane_through_points(dst.a, dst.b, dst.c, tol)
+    closing = _plane_through(dst.a, dst.b, dst.c, tol)
     return ReflectionSequence(seq.planes + (closing,))

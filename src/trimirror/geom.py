@@ -4,6 +4,11 @@ Every object is canonicalized and frozen at construction time, and every
 operation is a pure function, so values can be shared freely.  Tolerances are
 absolute and tuned for inputs of roughly unit scale; pass a custom Tolerance
 to loosen or tighten them.
+
+Public functions and constructors validate their arguments once, then run a
+private kernel (`_collinear`, `_coincide`, `_bisector`, `_plane_through`,
+`_reflect`) that trusts finite float64 (3,) arrays, such as the fields of a
+built Plane, Line3, PointTriple, TriplePair or AffineIsometry.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ def as_vec3(value) -> Vec3:
     v = np.array(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected 3 components, got shape {v.shape}")
+    return _finite(v)
+
+
+def _finite(v: Vec3) -> Vec3:
     if not np.isfinite(v).all():
         raise ValueError("vector components must be finite")
     return v
@@ -43,7 +52,7 @@ def midpoint(a, b) -> Vec3:
 
 
 def _frozen(v: Vec3) -> Vec3:
-    v = v.copy()
+    """Make v read-only in place; callers pass an array they have just built."""
     v.setflags(write=False)
     return v
 
@@ -113,7 +122,10 @@ class Plane:
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
-        return float(self.normal @ as_vec3(point)) - self.offset
+        return self._distance(as_vec3(point))
+
+    def _distance(self, p: Vec3) -> float:
+        return float(self.normal @ p) - self.offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +167,7 @@ class PointTriple:
 
     def __post_init__(self, tol: Tolerance | None) -> None:
         a, b, c = as_vec3(self.a), as_vec3(self.b), as_vec3(self.c)
-        if collinear(a, b, c, tol or DEFAULT_TOL):
+        if _collinear(a, b, c, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
@@ -167,12 +179,19 @@ class PointTriple:
 
 def reflect_point(plane: Plane, point) -> Vec3:
     """Mirror image of `point` in `plane`."""
-    p = as_vec3(point)
-    return p - 2.0 * plane.signed_distance(p) * plane.normal
+    return _reflect(plane, as_vec3(point))
+
+
+def _reflect(plane: Plane, p: Vec3) -> Vec3:
+    return p - 2.0 * plane._distance(p) * plane.normal
 
 
 def points_coincide(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _norm(as_vec3(a) - as_vec3(b)) <= tol.eps_len
+    return _coincide(as_vec3(a), as_vec3(b), tol)
+
+
+def _coincide(a: Vec3, b: Vec3, tol: Tolerance) -> bool:
+    return _norm(a - b) <= tol.eps_len
 
 
 def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -182,9 +201,13 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
     edge, which keeps the verdict stable under uniform rescaling of the
     points and agrees with PointTriple's construction check.
     """
-    a, b, c = as_vec3(a), as_vec3(b), as_vec3(c)
+    return _collinear(as_vec3(a), as_vec3(b), as_vec3(c), tol)
+
+
+def _collinear(a: Vec3, b: Vec3, c: Vec3, tol: Tolerance, n: Vec3 | None = None) -> bool:
+    """collinear() on checked points; n, when given, is _cross(b - a, c - a)."""
     ab, ac, bc = b - a, c - a, c - b
-    doubled_area = _norm(_cross(ab, ac))
+    doubled_area = _norm(_cross(ab, ac) if n is None else n)
     longest = max(_norm(e) for e in (ab, ac, bc))
     return doubled_area <= 2.0 * tol.eps_len * longest
 
@@ -208,19 +231,25 @@ def perpendicular_bisector_plane(a, b, tol: Tolerance = DEFAULT_TOL) -> Plane:
     Raises CoincidentPoints when a and b agree within tol, since every plane
     through them would qualify.
     """
-    a, b = as_vec3(a), as_vec3(b)
+    return _bisector(as_vec3(a), as_vec3(b), tol)
+
+
+def _bisector(a: Vec3, b: Vec3, tol: Tolerance) -> Plane:
     chord = b - a
     if _norm(chord) <= tol.eps_len:
         raise CoincidentPoints("bisector plane needs two distinct points")
-    return Plane(chord, float(chord @ midpoint(a, b)))
+    return Plane(chord, float(chord @ (0.5 * (a + b))))
 
 
 def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
     """The unique plane through three noncollinear points."""
-    a, b, c = as_vec3(a), as_vec3(b), as_vec3(c)
-    if collinear(a, b, c, tol):
-        raise CollinearPoints("three collinear points do not fix a plane")
+    return _plane_through(as_vec3(a), as_vec3(b), as_vec3(c), tol)
+
+
+def _plane_through(a: Vec3, b: Vec3, c: Vec3, tol: Tolerance) -> Plane:
     n = _cross(b - a, c - a)
+    if _collinear(a, b, c, tol, n):
+        raise CollinearPoints("three collinear points do not fix a plane")
     return Plane(n, float(n @ a))
 
 
@@ -250,4 +279,4 @@ def lines_equal(a: Line3, b: Line3, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two lines describe the same point set, orientation aside."""
     if _norm(_cross(a.direction, b.direction)) > tol.eps_angle:
         return False
-    return points_coincide(a.point, b.point, tol)
+    return _coincide(a.point, b.point, tol)

@@ -108,7 +108,7 @@ def translation(v) -> AffineIsometry:
 def _reflection_parts(plane: Plane) -> tuple[np.ndarray, Vec3]:
     """Linear part and translation of the reflection in `plane`, unvalidated."""
     n = plane.normal
-    return _EYE - 2.0 * np.outer(n, n), 2.0 * plane.offset * n
+    return _EYE - 2.0 * (n[:, None] * n), 2.0 * plane.offset * n
 
 
 def plane_reflection(plane: Plane) -> AffineIsometry:

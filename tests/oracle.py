@@ -6,6 +6,11 @@ axis and mirror directions, linear solves for fixed points).  It shares no
 code with the library's closed-form classifier beyond the parameter record
 types, so agreement between the two is meaningful.
 
+`walk_three_reflections` is the mirror construction as the library wrote it
+before its kernels took checked vectors: every stage goes through the public
+geom functions, which validate each argument again.  The library's
+`three_reflections` must return the same planes bit for bit.
+
 `probe_classify_fixed_point` is the probe walk the library's fixed-point
 classifier used before it read the class off the linear part: it moves a
 frame of points near the fixed point and reads the axis and mirror from
@@ -22,11 +27,13 @@ import numpy as np
 
 from trimirror import (
     AffineIsometry,
+    DegenerateSource,
     GlideReflection,
     Identity,
     Inversion,
     Line3,
     NotAFixedPoint,
+    NotCongruent,
     OrientationParity,
     Plane,
     PointTriple,
@@ -39,13 +46,17 @@ from trimirror import (
     Tolerance,
     Translation,
     apply,
+    collinear,
+    congruent_triples,
     find_probe,
     identity,
     iso_equal,
     orientation,
     perpendicular_bisector_plane,
     plane_reflection,
+    plane_through_points,
     points_coincide,
+    reflect_point,
     rotation_about_axis,
     seq_to_affine,
     then,
@@ -123,6 +134,42 @@ def spectral_classify(motion: AffineIsometry, tol: Tolerance = TOL):
     center = np.linalg.solve(l - np.eye(3), -t)
     mirror = Plane(n, float(n @ center))
     return RotaryReflection(mirror=mirror, center=center, angle=angle)
+
+
+# ---------------------------------------------------------------- mirror walk
+
+
+def walk_three_reflections(pair, tol: Tolerance = TOL):
+    """three_reflections through the public functions, plane by plane.
+
+    Returns the mirror sequence and the branch taken at each stage: "moved"
+    (a bisector plane), "fixed" (the point was already in place) or, for B,
+    "on_line" (B in place and C on line A'B', so the source plane is reused).
+    """
+    a, b, c = pair.src.points()
+    a2, b2, c2 = pair.dst
+    if collinear(a, b, c, tol):
+        raise DegenerateSource("source triple is collinear at this tolerance")
+    if not congruent_triples(pair.src, pair.dst, tol):
+        raise NotCongruent("triples are not congruent at this tolerance")
+    if points_coincide(a, a2, tol):
+        alpha, path = plane_through_points(a, b, c, tol), ("fixed",)
+    else:
+        alpha, path = perpendicular_bisector_plane(a, a2, tol), ("moved",)
+    b_stage = reflect_point(alpha, b)
+    if points_coincide(b_stage, b2, tol):
+        if collinear(a2, b2, c, tol):
+            beta, path = plane_through_points(a, b, c, tol), path + ("on_line",)
+        else:
+            beta, path = plane_through_points(a2, b2, c, tol), path + ("fixed",)
+    else:
+        beta, path = perpendicular_bisector_plane(b_stage, b2, tol), path + ("moved",)
+    c_stage = reflect_point(beta, reflect_point(alpha, c))
+    if points_coincide(c_stage, c2, tol):
+        gamma, path = plane_through_points(a2, b2, c2, tol), path + ("fixed",)
+    else:
+        gamma, path = perpendicular_bisector_plane(c_stage, c2, tol), path + ("moved",)
+    return ReflectionSequence((alpha, beta, gamma)), path
 
 
 # ---------------------------------------------------------------- probe walk
@@ -378,6 +425,11 @@ def records_match(a, b, eps: float = 1e-8) -> bool:
         flip = 1.0 if float(a.mirror.normal @ b.mirror.normal) >= 0.0 else -1.0
         return angles_close(a.angle, flip * b.angle, eps)
     raise TypeError(f"unsupported record {a!r}")
+
+
+def plane_bytes(plane: Plane) -> bytes:
+    """A plane's normal and offset as bytes, for bit-for-bit comparisons."""
+    return plane.normal.tobytes() + np.float64(plane.offset).tobytes()
 
 
 def sequence_of(rng: np.random.Generator, count: int) -> ReflectionSequence:

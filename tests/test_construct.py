@@ -25,6 +25,8 @@ from trimirror import (
 from trimirror.errors import CollinearPoints, DegenerateSource, NotCongruent
 from trimirror.geom import collinear
 
+from oracle import plane_bytes, walk_three_reflections
+
 
 def _random_triple(rng, scale=3.0):
     while True:
@@ -227,3 +229,75 @@ def test_triple_pair_validation():
         TriplePair(((0, 0, 0), (1, 0, 0), (0, 1, 0)), (src.a, src.b, src.c))
     with pytest.raises(ValueError):
         TriplePair(src, ((0, 0, 0), (1, 0, 0)))
+
+
+# Each branch of the mirror walk, and the stage path it should take: the
+# first mirror, the second (with "on_line" for C on line A'B'), the third.
+_BRANCH_PATHS = {
+    "generic": ("moved", "moved", "moved"),
+    "a_in_place": ("fixed", "moved", "moved"),
+    "ab_in_place": ("fixed", "fixed", "moved"),
+    "identity": ("fixed", "fixed", "fixed"),
+    "c_on_dst_line": ("moved", "on_line"),
+}
+
+
+def _branch_pair(rng, branch):
+    """Source and destination points near the origin that take `branch`."""
+    while True:
+        a, b, c = _random_triple(rng).points()
+        angle = float(rng.uniform(0.5, 3.0))
+        if branch == "generic":
+            motion = then(rotation_about_axis(a, rng.normal(size=3), angle), _random_motion(rng))
+        elif branch == "a_in_place":
+            motion = rotation_about_axis(a, rng.normal(size=3), angle)
+        elif branch == "ab_in_place":
+            motion = rotation_about_axis(a, b - a, angle)
+        elif branch == "identity":
+            motion = translation((0.0, 0.0, 0.0))
+        else:
+            # a mirror puts A and B in place, C sits on line A'B', and a turn
+            # about that line moves C' off the mirror image of C
+            mirror = Plane(rng.normal(size=3), float(rng.uniform(-2.0, 2.0)))
+            if abs(mirror.signed_distance(a)) < 0.1:
+                continue
+            a2, b2 = reflect_point(mirror, a), reflect_point(mirror, b)
+            c = a2 + float(rng.uniform(1.3, 2.0)) * (b2 - a2)
+            if collinear(a, b, c, Tolerance(1e-3, 1e-3)):
+                continue
+            motion = then(plane_reflection(mirror), rotation_about_axis(a2, b2 - a2, angle))
+        return (a, b, c), tuple(apply(motion, p) for p in (a, b, c))
+
+
+def test_three_reflections_matches_public_walk_bit_for_bit():
+    rng = np.random.default_rng(37)
+    taken = {branch: 0 for branch in _BRANCH_PATHS}
+    for _ in range(200):
+        for branch, path in _BRANCH_PATHS.items():
+            src, dst = _branch_pair(rng, branch)
+            shift = rng.normal(size=3)
+            shift *= 10.0 ** rng.uniform(-6.0, 6.0) / np.linalg.norm(shift)
+            pair = TriplePair(PointTriple(*(p + shift for p in src)), tuple(q + shift for q in dst))
+            want, walked = walk_three_reflections(pair)
+            got = three_reflections(pair)
+            assert list(map(plane_bytes, got.planes)) == list(map(plane_bytes, want.planes))
+            taken[branch] += walked[: len(path)] == path
+    # rounding at offsets near 1e6 may tip a case into a neighbouring branch,
+    # but every branch must be taken by most of its cases
+    assert min(taken.values()) >= 150, taken
+
+
+def test_three_reflections_overflowing_stage_image_raises_like_the_walk():
+    # One ulp below the largest double, the source plane's offset rounds up
+    # to the largest double, so the image of B in it lands beyond: inf.
+    big = np.nextafter(np.finfo(float).max, 0.0)
+    src = PointTriple((big, -0.295, 0.04), (big, -0.147, -0.919), (big, -0.612, 0.89))
+    pair = TriplePair(src, src.points())
+    errors = []
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(reflect_point(plane_through_points(*src.points()), src.b)).all()
+        for build in (three_reflections, walk_three_reflections):
+            with pytest.raises(ValueError, match="vector components must be finite") as info:
+                build(pair)
+            errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]

@@ -1,13 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from trimirror import (
+    AffineIsometry,
+    GlideReflection,
+    Inversion,
     Line3,
     Plane,
     PointTriple,
+    RotaryReflection,
+    Screw,
     Tolerance,
+    Translation,
+    TriplePair,
     as_vec3,
     collinear,
+    congruent_triples,
     coplanar,
     intersect_planes,
     lines_equal,
@@ -22,6 +32,8 @@ from trimirror import (
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
 from trimirror.geom import _cross, _norm
+
+from oracle import plane_bytes
 
 # Orbit points of the worked example, in closed radical form.
 A_EX = vec3(1.0, 2.0, -2.0)
@@ -265,6 +277,123 @@ def test_vec3_validation():
             as_vec3((0.0, 0.0, bad))
     with pytest.raises(ValueError):
         PointTriple((0, 0), (1, 0, 0), (0, 1, 0))
+
+
+# Public entry points that take bare points, as calls on a list of `count`
+# points; validation sits in front of private kernels, so each must still
+# check every point it is given.
+_POINT_ENTRY_POINTS = {
+    "points_coincide": (2, lambda p: points_coincide(*p)),
+    "collinear": (3, lambda p: collinear(*p)),
+    "coplanar": (4, lambda p: coplanar(*p)),
+    "reflect_point": (1, lambda p: reflect_point(Plane((0, 0, 1), 1.0), p[0])),
+    "midpoint": (2, lambda p: midpoint(*p)),
+    "perpendicular_bisector_plane": (2, lambda p: perpendicular_bisector_plane(*p)),
+    "plane_through_points": (3, lambda p: plane_through_points(*p)),
+    "congruent_triples": (6, lambda p: congruent_triples(p[:3], p[3:])),
+    "Plane.signed_distance": (1, lambda p: Plane((0, 0, 1), 1.0).signed_distance(p[0])),
+    "Line3.distance_to": (1, lambda p: Line3((0, 0, 0), (1, 0, 0)).distance_to(p[0])),
+}
+_GOOD_POINTS = ((1, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 1), (3, 0, 0), (0, 1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((np.nan, 0.0, 1.0), "^vector components must be finite$"),
+        ((0.0, np.inf, 1.0), "^vector components must be finite$"),
+        ((0.0, 1.0, -np.inf), "^vector components must be finite$"),
+        ((1.0, 2.0), r"^expected 3 components, got shape \(2,\)$"),
+    ],
+    ids=["nan", "inf", "-inf", "shape2"],
+)
+def test_public_entry_points_reject_bad_points(name, bad, message):
+    count, call = _POINT_ENTRY_POINTS[name]
+    for slot in range(count):
+        points = list(_GOOD_POINTS[:count])
+        points[slot] = bad
+        with pytest.raises(ValueError, match=message):
+            call(points)
+
+
+def test_point_functions_match_reference_formulas_bit_for_bit():
+    # The formulas as written before validation moved in front of private
+    # kernels, with numpy's cross and norm (pinned equal to _cross and _norm
+    # below); the construct path's planes are built from these functions.
+    rng = np.random.default_rng(10)
+    tol = Tolerance()
+    verdicts = set()
+    for _ in range(3000):
+        shift = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0)
+        a, b, c = rng.normal(size=(3, 3)) * 3.0 + shift
+        near = 10.0 ** rng.uniform(-12.0, -7.0)
+        if rng.uniform() < 0.3:
+            c = a + rng.uniform(-2.0, 2.0) * (b - a) + near * rng.normal(size=3)
+        if rng.uniform() < 0.3:
+            b = a + near * rng.normal(size=3)
+        ab, ac, bc = b - a, c - a, c - b
+        n = np.cross(ab, ac)
+        thin = np.linalg.norm(n) <= 2.0 * tol.eps_len * max(np.linalg.norm(e) for e in (ab, ac, bc))
+        assert collinear(a, b, c, tol) == thin
+        same = np.linalg.norm(a - b) <= tol.eps_len
+        assert points_coincide(a, b, tol) == same
+        verdicts.add((bool(thin), bool(same)))
+        if not same:
+            want = Plane(ab, float(ab @ (0.5 * (a + b))))
+            assert plane_bytes(perpendicular_bisector_plane(a, b, tol)) == plane_bytes(want)
+        if not thin:
+            plane = Plane(n, float(n @ a))
+            assert plane_bytes(plane_through_points(a, b, c, tol)) == plane_bytes(plane)
+            image = c - 2.0 * (float(plane.normal @ c) - plane.offset) * plane.normal
+            assert reflect_point(plane, c).tobytes() == image.tobytes()
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def _arrays(value) -> list:
+    """The ndarrays in a value: itself, in a tuple, or in a record's fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in _arrays(getattr(value, f.name))]
+    return []
+
+
+_RECORD_MAKERS = {
+    "Plane": lambda v: Plane(v((0, 0, 2)), 1.0),
+    "Line3": lambda v: Line3(v((1, 2, 3)), v((0, 0, 2))),
+    "PointTriple": lambda v: PointTriple(v((0, 0, 0)), v((1, 0, 0)), v((0, 1, 0))),
+    "TriplePair": lambda v: TriplePair(
+        PointTriple(v((0, 0, 0)), v((1, 0, 0)), v((0, 1, 0))),
+        (v((5, 5, 5)), v((6, 5, 5)), v((5, 6, 5))),
+    ),
+    "AffineIsometry": lambda v: AffineIsometry(v(np.eye(3)), v((1, 2, 3))),
+    "Translation": lambda v: Translation(v((1, 2, 3))),
+    "Screw": lambda v: Screw(Line3(v((1, 2, 3)), v((0, 0, 1))), 0.5, v((0, 0, 2))),
+    "GlideReflection": lambda v: GlideReflection(Plane(v((0, 0, 1)), 1.0), v((1, 0, 0))),
+    "Inversion": lambda v: Inversion(v((1, 2, 3))),
+    "RotaryReflection": lambda v: RotaryReflection(Plane(v((0, 0, 1)), 0.0), v((1, 2, 0)), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_MAKERS))
+def test_records_do_not_alias_the_callers_arrays(name):
+    given = []
+
+    def v(x):
+        given.append(np.array(x, dtype=float))
+        return given[-1]
+
+    record = _RECORD_MAKERS[name](v)
+    stored = _arrays(record)
+    before = [a.tobytes() for a in stored]
+    assert stored and not any(a.flags.writeable for a in stored)
+    for a in given:
+        assert a.flags.writeable
+        a[...] = 7.0
+    assert [a.tobytes() for a in stored] == before
 
 
 def test_tolerance_validation():
