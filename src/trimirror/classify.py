@@ -22,6 +22,7 @@ for the worked example and for cross-checking the kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -47,6 +48,8 @@ from .geom import (
     points_coincide,
     _canonical_sign,
     _cross,
+    _cross3,
+    _dot3,
     _frozen,
     _norm,
 )
@@ -182,21 +185,19 @@ _PROBE_DIRECTIONS = tuple(
 
 def _canonical_angle(angle: float) -> float:
     """Wrap into (-pi, pi], sending the seam to +pi."""
-    wrapped = float(np.arctan2(np.sin(angle), np.cos(angle)))
-    if wrapped <= -np.pi:
-        wrapped = np.pi
-    return wrapped
+    wrapped = math.atan2(math.sin(angle), math.cos(angle))
+    return math.pi if wrapped <= -math.pi else wrapped
 
 
-def _skew_vector(a: np.ndarray) -> Vec3:
-    """Axial vector of the skew part of `a`; sin(angle) times the axis for a rotation."""
-    return 0.5 * np.array([a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]])
+def _skew_vector(a) -> list[float]:
+    """Axial vector of the skew part of rows `a`; sin(angle) times the axis for a rotation."""
+    return [0.5 * (a[2][1] - a[1][2]), 0.5 * (a[0][2] - a[2][0]), 0.5 * (a[1][0] - a[0][1])]
 
 
-def _angle_about(linear: np.ndarray, direction: Vec3) -> float:
+def _angle_about(linear, direction) -> float:
     """Signed rotation angle of an orthogonal `linear` about the unit `direction`."""
-    cos = float(np.clip((np.trace(linear) - 1.0) / 2.0, -1.0, 1.0))
-    return _canonical_angle(float(np.arctan2(float(_skew_vector(linear) @ direction), cos)))
+    cos = min(max((linear[0][0] + linear[1][1] + linear[2][2] - 1.0) / 2.0, -1.0), 1.0)
+    return _canonical_angle(math.atan2(_dot3(_skew_vector(linear), direction), cos))
 
 
 def find_probe(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> ProbeWitness:
@@ -241,38 +242,37 @@ def rotation_from_plane_pair(
             "parallel distinct mirrors compose to a translation, not a rotation"
         ) from exc
     composite = seq_to_affine(ReflectionSequence((alpha, beta)))
-    angle = _angle_about(composite.linear, axis.direction)
+    angle = _angle_about(composite.linear.tolist(), axis.direction.tolist())
     return Rotation(axis=axis, angle=angle)
 
 
-def _rotation_axis(r: np.ndarray) -> Vec3:
-    """Unit axis of the proper orthogonal `r`, with canonical sign.
+def _rotation_axis(r) -> list[float]:
+    """Unit axis of the proper orthogonal rows `r`, with canonical sign.
 
     The skew vector of r is accurate while cos(angle) > 0.  Toward a half
     turn it vanishes, but the symmetric part minus cos(angle)*I is
     (1 - cos(angle)) axis axis^T, whose column on its largest diagonal entry
-    is then long and accurate; the skew vector fixes its sign.  Returns the
-    zero vector only for r = I up to rounding, where the angle reads zero and
+    is then long and accurate.  Either way only the canonical sign sets its
+    sign; the angle's sign then comes from the skew vector.  Returns the zero
+    vector only for r = I up to rounding, where the angle reads zero and
     every caller collapses before using the axis.
     """
-    cos = (float(np.trace(r)) - 1.0) / 2.0
-    skew = _skew_vector(r)
+    cos = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
     if cos > 0.0:
-        axis = skew
+        axis = _skew_vector(r)
     else:
-        sym = 0.5 * (r + r.T) - cos * np.eye(3)
-        axis = sym[:, int(np.argmax(np.diag(sym)))]
-        if float(axis @ skew) < 0.0:
-            axis = -axis
-    length = _norm(axis)
+        k = max(range(3), key=lambda j: r[j][j])
+        axis = [r[k][k] - cos if j == k else 0.5 * (r[j][k] + r[k][j]) for j in range(3)]
+    length = math.sqrt(_dot3(axis, axis))
     if length == 0.0:
         return axis
-    axis = axis / length
-    return _canonical_sign(axis) * axis
+    axis = [x / length for x in axis]
+    sign = _canonical_sign(axis)
+    return [sign * x for x in axis]
 
 
-def _linear_kernel(linear: np.ndarray, tol: Tolerance) -> tuple[type, Vec3 | None, float]:
-    """Class of the linear part as a motion fixing the origin.
+def _linear_kernel(linear, tol: Tolerance) -> tuple[type, Vec3 | None, float]:
+    """Class of the linear part, as rows of floats, as a motion fixing the origin.
 
     Returns the record class (Identity, Rotation, Reflection, Inversion or
     RotaryReflection), the canonical unit axis or mirror normal, and the
@@ -282,25 +282,25 @@ def _linear_kernel(linear: np.ndarray, tol: Tolerance) -> tuple[type, Vec3 | Non
     Inversion; angles within eps_angle of 0 (or of 0 and pi for a rotary
     reflection) collapse to the simpler class.
     """
-    eye = np.eye(3)
-    if float(np.max(np.linalg.norm(linear - eye, axis=0))) <= tol.eps_len:
-        return Identity, None, 0.0
-    if float(np.max(np.linalg.norm(linear + eye, axis=0))) <= tol.eps_len:
-        return Inversion, None, 0.0
-    proper = float(np.linalg.det(linear)) > 0.0
-    r = linear if proper else -linear
+    (a, b, c), (d, e, f), (g, h, i) = linear
+    for s, kind in ((-1.0, Identity), (1.0, Inversion)):  # columns of linear + s I
+        columns = ((a + s, d, g), (b, e + s, h), (c, f, i + s))
+        if math.sqrt(max(_dot3(x, x) for x in columns)) <= tol.eps_len:
+            return kind, None, 0.0
+    proper = _dot3(linear[0], _cross3(linear[1], linear[2])) > 0.0
+    r = linear if proper else [[-x for x in row] for row in linear]
     direction = _rotation_axis(r)
     angle = _angle_about(r, direction)
     if proper:
         if abs(angle) <= tol.eps_angle:
             return Identity, None, 0.0
-        return Rotation, direction, angle
-    angle = _canonical_angle(angle - np.pi)
+        return Rotation, np.array(direction), angle
+    angle = _canonical_angle(angle - math.pi)
     if abs(angle) <= tol.eps_angle:
-        return Reflection, direction, 0.0
-    if abs(abs(angle) - np.pi) <= tol.eps_angle:
+        return Reflection, np.array(direction), 0.0
+    if abs(abs(angle) - math.pi) <= tol.eps_angle:
         return Inversion, None, 0.0
-    return RotaryReflection, direction, angle
+    return RotaryReflection, np.array(direction), angle
 
 
 def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
@@ -320,7 +320,7 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
     c = as_vec3(c)
     if not points_coincide(apply(m, c), c, tol):
         raise NotAFixedPoint("the supplied point is moved by the motion")
-    kind, direction, angle = _linear_kernel(_as_affine(m).linear, tol)
+    kind, direction, angle = _linear_kernel(_as_affine(m).linear.tolist(), tol)
     if kind is Identity:
         return Identity()
     if kind is Inversion:
@@ -354,22 +354,27 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
     return n, u - n
 
 
-def _relocate_axis(linear: np.ndarray, v: Vec3, d: Vec3) -> Vec3:
+def _relocate_axis(linear, v: Vec3, d: Vec3) -> Vec3:
     """Point x with (I - linear) x = v, for v perpendicular to the axis d.
 
     Restricted to the plane perpendicular to d the map I - linear is
     invertible whenever the rotation angle is nonzero, so a 2x2 solve in an
     orthonormal basis of that plane pins the relocated axis.
     """
-    seed = np.eye(3)[int(np.argmin(np.abs(d)))]
-    p = _cross(d, seed)
-    p = p / _norm(p)
-    q = _cross(d, p)
-    shifted = np.eye(3) - linear
-    system = np.array([[p @ shifted @ p, p @ shifted @ q], [q @ shifted @ p, q @ shifted @ q]])
-    rhs = np.array([p @ v, q @ v])
-    coeffs = np.linalg.solve(system, rhs)
-    return coeffs[0] * p + coeffs[1] * q
+    d, v = d.tolist(), v.tolist()
+    k = min(range(3), key=lambda j: abs(d[j]))
+    p = _cross3(d, [float(j == k) for j in range(3)])
+    length = math.sqrt(_dot3(p, p))  # at least sqrt(2/3): |d[k]| is the least of a unit d
+    p = [x / length for x in p]
+    q = _cross3(d, p)
+    sp, sq = ([x - _dot3(row, w) for x, row in zip(w, linear)] for w in (p, q))  # (I - linear) w
+    a11, a12, a21, a22 = _dot3(p, sp), _dot3(p, sq), _dot3(q, sp), _dot3(q, sq)
+    det = a11 * a22 - a12 * a21  # 4 sin^2(angle / 2) up to rounding
+    if det == 0.0:  # only if sin^2(angle) underflows (eps_angle < 1e-154): a singular solve
+        raise np.linalg.LinAlgError("Singular matrix")
+    r1, r2 = _dot3(p, v), _dot3(q, v)
+    c1, c2 = (r1 * a22 - a12 * r2) / det, (a11 * r2 - a21 * r1) / det
+    return np.array([c1 * x + c2 * y for x, y in zip(p, q)])
 
 
 def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
@@ -382,7 +387,8 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     """
     m = _as_affine(m)
     u = m.translation
-    kind, direction, angle = _linear_kernel(m.linear, tol)
+    rows = m.linear.tolist()
+    kind, direction, angle = _linear_kernel(rows, tol)
 
     if kind is Identity:
         if _norm(u) <= tol.eps_len:
@@ -391,7 +397,7 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
 
     if kind is Rotation:
         n, v = split_translation(u, direction)
-        axis = Line3(_relocate_axis(m.linear, v, direction), direction)
+        axis = Line3(_relocate_axis(rows, v, direction), direction)
         if _norm(n) <= tol.eps_len:
             return Rotation(axis=axis, angle=angle)
         return Screw(axis=axis, angle=angle, slide=n)

@@ -114,8 +114,5 @@ def second_motion(
     reversing the handedness of everything off that plane.  `dst` may be a
     PointTriple or any three noncollinear points.
     """
-    if not isinstance(dst, PointTriple):
-        p, q, r = dst
-        dst = PointTriple(p, q, r, tol)
-    closing = _plane_through(dst.a, dst.b, dst.c, tol)
+    closing = _plane_through(*_points_of(dst), tol)
     return ReflectionSequence(seq.planes + (closing,))

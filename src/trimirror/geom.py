@@ -60,9 +60,19 @@ def _frozen(v: Vec3) -> Vec3:
 def _cross(a: Vec3, b: Vec3) -> Vec3:
     """Cross product of two 3-vectors, bit for bit equal to np.cross but
     without its axis handling, which dominates its cost on 3-vectors."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.array(_cross3(a.tolist(), b.tolist()))
+
+
+def _cross3(a, b) -> tuple[float, float, float]:
+    """Cross product of two 3-sequences of Python floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _dot3(a, b) -> float:
+    """Dot product of two 3-sequences of Python floats."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _norm(v: Vec3) -> float:
@@ -110,8 +120,8 @@ class Plane:
     def __post_init__(self) -> None:
         n = as_vec3(self.normal)
         length = _norm(n)
-        if length <= _SIGN_EPS:
-            raise ValueError("plane normal must be nonzero")
+        if not _SIGN_EPS < length < math.inf:
+            raise ValueError("plane normal must have a nonzero, finite length")
         d = float(self.offset) / length
         if not np.isfinite(d):
             raise ValueError("plane offset must be finite")
@@ -142,8 +152,8 @@ class Line3:
     def __post_init__(self) -> None:
         d = as_vec3(self.direction)
         length = _norm(d)
-        if length <= _SIGN_EPS:
-            raise ValueError("line direction must be nonzero")
+        if not _SIGN_EPS < length < math.inf:
+            raise ValueError("line direction must have a nonzero, finite length")
         d = d / length
         d = _canonical_sign(d) * d + 0.0
         p = as_vec3(self.point)

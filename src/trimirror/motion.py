@@ -9,12 +9,14 @@ composes affine motions in reading order (first, then second).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _frozen, _norm, reflect_point
+from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _cross3, _dot3, _frozen, _norm
+from .geom import reflect_point
 
 # Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
 # given, up to _ORTHO_FIX it is silently re-orthonormalized, beyond that the
@@ -61,15 +63,19 @@ class AffineIsometry:
 
     def __post_init__(self) -> None:
         l = np.array(self.linear, dtype=float)
-        if l.shape != (3, 3) or not np.isfinite(l).all():
+        cols = l.T.tolist()  # a finite sum proves every entry finite; numpy decides on overflow
+        if l.shape != (3, 3) or not (math.isfinite(sum(map(sum, cols))) or np.isfinite(l).all()):
             raise ValueError("linear part must be a finite 3x3 matrix")
         t = as_vec3(self.translation)
-        residual = float(np.abs(l.T @ l - _EYE).max())
+        c0, c1, c2 = cols  # L^T L - I entry by entry, squares first: an overflow reads as inf
+        gram = [_dot3(c0, c0) - 1.0, _dot3(c1, c1) - 1.0, _dot3(c2, c2) - 1.0]
+        residual = max(map(abs, gram + [_dot3(c0, c1), _dot3(c0, c2), _dot3(c1, c2)]))
         if residual > _ORTHO_FIX:
             raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
         if residual > _ORTHO_PASS:
             l = _mgs(l)
-        if abs(abs(float(np.linalg.det(l))) - 1.0) > 1e-10:
+            c0, c1, c2 = l.T.tolist()
+        if abs(abs(_dot3(c0, _cross3(c1, c2))) - 1.0) > 1e-10:
             raise ValueError("linear part must have determinant +1 or -1")
         object.__setattr__(self, "linear", _frozen(l))
         object.__setattr__(self, "translation", _frozen(t))
@@ -117,19 +123,23 @@ def plane_reflection(plane: Plane) -> AffineIsometry:
 
 
 def _rotation_parts(point, direction, angle: float) -> tuple[np.ndarray, Vec3]:
-    """Linear part and translation of rotation_about_axis, unvalidated."""
+    """Linear part and translation of rotation_about_axis by Rodrigues' formula, unvalidated."""
     d = as_vec3(direction)
     length = _norm(d)
     if length <= 1e-12:
         raise ValueError("rotation axis direction must be nonzero")
-    d = d / length
+    x, y, z = (d / length).tolist()
     angle = float(angle)
-    if not np.isfinite(angle):
+    if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    k = np.array([[0.0, -d[2], d[1]], [d[2], 0.0, -d[0]], [-d[1], d[0], 0.0]])
-    r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    p = as_vec3(point)
-    return r, p - r @ p
+    s, c = math.sin(angle), 1.0 - math.cos(angle)
+    r = [
+        [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
+        [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
+        [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)],
+    ]
+    p = as_vec3(point).tolist()
+    return np.array(r), np.array([p[i] - _dot3(r[i], p) for i in range(3)])
 
 
 def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:

@@ -17,6 +17,12 @@ frame of points near the fixed point and reads the axis and mirror from
 their displacements and midpoints.  It uses only the public API, so it
 checks the library's kernel by a second, independent route.
 
+`numpy_linear_kernel`, `numpy_relocate_axis`, `numpy_rotation_parts` and
+`numpy_validate` are the classify and motion kernels as the library wrote
+them on numpy arrays, before they moved to Python floats.  The library's
+kernels must give the same classes and verdicts, and parameters equal to
+rounding.
+
 The module also carries random generators for motions and canonical
 records, and tolerant comparison helpers for the geometric parameter types.
 """
@@ -62,6 +68,8 @@ from trimirror import (
     then,
     translation,
 )
+
+from trimirror.motion import _mgs
 
 TOL = Tolerance()
 
@@ -265,6 +273,89 @@ def probe_classify_fixed_point(motion, c, tol: Tolerance = TOL):
     if abs(abs(angle) - np.pi) <= tol.eps_angle:
         return Inversion(center=c)
     return RotaryReflection(mirror=mirror, center=c, angle=angle)
+
+
+# ---------------------------------------------------------------- numpy kernels
+
+
+def _numpy_rotation_axis(r: np.ndarray) -> np.ndarray:
+    cos = (float(np.trace(r)) - 1.0) / 2.0
+    skew = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if cos > 0.0:
+        axis = skew
+    else:
+        sym = 0.5 * (r + r.T) - cos * np.eye(3)
+        axis = sym[:, int(np.argmax(np.diag(sym)))]
+        if float(axis @ skew) < 0.0:
+            axis = -axis
+    length = float(np.linalg.norm(axis))
+    if length == 0.0:
+        return axis
+    axis = axis / length
+    for comp in axis:
+        if abs(comp) > 1e-12:
+            return axis if comp > 0.0 else -axis
+    return axis
+
+
+def numpy_linear_kernel(linear: np.ndarray, tol: Tolerance = TOL):
+    """(class, unit axis or mirror normal or None, angle) of a linear part."""
+    eye = np.eye(3)
+    if float(np.max(np.linalg.norm(linear - eye, axis=0))) <= tol.eps_len:
+        return Identity, None, 0.0
+    if float(np.max(np.linalg.norm(linear + eye, axis=0))) <= tol.eps_len:
+        return Inversion, None, 0.0
+    proper = float(np.linalg.det(linear)) > 0.0
+    r = linear if proper else -linear
+    direction = _numpy_rotation_axis(r)
+    angle = _probe_angle(r, direction)
+    if proper:
+        if abs(angle) <= tol.eps_angle:
+            return Identity, None, 0.0
+        return Rotation, direction, angle
+    angle = _wrap_angle(angle - np.pi)
+    if abs(angle) <= tol.eps_angle:
+        return Reflection, direction, 0.0
+    if abs(abs(angle) - np.pi) <= tol.eps_angle:
+        return Inversion, None, 0.0
+    return RotaryReflection, direction, angle
+
+
+def numpy_relocate_axis(linear: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Point x perpendicular to d with (I - linear) x = v, by a 2x2 solve."""
+    seed = np.eye(3)[int(np.argmin(np.abs(d)))]
+    p = np.cross(d, seed)
+    p = p / np.linalg.norm(p)
+    q = np.cross(d, p)
+    shifted = np.eye(3) - linear
+    system = np.array([[p @ shifted @ p, p @ shifted @ q], [q @ shifted @ p, q @ shifted @ q]])
+    coeffs = np.linalg.solve(system, np.array([p @ v, q @ v]))
+    return coeffs[0] * p + coeffs[1] * q
+
+
+def numpy_rotation_parts(point, direction, angle: float):
+    """Linear part and translation of the rotation, as I + sin K + (1 - cos) K^2."""
+    d = np.array(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    k = np.array([[0.0, -d[2], d[1]], [d[2], 0.0, -d[0]], [-d[1], d[0], 0.0]])
+    r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    p = np.array(point, dtype=float)
+    return r, p - r @ p
+
+
+def numpy_validate(linear) -> np.ndarray:
+    """The linear part AffineIsometry stores, or its ValueError."""
+    l = np.array(linear, dtype=float)
+    if l.shape != (3, 3) or not np.isfinite(l).all():
+        raise ValueError("linear part must be a finite 3x3 matrix")
+    residual = float(np.abs(l.T @ l - np.eye(3)).max())
+    if residual > 1e-6:
+        raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
+    if residual > 1e-10:
+        l = _mgs(l)
+    if abs(abs(float(np.linalg.det(l))) - 1.0) > 1e-10:
+        raise ValueError("linear part must have determinant +1 or -1")
+    return l
 
 
 # ---------------------------------------------------------------- generators

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,7 @@ from trimirror.errors import (
     ParallelDistinctMirrors,
     ProbeExhausted,
 )
+from trimirror.classify import _linear_kernel, _relocate_axis
 from trimirror.example import make_f, make_g, make_h, make_k
 
 import oracle
@@ -411,3 +414,88 @@ def test_half_turn_screw_axis_direction(angle):
         got = classify(reconstruct(record))
         assert isinstance(got, Screw), got
         assert np.linalg.norm(np.cross(got.axis.direction, axis.direction)) <= 1e-12
+
+
+# Rotation angles at the kernel's seams: zero, the eps_angle = 1e-9 collapse
+# (angles kept 1 % away from it, where rounding cannot decide the class),
+# the half turn, and generic angles.
+_SEAM_ANGLES = (
+    0.0, 1e-7, -1e-7, 1e-10, -1e-10, 0.99e-9, 1.01e-9, -1.2e-9, 2e-9,
+    np.pi, np.pi - 1e-7, -(np.pi - 1e-7), np.pi - 1e-10, -(np.pi - 1e-10),
+    0.4, -1.3, 2.2, -2.9,
+)
+
+
+def _seam_linear_parts(rng):
+    """Seeded orthogonal matrices at every seam angle, proper and improper.
+
+    For a rotation r by angle a about d: r itself; -r, a rotary reflection
+    by a - pi (near an inversion for a near 0, near a reflection for a near
+    pi); and r times the reflection across d, a rotary reflection by a.
+    Angles near 1e-9 put the columns of r - I and -r + I within and just
+    beyond eps_len.
+    """
+    for angle in _SEAM_ANGLES:
+        for _ in range(30):
+            d = oracle.random_unit(rng)
+            r, _ = oracle.numpy_rotation_parts((0.0, 0.0, 0.0), d, angle)
+            yield r
+            yield -r
+            yield r @ (np.eye(3) - 2.0 * np.outer(d, d))
+
+
+def test_linear_kernel_matches_numpy_reference_at_seams():
+    rng = np.random.default_rng(54)
+    tol = Tolerance()
+    seen = set()
+    for linear in _seam_linear_parts(rng):
+        kind, direction, angle = _linear_kernel(linear.tolist(), tol)
+        want_kind, want_direction, want_angle = oracle.numpy_linear_kernel(linear, tol)
+        assert kind is want_kind, (linear, kind, want_kind)
+        seen.add(kind)
+        if want_direction is None:
+            assert direction is None
+            continue
+        assert np.max(np.abs(direction - want_direction)) <= 1e-14, linear
+        # at an exact half turn the angle may read +pi or -pi, the same turn
+        assert oracle.angles_close(angle, want_angle, 1e-14), (linear, angle, want_angle)
+    assert seen == {Identity, Rotation, Reflection, Inversion, RotaryReflection}
+
+
+def test_relocate_axis_matches_numpy_reference():
+    # the 2x2 system has determinant 4 sin^2(angle / 2), so rounding moves the
+    # solution by a few eps * |v| / det; Cramer and numpy's LU differ by that
+    rng = np.random.default_rng(55)
+    tol = Tolerance()
+    eps = np.finfo(float).eps
+    for linear in _seam_linear_parts(rng):
+        kind, direction, angle = _linear_kernel(linear.tolist(), tol)
+        if kind is not Rotation:
+            continue
+        v = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
+        v = v - (v @ direction) * direction
+        got = _relocate_axis(linear.tolist(), v, direction)
+        want = oracle.numpy_relocate_axis(linear, v, direction)
+        det = 4.0 * np.sin(angle / 2.0) ** 2
+        assert np.max(np.abs(got - want)) <= 16.0 * eps * np.linalg.norm(v) / det, linear
+
+
+def test_relocate_axis_raises_like_a_singular_solve():
+    d = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _relocate_axis(np.eye(3).tolist(), d, d)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        oracle.numpy_relocate_axis(np.eye(3), d, d)
+
+
+def test_seam_round_trips_raise_nothing_unexpected():
+    # classify and reconstruct on the seam matrices with seeded translations:
+    # the float kernels must not leak ZeroDivisionError or OverflowError.
+    # reconstruct may refuse an ill-conditioned near-seam record (ROADMAP
+    # item 3), as it did before the kernels moved to floats.
+    rng = np.random.default_rng(56)
+    for linear in _seam_linear_parts(rng):
+        for scale in (1.0, 1e3, 1e6):
+            record = classify(AffineIsometry(linear, rng.normal(size=3) * scale))
+            with contextlib.suppress(InvalidClassParameters):
+                reconstruct(record)

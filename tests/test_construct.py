@@ -206,6 +206,9 @@ def test_second_motion_properties():
         gap = float(np.linalg.norm(apply(first, probe) - apply(partner, probe)))
         dst_plane = plane_through_points(*dst)
         assert abs(gap - 2.0 * abs(dst_plane.signed_distance(apply(first, probe)))) <= 1e-9
+        as_triple = second_motion(first, PointTriple(*dst))
+        for closing in (partner.planes[3], as_triple.planes[3]):
+            assert plane_bytes(closing) == plane_bytes(dst_plane)
 
 
 def test_second_motion_of_identity_correspondence():
@@ -219,8 +222,18 @@ def test_second_motion_of_identity_correspondence():
 def test_second_motion_rejects_collinear_destination():
     src = PointTriple((0, 0, 0), (1, 0, 0), (0, 1, 0))
     seq = three_reflections(TriplePair(src, (src.a, src.b, src.c)))
-    with pytest.raises(CollinearPoints):
+    with pytest.raises(CollinearPoints, match="^three collinear points do not fix a plane$"):
         second_motion(seq, ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
+
+
+def test_three_reflections_rejects_overflowing_chords():
+    # congruent triples 2e307 apart: the bisector's chord length overflows,
+    # and Plane used to store a zero normal, leaving A unmoved
+    src = PointTriple((1e307, 0, 0), (1e307, 1, 0), (1e307, 0, 1))
+    dst = ((-1e307, 0, 0), (-1e307, 1, 0), (-1e307, 0, 1))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="^plane normal must have a nonzero, finite length$"):
+            three_reflections(TriplePair(src, dst))
 
 
 def test_triple_pair_validation():

@@ -31,7 +31,7 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
-from trimirror.geom import _cross, _norm
+from trimirror.geom import _canonical_sign, _cross, _norm
 
 from oracle import plane_bytes
 
@@ -98,6 +98,35 @@ def test_plane_rejects_degenerate_input():
         Plane((np.nan, 0, 1), 0.0)
     with pytest.raises(ValueError):
         Plane((1, 0, 0), np.inf)
+
+
+def test_plane_and_line_reject_overflowing_lengths():
+    # the squared length overflows in numpy (with its warning), and the unit
+    # normal or direction would come out as (0, 0, 0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="^plane normal must have a nonzero, finite length$"):
+            Plane((1e155, 0.0, 0.0), 1.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="^line direction must have a nonzero, finite"):
+            Line3((0.0, 0.0, 0.0), (1e200, 0.0, -1e200))
+
+
+def test_plane_and_line_bytes_match_reference_up_to_the_overflow_edge():
+    # the constructors as written before the overflow check, with numpy's norm
+    rng = np.random.default_rng(12)
+    vectors = [np.array([1.3e154, 0.0, 0.0]), np.array([-7e153, 7e153, 7e153])]
+    vectors += list(rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-6.0, 153.0, size=(2000, 1)))
+    for v in vectors:
+        offset, point = float(rng.normal()) * 1e3, rng.normal(size=3) * 1e3
+        length = np.linalg.norm(v)
+        sign = _canonical_sign(v / length)
+        plane = Plane(v, offset)
+        assert plane.normal.tobytes() == (sign * v / length + 0.0).tobytes()
+        assert plane.offset == sign * (offset / length) + 0.0
+        line = Line3(point, v)
+        d = sign * (v / length) + 0.0
+        assert line.direction.tobytes() == d.tobytes()
+        assert line.point.tobytes() == (point - (point @ d) * d + 0.0).tobytes()
 
 
 def test_bisector_plane_basic():

@@ -22,6 +22,9 @@ from trimirror import (
 )
 from trimirror.example import make_f, make_g, make_h
 from trimirror.geom import Line3, coplanar
+from trimirror.motion import _rotation_parts
+
+import oracle
 
 A_EX = vec3(1.0, 2.0, -2.0)
 B_EX = vec3(np.sqrt(6) / 2 + np.sqrt(2), np.sqrt(6) / 2, 1 - np.sqrt(3))
@@ -209,10 +212,27 @@ def test_rotation_fixes_axis_points():
 
 
 def test_rotation_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rotation axis direction must be nonzero$"):
         rotation_about_axis((0, 0, 0), (0, 0, 0), 1.0)
-    with pytest.raises(ValueError):
-        rotation_about_axis((0, 0, 0), (0, 0, 1), np.nan)
+    for angle in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^rotation angle must be finite$"):
+            rotation_about_axis((0, 0, 0), (0, 0, 1), angle)
+
+
+def test_rotation_parts_match_numpy_reference():
+    # Rodrigues' formula written out on floats against the matrix form; the
+    # sums run in another order, so entries may differ by a few ulps
+    rng = np.random.default_rng(60)
+    eps = np.finfo(float).eps
+    angles = [0.0, 1e-10, -1e-7, np.pi, -(np.pi - 1e-10), 1e-300]
+    angles += list(rng.uniform(-np.pi, np.pi, 200))
+    for angle in angles:
+        point = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
+        direction = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0)
+        linear, shift = _rotation_parts(point, direction, angle)
+        want_linear, want_shift = oracle.numpy_rotation_parts(point, direction, angle)
+        assert np.max(np.abs(linear - want_linear)) <= 4.0 * eps, angle
+        assert np.max(np.abs(shift - want_shift)) <= 8.0 * eps * np.linalg.norm(point), angle
 
 
 def test_affine_isometry_absorbs_small_drift():
@@ -248,6 +268,63 @@ def test_affine_isometry_rejects_large_drift():
 def test_affine_isometry_rejects_malformed_parts(linear, shift, message):
     with pytest.raises(ValueError, match=message):
         AffineIsometry(linear, shift)
+
+
+def test_affine_isometry_rejects_nonfinite_entries_in_every_slot():
+    for slot in range(9):
+        for bad in (np.nan, np.inf, -np.inf):
+            linear = np.eye(3).ravel()
+            linear[slot] = bad
+            with pytest.raises(ValueError, match="^linear part must be a finite 3x3 matrix$"):
+                AffineIsometry(linear.reshape(3, 3), np.zeros(3))
+
+
+def test_affine_isometry_overflowing_finite_entries_are_not_orthogonal():
+    # finite entries whose sum overflows take the numpy finiteness check,
+    # which passes them; L^T L - I then overflows and reads as inf
+    signs = np.array([[1, 1, -1], [-1, 1, 1], [1, -1, 1]])
+    for linear in (np.full((3, 3), 1e308), np.full((3, 3), -1e308), 1e308 * signs):
+        assert not np.isfinite(sum(linear.ravel().tolist()))
+        with pytest.raises(ValueError, match=r"^linear part is not orthogonal \(residual inf\)$"):
+            AffineIsometry(linear, np.zeros(3))
+
+
+def _verdict(validate, linear):
+    try:
+        stored = validate(linear)
+    except ValueError as exc:
+        return "rejected", str(exc)
+    return ("accepted" if stored.tobytes() == linear.tobytes() else "repaired"), stored.tobytes()
+
+
+def test_validator_verdicts_match_numpy_reference():
+    # orthogonality drift d of a seeded rotation, proper or improper, either
+    # stretched (L^T L = diag(1 + d, 1, 1)) or sheared (off-diagonal d), on a
+    # ladder across both thresholds: stored as given up to 1e-10, repaired up
+    # to 1e-6, rejected beyond; steps sit 0.1 % off each threshold
+    rng = np.random.default_rng(61)
+    ladder = (1e-11, 0.999e-10, 1.001e-10, 1e-7, 0.999e-6, 1.001e-6, 1e-5)
+    shear = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    cases = [(1.0 + 4e-11) * np.eye(3), -(1.0 + 4e-11) * np.eye(3)]
+    for _ in range(20):
+        r = rotation_about_axis((0, 0, 0), rng.normal(size=3), float(rng.uniform(-3, 3))).linear
+        for turn in (r, -r):
+            cases.append((1.0 + 4e-11) * turn)
+            for drift in ladder:
+                cases.append(turn @ np.diag([np.sqrt(1.0 + drift), 1.0, 1.0]))
+                cases.append(turn @ (np.eye(3) + 0.5 * drift * shear))
+    seen = set()
+    for linear in cases:
+        got = _verdict(lambda l: AffineIsometry(l, np.zeros(3)).linear, linear)
+        assert got == _verdict(oracle.numpy_validate, linear), linear
+        seen.add(got[1] if got[0] == "rejected" else got[0])
+    assert seen == {
+        "accepted",
+        "repaired",
+        "linear part must have determinant +1 or -1",
+        "linear part is not orthogonal (residual 1.001e-06)",
+        "linear part is not orthogonal (residual 1.000e-05)",
+    }
 
 
 def test_translation_composes_additively():
