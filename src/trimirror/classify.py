@@ -52,6 +52,7 @@ from .geom import (
     _dot3,
     _frozen,
     _norm,
+    _unit,
 )
 from .motion import (
     AffineIsometry,
@@ -345,11 +346,7 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
     elif isinstance(splitter, Plane):
         d = splitter.normal
     else:
-        d = as_vec3(splitter)
-        length = _norm(d)
-        if length <= 1e-12:
-            raise ValueError("splitter direction must be nonzero")
-        d = d / length
+        d = _unit(splitter, "splitter direction")
     n = (u @ d) * d
     return n, u - n
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateSource, NotCongruent
-from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, as_vec3, _finite, _frozen, _norm
-from .geom import _bisector, _coincide, _collinear, _plane_through, _reflect
+from .errors import CollinearPoints, DegenerateSource, NotCongruent
+from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, as_vec3, _finite, _frozen
+from .geom import _bisector, _collinear, _edge_lengths, _plane_through, _reflect
 from .motion import ReflectionSequence
 
 
@@ -45,17 +45,11 @@ def congruent_triples(src, dst, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Either argument may be a PointTriple or a plain sequence of three points.
     """
-    return _congruent(_points_of(src), _points_of(dst), tol)
+    return _congruent(_edge_lengths(*_points_of(src)), _edge_lengths(*_points_of(dst)), tol)
 
 
-def _congruent(src: tuple[Vec3, Vec3, Vec3], dst: tuple[Vec3, Vec3, Vec3], tol: Tolerance) -> bool:
-    (a, b, c), (a2, b2, c2) = src, dst
-    for p, q, p2, q2 in ((a, b, a2, b2), (a, c, a2, c2), (b, c, b2, c2)):
-        d = _norm(q - p)
-        d2 = _norm(q2 - p2)
-        if abs(d - d2) > tol.eps_len:
-            return False
-    return True
+def _congruent(edges: tuple[float, ...], dst_edges: tuple[float, ...], tol: Tolerance) -> bool:
+    return not any(abs(d - d2) > tol.eps_len for d, d2 in zip(edges, dst_edges))
 
 
 def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> ReflectionSequence:
@@ -73,33 +67,28 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     """
     a, b, c = pair.src.points()
     a2, b2, c2 = pair.dst
-    if _collinear(a, b, c, tol):
+    edges = _edge_lengths(a, b, c)
+    if _collinear(a, b, c, tol, edges=edges):
         raise DegenerateSource("source triple is collinear at this tolerance")
-    if not _congruent((a, b, c), pair.dst, tol):
+    if not _congruent(edges, _edge_lengths(a2, b2, c2), tol):
         raise NotCongruent("triples are not congruent at this tolerance")
 
-    if _coincide(a, a2, tol):
-        alpha = _plane_through(a, b, c, tol)
-    else:
-        alpha = _bisector(a, a2, tol)
+    # _bisector is None when the point is already in place
+    alpha = _bisector(a, a2, tol) or _plane_through(a, b, c, tol)
 
     b_stage = _finite(_reflect(alpha, b))  # stage images are new: check they are finite
-    if _coincide(b_stage, b2, tol):
+    beta = _bisector(b_stage, b2, tol)
+    if beta is None:
         # B is already in place; reflect in a plane through A' and B'.  When C
         # happens to lie on line(A', B') that plane would be underdetermined,
         # but in that case the source plane itself contains both images.
-        if _collinear(a2, b2, c, tol):
-            beta = _plane_through(a, b, c, tol)
-        else:
+        try:
             beta = _plane_through(a2, b2, c, tol)
-    else:
-        beta = _bisector(b_stage, b2, tol)
+        except CollinearPoints:
+            beta = _plane_through(a, b, c, tol)
 
     c_stage = _finite(_reflect(beta, _finite(_reflect(alpha, c))))
-    if _coincide(c_stage, c2, tol):
-        gamma = _plane_through(a2, b2, c2, tol)
-    else:
-        gamma = _bisector(c_stage, c2, tol)
+    gamma = _bisector(c_stage, c2, tol) or _plane_through(a2, b2, c2, tol)
 
     return ReflectionSequence((alpha, beta, gamma))
 

@@ -7,8 +7,8 @@ to loosen or tighten them.
 
 Public functions and constructors validate their arguments once, then run a
 private kernel (`_collinear`, `_coincide`, `_bisector`, `_plane_through`,
-`_reflect`) that trusts finite float64 (3,) arrays, such as the fields of a
-built Plane, Line3, PointTriple, TriplePair or AffineIsometry.
+`_reflect`, `_edge_lengths`) that trusts finite float64 (3,) arrays, such as
+the fields of a built Plane, Line3, PointTriple, TriplePair or AffineIsometry.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def as_vec3(value) -> Vec3:
 
 
 def _finite(v: Vec3) -> Vec3:
-    if not np.isfinite(v).all():
+    x, y, z = v.tolist()  # x * 0.0 is +-0.0 for finite x, NaN for inf and NaN: no overflow
+    if not math.isfinite(x * 0.0 + y * 0.0 + z * 0.0):
         raise ValueError("vector components must be finite")
     return v
 
@@ -80,8 +81,18 @@ def _norm(v: Vec3) -> float:
     return math.sqrt(float(v @ v))
 
 
-def _canonical_sign(v: Vec3) -> float:
-    """Sign that makes the first significant component of v positive."""
+def _unit(value, name: str) -> Vec3:
+    """value checked and scaled to length 1; ValueError when its length is tiny or overflows."""
+    v = as_vec3(value)
+    length = _norm(v)
+    if not _SIGN_EPS < length < math.inf:
+        raise ValueError(f"{name} must have a nonzero, finite length")
+    return v / length
+
+
+def _canonical_sign(v) -> float:
+    """Sign that makes the first significant component of v positive; v is any
+    sequence, and a list of Python floats is the cheapest to scan."""
     for comp in v:
         if abs(comp) > _SIGN_EPS:
             return 1.0 if comp > 0.0 else -1.0
@@ -123,11 +134,14 @@ class Plane:
         if not _SIGN_EPS < length < math.inf:
             raise ValueError("plane normal must have a nonzero, finite length")
         d = float(self.offset) / length
-        if not np.isfinite(d):
+        if not math.isfinite(d):
             raise ValueError("plane offset must be finite")
-        s = _canonical_sign(n / length)
+        x, y, z = n.tolist()
+        x, y, z = x / length, y / length, z / length
+        s = _canonical_sign((x, y, z))
         # adding 0.0 clears negative zeros left over from sign flips
-        object.__setattr__(self, "normal", _frozen(s * n / length + 0.0))
+        n = np.array((s * x + 0.0, s * y + 0.0, s * z + 0.0))
+        object.__setattr__(self, "normal", _frozen(n))
         object.__setattr__(self, "offset", s * d + 0.0)
 
     def signed_distance(self, point) -> float:
@@ -150,12 +164,8 @@ class Line3:
     direction: Vec3
 
     def __post_init__(self) -> None:
-        d = as_vec3(self.direction)
-        length = _norm(d)
-        if not _SIGN_EPS < length < math.inf:
-            raise ValueError("line direction must have a nonzero, finite length")
-        d = d / length
-        d = _canonical_sign(d) * d + 0.0
+        d = _unit(self.direction, "line direction")
+        d = _canonical_sign(d.tolist()) * d + 0.0
         p = as_vec3(self.point)
         foot = p - (p @ d) * d + 0.0
         object.__setattr__(self, "point", _frozen(foot))
@@ -214,12 +224,16 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _collinear(as_vec3(a), as_vec3(b), as_vec3(c), tol)
 
 
-def _collinear(a: Vec3, b: Vec3, c: Vec3, tol: Tolerance, n: Vec3 | None = None) -> bool:
-    """collinear() on checked points; n, when given, is _cross(b - a, c - a)."""
-    ab, ac, bc = b - a, c - a, c - b
-    doubled_area = _norm(_cross(ab, ac) if n is None else n)
-    longest = max(_norm(e) for e in (ab, ac, bc))
-    return doubled_area <= 2.0 * tol.eps_len * longest
+def _collinear(a: Vec3, b: Vec3, c: Vec3, tol: Tolerance, n=None, edges=None) -> bool:
+    """collinear() on checked points; n, when given, is _cross(b - a, c - a) and
+    edges _edge_lengths(a, b, c), which three_reflections shares with its congruence test."""
+    doubled_area = _norm(_cross(b - a, c - a) if n is None else n)
+    return doubled_area <= 2.0 * tol.eps_len * max(edges or _edge_lengths(a, b, c))
+
+
+def _edge_lengths(a: Vec3, b: Vec3, c: Vec3) -> tuple[float, float, float]:
+    """|b - a|, |c - a| and |c - b| of checked points."""
+    return _norm(b - a), _norm(c - a), _norm(c - b)
 
 
 def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -241,13 +255,17 @@ def perpendicular_bisector_plane(a, b, tol: Tolerance = DEFAULT_TOL) -> Plane:
     Raises CoincidentPoints when a and b agree within tol, since every plane
     through them would qualify.
     """
-    return _bisector(as_vec3(a), as_vec3(b), tol)
+    plane = _bisector(as_vec3(a), as_vec3(b), tol)
+    if plane is None:
+        raise CoincidentPoints("bisector plane needs two distinct points")
+    return plane
 
 
-def _bisector(a: Vec3, b: Vec3, tol: Tolerance) -> Plane:
+def _bisector(a: Vec3, b: Vec3, tol: Tolerance) -> Plane | None:
+    """Bisector plane of checked points, None where _coincide(a, b, tol) holds."""
     chord = b - a
     if _norm(chord) <= tol.eps_len:
-        raise CoincidentPoints("bisector plane needs two distinct points")
+        return None
     return Plane(chord, float(chord @ (0.5 * (a + b))))
 
 

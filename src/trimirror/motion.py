@@ -16,14 +16,13 @@ from typing import Iterator, Union
 import numpy as np
 
 from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _cross3, _dot3, _frozen, _norm
-from .geom import reflect_point
+from .geom import reflect_point, _unit
 
 # Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
 # given, up to _ORTHO_FIX it is silently re-orthonormalized, beyond that the
 # matrix is rejected as not an isometry.
 _ORTHO_PASS = 1e-10
 _ORTHO_FIX = 1e-6
-_EYE = _frozen(np.eye(3))
 
 PROBE_POINTS = tuple(
     _frozen(np.array(p, dtype=float))
@@ -112,9 +111,14 @@ def translation(v) -> AffineIsometry:
 
 
 def _reflection_parts(plane: Plane) -> tuple[np.ndarray, Vec3]:
-    """Linear part and translation of the reflection in `plane`, unvalidated."""
-    n = plane.normal
-    return _EYE - 2.0 * (n[:, None] * n), 2.0 * plane.offset * n
+    """I - 2 n n^T and 2 offset n of the reflection in `plane`, unvalidated, bit for bit."""
+    x, y, z = plane.normal.tolist()
+    k = 2.0 * plane.offset
+    # 0.0 - ... as in I - 2 n n^T: a bare -2.0 * (x * y) would give -0.0 for a zero product
+    xy, xz, yz = 0.0 - 2.0 * (x * y), 0.0 - 2.0 * (x * z), 0.0 - 2.0 * (y * z)
+    xx, yy, zz = 1.0 - 2.0 * (x * x), 1.0 - 2.0 * (y * y), 1.0 - 2.0 * (z * z)
+    flip = [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]
+    return np.array(flip), np.array((k * x, k * y, k * z))
 
 
 def plane_reflection(plane: Plane) -> AffineIsometry:
@@ -124,11 +128,7 @@ def plane_reflection(plane: Plane) -> AffineIsometry:
 
 def _rotation_parts(point, direction, angle: float) -> tuple[np.ndarray, Vec3]:
     """Linear part and translation of rotation_about_axis by Rodrigues' formula, unvalidated."""
-    d = as_vec3(direction)
-    length = _norm(d)
-    if length <= 1e-12:
-        raise ValueError("rotation axis direction must be nonzero")
-    x, y, z = (d / length).tolist()
+    x, y, z = _unit(direction, "rotation axis direction").tolist()
     angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
@@ -176,9 +176,13 @@ def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
 
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
     """The planes folded in reading order as `then` would, validated once: products
-    of reflections in unit normals drift from orthogonality far below _ORTHO_PASS."""
-    linear, shift = _EYE, np.zeros(3)
-    for plane in seq.planes:
+    of reflections in unit normals drift from orthogonality far below _ORTHO_PASS.
+    `then` after the identity leaves the first plane's parts, -0.0 shifts turned +0.0."""
+    if not seq.planes:
+        return identity()
+    linear, shift = _reflection_parts(seq.planes[0])
+    shift = shift + 0.0
+    for plane in seq.planes[1:]:
         flip, flip_shift = _reflection_parts(plane)
         linear, shift = flip @ linear, flip @ shift + flip_shift
     return AffineIsometry(linear, shift)

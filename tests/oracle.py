@@ -21,13 +21,17 @@ checks the library's kernel by a second, independent route.
 `numpy_validate` are the classify and motion kernels as the library wrote
 them on numpy arrays, before they moved to Python floats.  The library's
 kernels must give the same classes and verdicts, and parameters equal to
-rounding.
+rounding.  `numpy_reflection_parts` is the reflection's I - 2 n n^T and
+2 offset n as numpy computes them; the library's written-out entries must
+match it bit for bit, signed zeros included (`zero_component_vectors`).
 
 The module also carries random generators for motions and canonical
 records, and tolerant comparison helpers for the geometric parameter types.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -341,6 +345,24 @@ def numpy_rotation_parts(point, direction, angle: float):
     r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
     p = np.array(point, dtype=float)
     return r, p - r @ p
+
+
+def numpy_reflection_parts(plane: Plane):
+    """The reflection in the plane as numpy computes it: I - 2 n n^T and 2 offset n."""
+    n = plane.normal
+    return np.eye(3) - 2.0 * (n[:, None] * n), 2.0 * plane.offset * n
+
+
+def zero_component_vectors(rng: np.random.Generator) -> list[np.ndarray]:
+    """Vectors with one or two zero components, in every position, with every
+    sign on every component (a zero component is 0.0 or -0.0)."""
+    out = []
+    for zeros in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+        for signs in itertools.product((-1.0, 1.0), repeat=3):
+            v = np.array(signs) * rng.uniform(0.1, 3.0, size=3)
+            v[list(zeros)] *= 0.0
+            out.append(v)
+    return out
 
 
 def numpy_validate(linear) -> np.ndarray:

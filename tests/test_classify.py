@@ -224,6 +224,14 @@ def test_split_translation_rejects_zero_direction():
         split_translation((1, 2, 3), (0, 0, 0))
 
 
+def test_split_translation_rejects_overflowing_direction():
+    # the squared length overflows in numpy (with its warning), and the unit
+    # direction would come out as (0, 0, 0), splitting nothing off
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="^splitter direction must have a nonzero, finite"):
+            split_translation((1.0, 2.0, 3.0), (1e200, 0.0, 0.0))
+
+
 def test_classify_identity_and_translation():
     assert isinstance(classify(identity()), Identity)
     got = classify(translation((3, -2, 5)))

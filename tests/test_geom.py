@@ -33,7 +33,7 @@ from trimirror import (
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
 from trimirror.geom import _canonical_sign, _cross, _norm
 
-from oracle import plane_bytes
+from oracle import plane_bytes, zero_component_vectors
 
 # Orbit points of the worked example, in closed radical form.
 A_EX = vec3(1.0, 2.0, -2.0)
@@ -116,6 +116,7 @@ def test_plane_and_line_bytes_match_reference_up_to_the_overflow_edge():
     rng = np.random.default_rng(12)
     vectors = [np.array([1.3e154, 0.0, 0.0]), np.array([-7e153, 7e153, 7e153])]
     vectors += list(rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-6.0, 153.0, size=(2000, 1)))
+    vectors += zero_component_vectors(rng)
     for v in vectors:
         offset, point = float(rng.normal()) * 1e3, rng.normal(size=3) * 1e3
         length = np.linalg.norm(v)

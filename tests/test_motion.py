@@ -22,7 +22,7 @@ from trimirror import (
 )
 from trimirror.example import make_f, make_g, make_h
 from trimirror.geom import Line3, coplanar
-from trimirror.motion import _rotation_parts
+from trimirror.motion import _reflection_parts, _rotation_parts
 
 import oracle
 
@@ -145,7 +145,29 @@ def test_seq_to_affine_matches_then_fold_bit_for_bit():
         for out, fold in ((got, seq_to_affine), (want, _then_fold)):
             motion = fold(seq)
             out.append(motion.linear.tobytes() + motion.translation.tobytes())
+    # axis-aligned and other zero-component normals, through the origin or
+    # not: their zero products and shifts carry signed zeros
+    aligned = [Plane(n, d) for n in oracle.zero_component_vectors(rng) for d in (0.0, 1.5, -1.5)]
+    for _ in range(600):
+        picks = rng.integers(0, len(aligned), size=int(rng.integers(1, 6)))
+        seq = ReflectionSequence(tuple(aligned[i] for i in picks))
+        for out, fold in ((got, seq_to_affine), (want, _then_fold)):
+            motion = fold(seq)
+            out.append(motion.linear.tobytes() + motion.translation.tobytes())
     assert got == want
+
+
+def test_reflection_parts_match_numpy_reference_bit_for_bit():
+    # the entries written out on floats against I - 2 n n^T and 2 offset n;
+    # zero components make zero products, where a -0.0 would show in the bytes
+    rng = np.random.default_rng(62)
+    normals = oracle.zero_component_vectors(rng) + list(rng.normal(size=(400, 3)))
+    for n in normals:
+        for offset in (0.0, -0.0, 1.0, -2.5, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
+            plane = Plane(n, offset)
+            got, want = _reflection_parts(plane), oracle.numpy_reflection_parts(plane)
+            assert got[0].tobytes() == want[0].tobytes(), (n, offset)
+            assert got[1].tobytes() == want[1].tobytes(), (n, offset)
 
 
 def test_seq_to_affine_axis_aligned():
@@ -212,8 +234,14 @@ def test_rotation_fixes_axis_points():
 
 
 def test_rotation_rejects_bad_input():
-    with pytest.raises(ValueError, match="^rotation axis direction must be nonzero$"):
+    message = "^rotation axis direction must have a nonzero, finite length$"
+    with pytest.raises(ValueError, match=message):
         rotation_about_axis((0, 0, 0), (0, 0, 0), 1.0)
+    # the squared length overflows in numpy (with its warning), and the unit
+    # axis would come out as (0, 0, 0): a silent identity
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match=message):
+            rotation_about_axis((0.0, 0.0, 0.0), (1e200, 0.0, 0.0), 1.0)
     for angle in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^rotation angle must be finite$"):
             rotation_about_axis((0, 0, 0), (0, 0, 1), angle)
