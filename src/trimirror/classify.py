@@ -328,7 +328,7 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
         return Inversion(center=c)
     if kind is Rotation:
         return Rotation(axis=Line3(c, direction), angle=angle)
-    mirror = Plane(direction, float(direction @ c))
+    mirror = Plane(direction, float(direction.dot(c)))
     if kind is Reflection:
         return Reflection(mirror=mirror)
     return RotaryReflection(mirror=mirror, center=c, angle=angle)
@@ -347,7 +347,7 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
         d = splitter.normal
     else:
         d = _unit(splitter, "splitter direction")
-    n = (u @ d) * d
+    n = u.dot(d) * d
     return n, u - n
 
 
@@ -401,7 +401,7 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
 
     if kind is Reflection:
         n, v = split_translation(u, direction)
-        mirror = Plane(direction, 0.5 * float(direction @ n))
+        mirror = Plane(direction, 0.5 * float(direction.dot(n)))
         if _norm(v) <= tol.eps_len:
             return Reflection(mirror=mirror)
         return GlideReflection(mirror=mirror, slide=v)
@@ -413,7 +413,7 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     # and I - linear is invertible, so solve for it directly.
     center = np.linalg.solve(m.linear - np.eye(3), -u)
     return RotaryReflection(
-        mirror=Plane(direction, float(direction @ center)),
+        mirror=Plane(direction, float(direction.dot(center))),
         center=center,
         angle=angle,
     )
@@ -462,7 +462,7 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
     if isinstance(record, GlideReflection):
         slide_len = _norm(record.slide)
         _require(slide_len > 0.0, "glide slide must be nonzero")
-        drift = abs(float(record.slide @ record.mirror.normal))
+        drift = abs(float(record.slide.dot(record.mirror.normal)))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
         flip, shift = _reflection_parts(record.mirror)
         return AffineIsometry(flip, shift + record.slide)
@@ -482,6 +482,6 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
         )
         flip, flip_shift = _reflection_parts(record.mirror)
         turn, turn_shift = _rotation_parts(record.center, record.mirror.normal, record.angle)
-        return AffineIsometry(turn @ flip, turn @ flip_shift + turn_shift)
+        return AffineIsometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
 
     raise InvalidClassParameters(f"unrecognized class record {record!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
 from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, as_vec3, _finite, _frozen
-from .geom import _bisector, _collinear, _edge_lengths, _plane_through, _reflect
+from .geom import _bisector, _edge_lengths, _plane_through, _reflect, _thin
 from .motion import ReflectionSequence
 
 
@@ -67,10 +67,10 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     """
     a, b, c = pair.src.points()
     a2, b2, c2 = pair.dst
-    edges = _edge_lengths(a, b, c)
-    if _collinear(a, b, c, tol, edges=edges):
+    measure = pair.src._measure  # PointTriple measured the source triangle once
+    if _thin(measure, tol):
         raise DegenerateSource("source triple is collinear at this tolerance")
-    if not _congruent(edges, _edge_lengths(a2, b2, c2), tol):
+    if not _congruent(measure[1], _edge_lengths(a2, b2, c2), tol):
         raise NotCongruent("triples are not congruent at this tolerance")
 
     # _bisector is None when the point is already in place

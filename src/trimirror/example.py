@@ -97,7 +97,7 @@ class ExampleReport:
     def residual_dot_n(self) -> float:
         """Normalized perpendicularity certificate for residual against the axis."""
         scale = _norm(self.residual) * _norm(self.n_direction)
-        return abs(float(self.residual @ self.n_direction)) / scale
+        return abs(float(self.residual.dot(self.n_direction))) / scale
 
 
 def _z_scaled(v: Vec3) -> Vec3:

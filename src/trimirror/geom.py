@@ -6,9 +6,10 @@ absolute and tuned for inputs of roughly unit scale; pass a custom Tolerance
 to loosen or tighten them.
 
 Public functions and constructors validate their arguments once, then run a
-private kernel (`_collinear`, `_coincide`, `_bisector`, `_plane_through`,
-`_reflect`, `_edge_lengths`) that trusts finite float64 (3,) arrays, such as
-the fields of a built Plane, Line3, PointTriple, TriplePair or AffineIsometry.
+private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`,
+`_edge_lengths`, the triangle kernel `_triangle` and its verdict `_thin`, the
+plane kernel `_plane`) that trusts finite float64 (3,) arrays, such as the
+fields of a built Plane, Line3, PointTriple, TriplePair or AffineIsometry.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def _dot3(a, b) -> float:
 
 
 def _norm(v: Vec3) -> float:
-    """Length of a 1-D vector: sqrt(v . v), bit for bit as np.linalg.norm, minus its dispatch."""
-    return math.sqrt(float(v @ v))
+    """Length of a 1-D vector by np.linalg.norm's own formula, sqrt(x.dot(x)), sans dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _unit(value, name: str) -> Vec3:
@@ -130,26 +131,33 @@ class Plane:
 
     def __post_init__(self) -> None:
         n = as_vec3(self.normal)
-        length = _norm(n)
-        if not _SIGN_EPS < length < math.inf:
-            raise ValueError("plane normal must have a nonzero, finite length")
-        d = float(self.offset) / length
-        if not math.isfinite(d):
-            raise ValueError("plane offset must be finite")
-        x, y, z = n.tolist()
-        x, y, z = x / length, y / length, z / length
-        s = _canonical_sign((x, y, z))
-        # adding 0.0 clears negative zeros left over from sign flips
-        n = np.array((s * x + 0.0, s * y + 0.0, s * z + 0.0))
-        object.__setattr__(self, "normal", _frozen(n))
-        object.__setattr__(self, "offset", s * d + 0.0)
+        _plane(n, _norm(n), self.offset, self)
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
         return self._distance(as_vec3(point))
 
     def _distance(self, p: Vec3) -> float:
-        return float(self.normal @ p) - self.offset
+        return float(self.normal.dot(p)) - self.offset
+
+
+def _plane(n: Vec3, length: float, offset, plane: Plane | None = None) -> Plane:
+    """Plane(n, offset) for a fresh (3,) array n of _norm length; Plane() passes itself in."""
+    plane = object.__new__(Plane) if plane is None else plane
+    if not _SIGN_EPS < length < math.inf:
+        _finite(n)  # a kernel's normal may have overflowed: report it as as_vec3 would
+        raise ValueError("plane normal must have a nonzero, finite length")
+    d = float(offset) / length
+    if not math.isfinite(d):
+        raise ValueError("plane offset must be finite")
+    x, y, z = n.tolist()
+    x, y, z = x / length, y / length, z / length
+    s = _canonical_sign((x, y, z))
+    # adding 0.0 clears negative zeros left over from sign flips
+    n = np.array((s * x + 0.0, s * y + 0.0, s * z + 0.0))
+    object.__setattr__(plane, "normal", _frozen(n))
+    object.__setattr__(plane, "offset", s * d + 0.0)
+    return plane
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,13 +175,13 @@ class Line3:
         d = _unit(self.direction, "line direction")
         d = _canonical_sign(d.tolist()) * d + 0.0
         p = as_vec3(self.point)
-        foot = p - (p @ d) * d + 0.0
+        foot = _finite(p - p.dot(d) * d + 0.0)  # p.dot(d) overflows for p near the largest double
         object.__setattr__(self, "point", _frozen(foot))
         object.__setattr__(self, "direction", _frozen(d))
 
     def distance_to(self, point) -> float:
         w = as_vec3(point) - self.point
-        return _norm(w - (w @ self.direction) * self.direction)
+        return _norm(w - w.dot(self.direction) * self.direction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,11 +195,13 @@ class PointTriple:
 
     def __post_init__(self, tol: Tolerance | None) -> None:
         a, b, c = as_vec3(self.a), as_vec3(self.b), as_vec3(self.c)
-        if _collinear(a, b, c, tol or DEFAULT_TOL):
+        _, measure = _triangle(a, b, c)
+        if _thin(measure, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
         object.__setattr__(self, "c", _frozen(c))
+        object.__setattr__(self, "_measure", measure)  # three_reflections re-tests it at its tol
 
     def points(self) -> tuple[Vec3, Vec3, Vec3]:
         return self.a, self.b, self.c
@@ -221,14 +231,19 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
     edge, which keeps the verdict stable under uniform rescaling of the
     points and agrees with PointTriple's construction check.
     """
-    return _collinear(as_vec3(a), as_vec3(b), as_vec3(c), tol)
+    return _thin(_triangle(as_vec3(a), as_vec3(b), as_vec3(c))[1], tol)
 
 
-def _collinear(a: Vec3, b: Vec3, c: Vec3, tol: Tolerance, n=None, edges=None) -> bool:
-    """collinear() on checked points; n, when given, is _cross(b - a, c - a) and
-    edges _edge_lengths(a, b, c), which three_reflections shares with its congruence test."""
-    doubled_area = _norm(_cross(b - a, c - a) if n is None else n)
-    return doubled_area <= 2.0 * tol.eps_len * max(edges or _edge_lengths(a, b, c))
+def _triangle(a: Vec3, b: Vec3, c: Vec3) -> tuple[Vec3, tuple[float, tuple[float, ...]]]:
+    """n = (b - a) x (c - a) of checked points, and the doubled area |n| with the edges."""
+    ab, ac = b - a, c - a
+    n = _cross(ab, ac)
+    return n, (_norm(n), (_norm(ab), _norm(ac), _norm(c - b)))
+
+
+def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
+    """collinear()'s verdict on a measurement of _triangle."""
+    return measure[0] <= 2.0 * tol.eps_len * max(measure[1])
 
 
 def _edge_lengths(a: Vec3, b: Vec3, c: Vec3) -> tuple[float, float, float]:
@@ -239,7 +254,7 @@ def _edge_lengths(a: Vec3, b: Vec3, c: Vec3) -> tuple[float, float, float]:
 def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the tetrahedron abcd is flat within tolerance."""
     a, b, c, d = (as_vec3(p) for p in (a, b, c, d))
-    spread = abs(float(_cross(b - a, c - a) @ (d - a)))
+    spread = abs(float(_cross(b - a, c - a).dot(d - a)))
     pts = (a, b, c, d)
     widest = max(_norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
     return spread <= 6.0 * tol.eps_len * widest * widest
@@ -264,9 +279,9 @@ def perpendicular_bisector_plane(a, b, tol: Tolerance = DEFAULT_TOL) -> Plane:
 def _bisector(a: Vec3, b: Vec3, tol: Tolerance) -> Plane | None:
     """Bisector plane of checked points, None where _coincide(a, b, tol) holds."""
     chord = b - a
-    if _norm(chord) <= tol.eps_len:
+    if (length := _norm(chord)) <= tol.eps_len:
         return None
-    return Plane(chord, float(chord @ (0.5 * (a + b))))
+    return _plane(chord, length, chord.dot(0.5 * (a + b)))
 
 
 def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
@@ -275,10 +290,10 @@ def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
 
 
 def _plane_through(a: Vec3, b: Vec3, c: Vec3, tol: Tolerance) -> Plane:
-    n = _cross(b - a, c - a)
-    if _collinear(a, b, c, tol, n):
+    n, measure = _triangle(a, b, c)
+    if _thin(measure, tol):
         raise CollinearPoints("three collinear points do not fix a plane")
-    return Plane(n, float(n @ a))
+    return _plane(n, measure[0], n.dot(a))
 
 
 def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
@@ -299,7 +314,7 @@ def planes_equal(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two planes describe the same point set, orientation aside."""
     if _norm(_cross(p.normal, q.normal)) > tol.eps_angle:
         return False
-    s = 1.0 if float(p.normal @ q.normal) >= 0.0 else -1.0
+    s = 1.0 if float(p.normal.dot(q.normal)) >= 0.0 else -1.0
     return abs(p.offset - s * q.offset) <= tol.eps_len
 
 

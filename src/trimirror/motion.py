@@ -40,7 +40,7 @@ def _mgs(m: np.ndarray) -> np.ndarray:
     q = m.copy()
     for j in range(3):
         for k in range(j):
-            q[:, j] -= (q[:, k] @ q[:, j]) * q[:, k]
+            q[:, j] -= q[:, k].dot(q[:, j]) * q[:, k]
         length = _norm(q[:, j])
         if length <= 1e-12:
             raise ValueError("linear part is numerically singular")
@@ -159,7 +159,7 @@ def rotation_about_line(axis, angle: float) -> AffineIsometry:
 def apply(motion: Motion, point) -> Vec3:
     """Image of `point` under the motion (planes of a sequence in order)."""
     if isinstance(motion, AffineIsometry):
-        return motion.linear @ as_vec3(point) + motion.translation
+        return motion.linear.dot(as_vec3(point)) + motion.translation
     p = as_vec3(point)
     for plane in motion.planes:
         p = reflect_point(plane, p)
@@ -169,8 +169,8 @@ def apply(motion: Motion, point) -> Vec3:
 def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
     """Composite motion that applies `first`, then `second`."""
     return AffineIsometry(
-        second.linear @ first.linear,
-        second.linear @ first.translation + second.translation,
+        second.linear.dot(first.linear),
+        second.linear.dot(first.translation) + second.translation,
     )
 
 
@@ -184,7 +184,7 @@ def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
     shift = shift + 0.0
     for plane in seq.planes[1:]:
         flip, flip_shift = _reflection_parts(plane)
-        linear, shift = flip @ linear, flip @ shift + flip_shift
+        linear, shift = flip.dot(linear), flip.dot(shift) + flip_shift
     return AffineIsometry(linear, shift)
 
 

@@ -23,7 +23,7 @@ from trimirror import (
     then,
 )
 from trimirror.errors import CollinearPoints, DegenerateSource, NotCongruent
-from trimirror.geom import collinear
+from trimirror.geom import DEFAULT_TOL, collinear
 
 from oracle import plane_bytes, walk_three_reflections
 
@@ -92,6 +92,31 @@ def test_degenerate_source_raises():
     src = PointTriple((0, 0, 0), (1, 0, 0), (2, 1e-11, 0), Tolerance(1e-13, 1e-13))
     with pytest.raises(DegenerateSource):
         three_reflections(TriplePair(src, (src.a, src.b, src.c)))
+
+
+def test_stored_measurement_is_retested_at_the_callers_tolerance():
+    # PointTriple keeps the triangle it measured; three_reflections tests it
+    # again at its own tolerance, which must agree with collinear() there
+    rng = np.random.default_rng(33)
+    permissive, loose = Tolerance(1e-12, 1e-12), Tolerance(1e-7, 1e-7)
+    verdicts = {tol: set() for tol in (permissive, DEFAULT_TOL, loose)}
+    for _ in range(300):
+        a, u = rng.uniform(-2.0, 2.0, 3), rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        v = np.cross(u, rng.normal(size=3))
+        v /= np.linalg.norm(v)
+        b = a + rng.uniform(0.5, 2.0) * u
+        c = a + rng.uniform(-1.0, 3.0) * u + 10.0 ** rng.uniform(-10.5, -5.0) * v
+        src = PointTriple(a, b, c, permissive)
+        for tol, seen in verdicts.items():
+            thin = collinear(src.a, src.b, src.c, tol)
+            seen.add(thin)
+            if thin:
+                with pytest.raises(DegenerateSource):
+                    three_reflections(TriplePair(src, src.points()), tol)
+            else:
+                assert len(three_reflections(TriplePair(src, src.points()), tol)) == 3
+    assert verdicts == {permissive: {False}, DEFAULT_TOL: {False, True}, loose: {False, True}}
 
 
 def test_random_pairs_with_stage_certificates():

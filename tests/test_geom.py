@@ -1,8 +1,11 @@
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+import trimirror
 from trimirror import (
     AffineIsometry,
     GlideReflection,
@@ -109,6 +112,18 @@ def test_plane_and_line_reject_overflowing_lengths():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(ValueError, match="^line direction must have a nonzero, finite"):
             Line3((0.0, 0.0, 0.0), (1e200, 0.0, -1e200))
+
+
+def test_line_rejects_non_finite_foot():
+    # p . d overflows for a point near the largest double, inf * 0.0 is NaN,
+    # and the foot used to be stored as (-inf, -inf, nan)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(ValueError, match="^vector components must be finite$"):
+                Line3((1.7e308, 1.7e308, 0.0), (1.0, 1.0, 0.0))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="^vector components must be finite$"):
+            Line3((1.7e308, 1.7e308, 1.7e308), (1.0, 1.0, 1.0))
 
 
 def test_plane_and_line_bytes_match_reference_up_to_the_overflow_edge():
@@ -468,3 +483,37 @@ def test_norm_matches_numpy_bit_for_bit():
     columns = [q[:, j] for q in v.reshape(-1, 3, 3) for j in range(3)]
     got = np.array([_norm(c) for c in columns])
     assert got.tobytes() == np.array([np.linalg.norm(c) for c in columns]).tobytes()
+
+
+def test_dot_matches_matmul_bit_for_bit():
+    # the library calls ndarray.dot, which skips the matmul dispatch of `@`;
+    # both reach the same BLAS kernels, so the bytes must agree on every build
+    rng = np.random.default_rng(10)
+    n = 20000
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 2, 1, 1))
+    m = rng.normal(size=(n, 2, 3, 3)) * scales
+    m[::29, 0, 1, 2] = 0.0
+    m[::31, 1, 0, :] = -0.0
+    m[::43, 0, :, 1] = -0.0
+    v, w = m[:, 0, 0], m[:, 1, 2]  # rows of the matrices, zero and -0.0 entries included
+    cases = {
+        "vector.vector": [(x, y) for x, y in zip(v, w)],
+        "matrix.matrix": [(f, g) for f, g in m],
+        "matrix.vector": [(f, y) for (f, _), y in zip(m, w)],
+        "vector.matrix": [(x, g) for x, (_, g) in zip(v, m)],
+        "column.column": [(f[:, j], g[:, j]) for f, g in m[:3000] for j in range(3)],
+        "transposed": [(f.T, g) for f, g in m[:5000]] + [(f, g.T) for f, g in m[5000:10000]],
+        "transposed.vector": [(f.T, f[:, 1]) for f, _ in m[:5000]],
+    }
+    cases["vector.vector"] += [(x, y) for x in zero_component_vectors(rng) for y in v[:50]]
+    for name, pairs in cases.items():
+        got = b"".join(x.dot(y).tobytes() for x, y in pairs)
+        assert got == b"".join((x @ y).tobytes() for x, y in pairs), name
+
+
+def test_library_source_has_no_matmul_operator():
+    # `@` costs a matmul dispatch on every 3-vector; the library uses ndarray.dot
+    for path in sorted(pathlib.Path(trimirror.__file__).parent.glob("*.py")):
+        nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        sites = [n.lineno for n in nodes if isinstance(getattr(n, "op", None), ast.MatMult)]
+        assert not sites, f"{path.name} uses the @ operator on lines {sites}"
