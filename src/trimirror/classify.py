@@ -14,6 +14,8 @@ give the axis or mirror normal, and trace against skew gives the angle.
 point; `classify` recombines it with t, keeping the component along the
 axis or mirror as slide and using the rest to relocate the axis, mirror or
 center.  `reconstruct` rebuilds a motion from its record, closing the loop.
+The record constructors copy their vector fields; `classify` builds its
+records with `_record`, which checks and freezes its fresh arrays uncopied.
 
 The paper's own construction, which walks probe points and their images
 (`find_probe`, `ProbeWitness`, `rotation_from_plane_pair`), stays available
@@ -28,50 +30,35 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    InvalidClassParameters,
-    NotAFixedPoint,
-    ParallelDistinctMirrors,
-    ParallelPlanes,
-    ProbeExhausted,
-)
-from .geom import (
-    DEFAULT_TOL,
-    Line3,
-    Plane,
-    Tolerance,
-    Vec3,
-    as_vec3,
-    collinear,
-    intersect_planes,
-    planes_equal,
-    points_coincide,
-    _canonical_sign,
-    _cross,
-    _cross3,
-    _dot3,
-    _frozen,
-    _norm,
-    _unit,
-)
-from .motion import (
-    AffineIsometry,
-    Motion,
-    ReflectionSequence,
-    apply,
-    identity,
-    plane_reflection,
-    rotation_about_axis,
-    seq_to_affine,
-    translation,
-    _as_affine,
-    _reflection_parts,
-    _rotation_parts,
-)
+from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors
+from .errors import ParallelPlanes, ProbeExhausted
+from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, collinear, intersect_planes
+from .geom import planes_equal, points_coincide, _SIGN_EPS, _canonical_sign, _cross, _cross3, _dot3
+from .geom import _finite, _frozen, _line, _norm, _plane, _unit
+from .motion import AffineIsometry, Motion, ReflectionSequence, apply, identity, plane_reflection
+from .motion import seq_to_affine, _EYE, _as_affine, _isometry, _reflection_parts, _rodrigues
 
 # Validation slack for reconstruct(): parameter records are expected to come
 # from the classifiers, so only outright inconsistencies are rejected.
 _PARAM_EPS = 1e-9
+
+
+class _Vectors:
+    """Base of the records whose _VECTORS fields the constructor copies, checks and freezes."""
+
+    _VECTORS: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in self._VECTORS:
+            object.__setattr__(self, name, _frozen(as_vec3(getattr(self, name))))
+
+
+def _record(cls, **fields):
+    """cls(**fields) for arrays classify has just made: checked and frozen, not copied."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, _frozen(_finite(value)) if name in cls._VECTORS else value)
+    return record
 
 
 @dataclass(frozen=True)
@@ -80,11 +67,9 @@ class Identity:
 
 
 @dataclass(frozen=True, eq=False)
-class Translation:
+class Translation(_Vectors):
     v: Vec3
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v", _frozen(as_vec3(self.v)))
+    _VECTORS = ("v",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +81,13 @@ class Rotation:
 
 
 @dataclass(frozen=True, eq=False)
-class Screw:
+class Screw(_Vectors):
     """Rotation about `axis` combined with the parallel translation `slide`."""
 
     axis: Line3
     angle: float
     slide: Vec3
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slide", _frozen(as_vec3(self.slide)))
+    _VECTORS = ("slide",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,26 +96,22 @@ class Reflection:
 
 
 @dataclass(frozen=True, eq=False)
-class GlideReflection:
+class GlideReflection(_Vectors):
     """Reflection in `mirror` combined with the in-plane translation `slide`."""
 
     mirror: Plane
     slide: Vec3
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slide", _frozen(as_vec3(self.slide)))
+    _VECTORS = ("slide",)
 
 
 @dataclass(frozen=True, eq=False)
-class Inversion:
+class Inversion(_Vectors):
     center: Vec3
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _frozen(as_vec3(self.center)))
+    _VECTORS = ("center",)
 
 
 @dataclass(frozen=True, eq=False)
-class RotaryReflection:
+class RotaryReflection(_Vectors):
     """Reflection in `mirror` combined with rotation by `angle` about the
     axis through `center` perpendicular to the mirror; the sign of `angle`
     is right-handed about the mirror's canonical normal."""
@@ -140,9 +119,7 @@ class RotaryReflection:
     mirror: Plane
     center: Vec3
     angle: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _frozen(as_vec3(self.center)))
+    _VECTORS = ("center",)
 
 
 MotionClass = Union[
@@ -158,17 +135,14 @@ MotionClass = Union[
 
 
 @dataclass(frozen=True, eq=False)
-class ProbeWitness:
+class ProbeWitness(_Vectors):
     """A probe A with images B = m(A), B' = m(B), and which degeneracy it hit."""
 
     a: Vec3
     b: Vec3
     b_prime: Vec3
     case_tag: str
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "b_prime"):
-            object.__setattr__(self, name, _frozen(as_vec3(getattr(self, name))))
+    _VECTORS = ("a", "b", "b_prime")
 
 
 _PROBE_DIRECTIONS = tuple(
@@ -284,9 +258,10 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, Vec3 | None, float]:
     reflection) collapse to the simpler class.
     """
     (a, b, c), (d, e, f), (g, h, i) = linear
-    for s, kind in ((-1.0, Identity), (1.0, Inversion)):  # columns of linear + s I
-        columns = ((a + s, d, g), (b, e + s, h), (c, f, i + s))
-        if math.sqrt(max(_dot3(x, x) for x in columns)) <= tol.eps_len:
+    for s, kind in ((-1.0, Identity), (1.0, Inversion)):  # columns of linear + s I, as _dot3
+        x, y, z = a + s, e + s, i + s
+        widest = max(x * x + d * d + g * g, b * b + y * y + h * h, c * c + f * f + z * z)
+        if math.sqrt(widest) <= tol.eps_len:
             return kind, None, 0.0
     proper = _dot3(linear[0], _cross3(linear[1], linear[2])) > 0.0
     r = linear if proper else [[-x for x in row] for row in linear]
@@ -347,18 +322,23 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
         d = splitter.normal
     else:
         d = _unit(splitter, "splitter direction")
+    return _split(u, d)
+
+
+def _split(u: Vec3, d: Vec3) -> tuple[Vec3, Vec3]:
+    """split_translation of a checked u along a checked unit array d."""
     n = u.dot(d) * d
     return n, u - n
 
 
-def _relocate_axis(linear, v: Vec3, d: Vec3) -> Vec3:
+def _relocate_axis(linear, v, d) -> list[float]:
     """Point x with (I - linear) x = v, for v perpendicular to the axis d.
 
     Restricted to the plane perpendicular to d the map I - linear is
     invertible whenever the rotation angle is nonzero, so a 2x2 solve in an
-    orthonormal basis of that plane pins the relocated axis.
+    orthonormal basis of that plane pins the relocated axis.  linear is rows
+    of floats, v and d are sequences of floats.
     """
-    d, v = d.tolist(), v.tolist()
     k = min(range(3), key=lambda j: abs(d[j]))
     p = _cross3(d, [float(j == k) for j in range(3)])
     length = math.sqrt(_dot3(p, p))  # at least sqrt(2/3): |d[k]| is the least of a unit d
@@ -371,7 +351,7 @@ def _relocate_axis(linear, v: Vec3, d: Vec3) -> Vec3:
         raise np.linalg.LinAlgError("Singular matrix")
     r1, r2 = _dot3(p, v), _dot3(q, v)
     c1, c2 = (r1 * a22 - a12 * r2) / det, (a11 * r2 - a21 * r1) / det
-    return np.array([c1 * x + c2 * y for x, y in zip(p, q)])
+    return [c1 * x + c2 * y for x, y in zip(p, q)]
 
 
 def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
@@ -390,33 +370,33 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     if kind is Identity:
         if _norm(u) <= tol.eps_len:
             return Identity()
-        return Translation(v=u)
-
-    if kind is Rotation:
-        n, v = split_translation(u, direction)
-        axis = Line3(_relocate_axis(rows, v, direction), direction)
-        if _norm(n) <= tol.eps_len:
-            return Rotation(axis=axis, angle=angle)
-        return Screw(axis=axis, angle=angle, slide=n)
-
-    if kind is Reflection:
-        n, v = split_translation(u, direction)
-        mirror = Plane(direction, 0.5 * float(direction.dot(n)))
-        if _norm(v) <= tol.eps_len:
-            return Reflection(mirror=mirror)
-        return GlideReflection(mirror=mirror, slide=v)
+        return _record(Translation, v=u.copy())
 
     if kind is Inversion:
-        return Inversion(center=0.5 * u)
+        return _record(Inversion, center=0.5 * u)
 
-    # Rotary reflection: the full motion still has exactly one fixed point,
-    # and I - linear is invertible, so solve for it directly.
-    center = np.linalg.solve(m.linear - np.eye(3), -u)
-    return RotaryReflection(
-        mirror=Plane(direction, float(direction.dot(center))),
-        center=center,
-        angle=angle,
-    )
+    length = _norm(direction)  # measured once for the split and the axis or mirror
+    if kind is RotaryReflection:
+        # the full motion still has exactly one fixed point, and I - linear
+        # is invertible, so solve for it directly
+        center = np.linalg.solve(m.linear - _EYE, -u)
+        mirror = _plane(direction, length, float(direction.dot(center)))
+        return _record(RotaryReflection, mirror=mirror, center=center, angle=angle)
+
+    if not _SIGN_EPS < length < math.inf:
+        raise ValueError("splitter direction must have a nonzero, finite length")
+    d = [x / length for x in direction.tolist()]
+    n, v = _split(u, np.array(d))
+    if kind is Rotation:
+        axis = _line(np.array(_relocate_axis(rows, v.tolist(), direction.tolist())), d)
+        if _norm(n) <= tol.eps_len:
+            return Rotation(axis=axis, angle=angle)
+        return _record(Screw, axis=axis, angle=angle, slide=n)
+
+    mirror = _plane(direction, length, 0.5 * float(direction.dot(n)))
+    if _norm(v) <= tol.eps_len:
+        return Reflection(mirror=mirror)
+    return _record(GlideReflection, mirror=mirror, slide=v)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -425,8 +405,13 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_turn(angle: float, name: str) -> None:
-    _require(np.isfinite(angle), f"{name} angle must be finite")
+    _require(math.isfinite(angle), f"{name} angle must be finite")
     _require(1e-12 < abs(angle) <= np.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
+
+
+def _turn(point: Vec3, direction: Vec3, angle: float) -> tuple[np.ndarray, Vec3]:
+    """rotation_about_axis's parts for a record's checked point and unit direction."""
+    return _rodrigues(point.tolist(), (direction / _norm(direction)).tolist(), angle)
 
 
 def reconstruct(record: MotionClass) -> AffineIsometry:
@@ -441,11 +426,11 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
 
     if isinstance(record, Translation):
         _require(_norm(record.v) > 0.0, "translation vector must be nonzero")
-        return translation(record.v)
+        return _isometry(_EYE.copy(), record.v.copy())
 
     if isinstance(record, Rotation):
         _require_turn(record.angle, "rotation")
-        return rotation_about_axis(record.axis.point, record.axis.direction, record.angle)
+        return _isometry(*_turn(record.axis.point, record.axis.direction, record.angle))
 
     if isinstance(record, Screw):
         _require_turn(record.angle, "screw")
@@ -453,8 +438,8 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
         _require(slide_len > 0.0, "screw slide must be nonzero")
         drift = _norm(_cross(record.slide, record.axis.direction))
         _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
-        turn, shift = _rotation_parts(record.axis.point, record.axis.direction, record.angle)
-        return AffineIsometry(turn, shift + record.slide)
+        turn, shift = _turn(record.axis.point, record.axis.direction, record.angle)
+        return _isometry(turn, shift + record.slide)
 
     if isinstance(record, Reflection):
         return plane_reflection(record.mirror)
@@ -465,23 +450,23 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
         drift = abs(float(record.slide.dot(record.mirror.normal)))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
         flip, shift = _reflection_parts(record.mirror)
-        return AffineIsometry(flip, shift + record.slide)
+        return _isometry(flip, shift + record.slide)
 
     if isinstance(record, Inversion):
-        return AffineIsometry(-np.eye(3), 2.0 * record.center)
+        return _isometry(-_EYE, 2.0 * record.center)
 
     if isinstance(record, RotaryReflection):
-        _require(np.isfinite(record.angle), "rotary angle must be finite")
+        _require(math.isfinite(record.angle), "rotary angle must be finite")
         _require(
             1e-12 < abs(record.angle) < np.pi - 1e-12,
             "rotary angle must avoid 0 and pi",
         )
         _require(
-            abs(record.mirror.signed_distance(record.center)) <= _PARAM_EPS,
+            abs(record.mirror._distance(record.center)) <= _PARAM_EPS,
             "rotary center must lie on the mirror",
         )
         flip, flip_shift = _reflection_parts(record.mirror)
-        turn, turn_shift = _rotation_parts(record.center, record.mirror.normal, record.angle)
-        return AffineIsometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
+        turn, turn_shift = _turn(record.center, record.mirror.normal, record.angle)
+        return _isometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
 
     raise InvalidClassParameters(f"unrecognized class record {record!r}")

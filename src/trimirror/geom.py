@@ -8,8 +8,10 @@ to loosen or tighten them.
 Public functions and constructors validate their arguments once, then run a
 private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`,
 `_edge_lengths`, the triangle kernel `_triangle` and its verdict `_thin`, the
-plane kernel `_plane`) that trusts finite float64 (3,) arrays, such as the
-fields of a built Plane, Line3, PointTriple, TriplePair or AffineIsometry.
+plane kernel `_plane`, the line kernel `_line`) that trusts finite float64
+(3,) arrays, such as the fields of a built Plane, Line3, PointTriple,
+TriplePair or AffineIsometry.  `Plane()` and `Line3()` coerce their input,
+then run the kernel that library code calls on arrays it has just made.
 """
 
 from __future__ import annotations
@@ -119,11 +121,11 @@ DEFAULT_TOL = Tolerance()
 class Plane:
     """Oriented plane { x : normal . x = offset } stored in Hessian normal form.
 
-    Any nonzero normal and matching offset may be passed in; construction
-    rescales to a unit normal and flips the pair so the first component of
-    the normal whose magnitude exceeds 1e-12 is positive.  Two Plane values
-    describing the same point set therefore hold identical fields up to
-    floating-point noise.
+    Any normal longer than 1e-12 and matching offset may be passed in;
+    construction rescales to a unit normal and flips the pair so the first
+    component of the normal whose magnitude exceeds 1e-12 is positive.  Two
+    Plane values describing the same point set therefore hold identical
+    fields up to floating-point noise.
     """
 
     normal: Vec3
@@ -131,7 +133,8 @@ class Plane:
 
     def __post_init__(self) -> None:
         n = as_vec3(self.normal)
-        _plane(n, _norm(n), self.offset, self)
+        length = _norm(n)  # a raw normal must clear the floor; kernels have judged theirs
+        _plane(n, length if length > _SIGN_EPS else 0.0, self.offset, self)
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
@@ -144,7 +147,7 @@ class Plane:
 def _plane(n: Vec3, length: float, offset, plane: Plane | None = None) -> Plane:
     """Plane(n, offset) for a fresh (3,) array n of _norm length; Plane() passes itself in."""
     plane = object.__new__(Plane) if plane is None else plane
-    if not _SIGN_EPS < length < math.inf:
+    if not 0.0 < length < math.inf:
         _finite(n)  # a kernel's normal may have overflowed: report it as as_vec3 would
         raise ValueError("plane normal must have a nonzero, finite length")
     d = float(offset) / length
@@ -172,16 +175,26 @@ class Line3:
     direction: Vec3
 
     def __post_init__(self) -> None:
-        d = _unit(self.direction, "line direction")
-        d = _canonical_sign(d.tolist()) * d + 0.0
-        p = as_vec3(self.point)
-        foot = _finite(p - p.dot(d) * d + 0.0)  # p.dot(d) overflows for p near the largest double
-        object.__setattr__(self, "point", _frozen(foot))
-        object.__setattr__(self, "direction", _frozen(d))
+        d = _unit(self.direction, "line direction").tolist()
+        _line(as_vec3(self.point), d, self)
 
     def distance_to(self, point) -> float:
         w = as_vec3(point) - self.point
         return _norm(w - w.dot(self.direction) * self.direction)
+
+
+def _line(p: Vec3, d, line: Line3 | None = None) -> Line3:
+    """Line3(p, d) for a fresh (3,) array p and unit floats d; Line3() passes itself in."""
+    line = object.__new__(Line3) if line is None else line
+    s = _canonical_sign(d)
+    x, y, z = s * d[0] + 0.0, s * d[1] + 0.0, s * d[2] + 0.0
+    d = np.array((x, y, z))
+    k = p.dot(d)  # numpy's dot; it overflows (and warns) for p near the largest double
+    px, py, pz = p.tolist()
+    foot = _finite(np.array((px - k * x + 0.0, py - k * y + 0.0, pz - k * z + 0.0)))
+    object.__setattr__(line, "point", _frozen(foot))
+    object.__setattr__(line, "direction", _frozen(d))
+    return line
 
 
 @dataclass(frozen=True, eq=False)

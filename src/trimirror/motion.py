@@ -4,6 +4,8 @@ AffineIsometry is the closed form x -> L x + t with orthogonal L;
 ReflectionSequence is an ordered list of mirror planes applied left to
 right.  `apply` accepts either, `seq_to_affine` converts, and `then`
 composes affine motions in reading order (first, then second).
+`AffineIsometry()` copies its parts and runs the validator `_isometry`, which
+library code calls directly on the arrays it has just made.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _cross3, _dot3, _frozen, _norm
+from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _dot3, _finite, _frozen, _norm
 from .geom import reflect_point, _unit
 
 # Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
@@ -28,6 +30,7 @@ PROBE_POINTS = tuple(
     _frozen(np.array(p, dtype=float))
     for p in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 )
+_EYE = _frozen(np.array(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
 
 
 class OrientationParity(enum.IntEnum):
@@ -61,23 +64,30 @@ class AffineIsometry:
     translation: Vec3
 
     def __post_init__(self) -> None:
-        l = np.array(self.linear, dtype=float)
-        cols = l.T.tolist()  # a finite sum proves every entry finite; numpy decides on overflow
-        if l.shape != (3, 3) or not (math.isfinite(sum(map(sum, cols))) or np.isfinite(l).all()):
-            raise ValueError("linear part must be a finite 3x3 matrix")
-        t = as_vec3(self.translation)
-        c0, c1, c2 = cols  # L^T L - I entry by entry, squares first: an overflow reads as inf
-        gram = [_dot3(c0, c0) - 1.0, _dot3(c1, c1) - 1.0, _dot3(c2, c2) - 1.0]
-        residual = max(map(abs, gram + [_dot3(c0, c1), _dot3(c0, c2), _dot3(c1, c2)]))
-        if residual > _ORTHO_FIX:
-            raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
-        if residual > _ORTHO_PASS:
-            l = _mgs(l)
-            c0, c1, c2 = l.T.tolist()
-        if abs(abs(_dot3(c0, _cross3(c1, c2))) - 1.0) > 1e-10:
-            raise ValueError("linear part must have determinant +1 or -1")
-        object.__setattr__(self, "linear", _frozen(l))
-        object.__setattr__(self, "translation", _frozen(t))
+        _isometry(np.array(self.linear, dtype=float), self.translation, self)
+
+
+def _isometry(l: np.ndarray, t, m: AffineIsometry | None = None) -> AffineIsometry:
+    """AffineIsometry(l, t) for fresh float arrays; AffineIsometry() passes itself
+    in with its raw translation, coerced after the linear part has passed."""
+    cols = l.T.tolist()  # a finite sum proves every entry finite; numpy decides on overflow
+    if l.shape != (3, 3) or not (math.isfinite(sum(map(sum, cols))) or np.isfinite(l).all()):
+        raise ValueError("linear part must be a finite 3x3 matrix")
+    m, t = (object.__new__(AffineIsometry), _finite(t)) if m is None else (m, as_vec3(t))
+    (a, d, g), (b, e, h), (c, f, i) = cols  # L^T L - I as _dot3 sums, squares first
+    residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+                   abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+                   abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
+    if residual > _ORTHO_FIX:
+        raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
+    if residual > _ORTHO_PASS:
+        l = _mgs(l)
+        (a, d, g), (b, e, h), (c, f, i) = l.T.tolist()
+    if abs(abs(a * (e * i - h * f) + d * (h * c - b * i) + g * (b * f - e * c)) - 1.0) > 1e-10:
+        raise ValueError("linear part must have determinant +1 or -1")
+    object.__setattr__(m, "linear", _frozen(l))
+    object.__setattr__(m, "translation", _frozen(t))
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +113,11 @@ Motion = Union[AffineIsometry, ReflectionSequence]
 
 
 def identity() -> AffineIsometry:
-    return AffineIsometry(np.eye(3), np.zeros(3))
+    return _isometry(_EYE.copy(), np.zeros(3))
 
 
 def translation(v) -> AffineIsometry:
-    return AffineIsometry(np.eye(3), as_vec3(v))
+    return _isometry(_EYE.copy(), as_vec3(v))
 
 
 def _reflection_parts(plane: Plane) -> tuple[np.ndarray, Vec3]:
@@ -123,22 +133,27 @@ def _reflection_parts(plane: Plane) -> tuple[np.ndarray, Vec3]:
 
 def plane_reflection(plane: Plane) -> AffineIsometry:
     """The reflection in `plane` as an affine map."""
-    return AffineIsometry(*_reflection_parts(plane))
+    return _isometry(*_reflection_parts(plane))
 
 
 def _rotation_parts(point, direction, angle: float) -> tuple[np.ndarray, Vec3]:
-    """Linear part and translation of rotation_about_axis by Rodrigues' formula, unvalidated."""
-    x, y, z = _unit(direction, "rotation axis direction").tolist()
+    """Linear part and translation of rotation_about_axis, checked but not validated."""
+    d = _unit(direction, "rotation axis direction").tolist()
     angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
+    return _rodrigues(as_vec3(point).tolist(), d, angle)
+
+
+def _rodrigues(p, d, angle: float) -> tuple[np.ndarray, Vec3]:
+    """Rodrigues' formula for the point p, unit direction d and finite angle, all floats."""
+    x, y, z = d
     s, c = math.sin(angle), 1.0 - math.cos(angle)
     r = [
         [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
         [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
         [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)],
     ]
-    p = as_vec3(point).tolist()
     return np.array(r), np.array([p[i] - _dot3(r[i], p) for i in range(3)])
 
 
@@ -148,7 +163,7 @@ def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:
     The sense is right-handed about `direction` exactly as given; the
     direction is normalized but never flipped, unlike Line3 canonicalization.
     """
-    return AffineIsometry(*_rotation_parts(point, direction, angle))
+    return _isometry(*_rotation_parts(point, direction, angle))
 
 
 def rotation_about_line(axis, angle: float) -> AffineIsometry:
@@ -168,7 +183,7 @@ def apply(motion: Motion, point) -> Vec3:
 
 def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
     """Composite motion that applies `first`, then `second`."""
-    return AffineIsometry(
+    return _isometry(
         second.linear.dot(first.linear),
         second.linear.dot(first.translation) + second.translation,
     )
@@ -185,7 +200,7 @@ def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
     for plane in seq.planes[1:]:
         flip, flip_shift = _reflection_parts(plane)
         linear, shift = flip.dot(linear), flip.dot(shift) + flip_shift
-    return AffineIsometry(linear, shift)
+    return _isometry(linear, shift)
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -507,3 +508,61 @@ def test_seam_round_trips_raise_nothing_unexpected():
             record = classify(AffineIsometry(linear, rng.normal(size=3) * scale))
             with contextlib.suppress(InvalidClassParameters):
                 reconstruct(record)
+
+
+def test_round_trip_kernels_keep_every_check():
+    # reconstruct and classify build their arrays without copying them, and
+    # still refuse one that overflowed, with as_vec3's message
+    message = "^vector components must be finite$"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match=message):
+            reconstruct(Inversion(center=(1e308, 0.0, 0.0)))
+    turn = rotation_about_axis((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), 1.0).linear
+    screw = AffineIsometry(turn, (1.5e308, 1.5e308, 0.0))  # slide along the axis overflows
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(ValueError, match=message):
+                classify(screw)
+    flip = plane_reflection(Plane((-0.1, 0.995, 0.0), 0.0)).linear
+    glide = AffineIsometry(flip, (1.7e308, 1.7e308, 0.0))  # only the in-plane slide overflows
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+        with pytest.raises(ValueError, match=message):
+            classify(glide)
+
+
+def _record_arrays(record):
+    """The arrays a record holds, those of its Plane or Line3 included, and all its bytes."""
+    arrays, numbers = [], []
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, Plane):
+            arrays.append(value.normal)
+            numbers.append(value.offset)
+        elif isinstance(value, Line3):
+            arrays += [value.point, value.direction]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+        else:
+            numbers.append(value)
+    return arrays, b"".join(a.tobytes() for a in arrays) + np.array(numbers, float).tobytes()
+
+
+def test_classify_records_are_frozen_and_own_their_arrays():
+    # classify builds its records without the constructors' copies: the same
+    # bytes as a record built from those fields by its public constructor,
+    # every array read-only, and none shared with the input motion
+    rng = np.random.default_rng(71)
+    seen = set()
+    for _ in range(40):
+        for variant in oracle.ALL_VARIANTS:
+            m = oracle.record_motion(oracle.random_record(rng, variant))
+            record = classify(m)
+            seen.add(type(record))
+            arrays, got = _record_arrays(record)
+            fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+            assert got == _record_arrays(type(record)(**fields))[1], record
+            for a in arrays:
+                assert not a.flags.writeable, record
+                assert not np.shares_memory(a, m.linear), record
+                assert not np.shares_memory(a, m.translation), record
+    assert len(seen) == len(oracle.ALL_VARIANTS)

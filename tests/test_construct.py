@@ -94,6 +94,20 @@ def test_degenerate_source_raises():
         three_reflections(TriplePair(src, (src.a, src.b, src.c)))
 
 
+def test_small_well_shaped_triangles_are_carried_onto_their_images():
+    # a triangle with 1e-7 edges fixes a plane although its normal is
+    # shorter than 1e-12; both motions carry it onto a translated copy of
+    # itself, and onto itself
+    src = PointTriple((0.0, 0.0, 0.0), (1e-7, 0.0, 0.0), (0.0, 1e-7, 0.0))
+    for shift, bound in (((0.0, 0.0, 0.0), 1e-22), ((1.0, -2.0, 0.5), 2e-15)):
+        dst = tuple(p + np.array(shift) for p in src.points())
+        first = three_reflections(TriplePair(src, dst))
+        for seq in (first, second_motion(first, dst)):
+            motion = seq_to_affine(seq)
+            for p, q in zip(src.points(), dst):
+                assert np.linalg.norm(apply(motion, p) - q) <= bound, (shift, len(seq))
+
+
 def test_stored_measurement_is_retested_at_the_callers_tolerance():
     # PointTriple keeps the triangle it measured; three_reflections tests it
     # again at its own tolerance, which must agree with collinear() there

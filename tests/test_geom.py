@@ -103,6 +103,22 @@ def test_plane_rejects_degenerate_input():
         Plane((1, 0, 0), np.inf)
 
 
+def test_small_well_shaped_triangles_fix_a_plane():
+    # the 1e-12 floor applies to a normal a caller passes to Plane(); the
+    # kernels' normals were already judged by collinear() or by eps_len
+    a, b, c = (0.0, 0.0, 0.0), (1e-7, 0.0, 0.0), (0.0, 1e-7, 0.0)
+    assert not collinear(a, b, c)
+    plane = plane_through_points(a, b, c)
+    assert plane.normal.tolist() == [0.0, 0.0, 1.0] and plane.offset == 0.0
+    plane = perpendicular_bisector_plane((0.0, 0.0, 0.0), (1e-13, 0.0, 0.0), Tolerance(1e-14))
+    assert plane.normal.tolist() == [1.0, 0.0, 0.0]
+    assert plane.offset == pytest.approx(5e-14, rel=1e-15)
+    for normal in ((1e-13, 0.0, 0.0), (0.0, -1e-12, 0.0)):
+        with pytest.raises(ValueError, match="^plane normal must have a nonzero, finite length$"):
+            Plane(normal, 1.0)
+    assert Plane((0.0, -2e-12, 0.0), 1.0).normal.tolist() == [0.0, 1.0, 0.0]
+
+
 def test_plane_and_line_reject_overflowing_lengths():
     # the squared length overflows in numpy (with its warning), and the unit
     # normal or direction would come out as (0, 0, 0)
@@ -509,6 +525,19 @@ def test_dot_matches_matmul_bit_for_bit():
     for name, pairs in cases.items():
         got = b"".join(x.dot(y).tobytes() for x, y in pairs)
         assert got == b"".join((x @ y).tobytes() for x, y in pairs), name
+
+
+def test_library_builds_no_motion_or_identity_matrix_through_the_public_constructors():
+    # AffineIsometry(...) copies and re-checks its parts and np.eye(3) builds a
+    # fresh matrix each call; library code calls motion._isometry on the arrays
+    # it has just made and copies motion._EYE.  cli.py and example.py build
+    # their motions from external input, so they are not scanned.
+    root = pathlib.Path(trimirror.__file__).parent
+    for name in ("geom.py", "motion.py", "classify.py", "construct.py"):
+        tree = ast.parse((root / name).read_text(encoding="utf-8"))
+        calls = [(n.lineno, ast.unparse(n.func)) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        sites = [c for c in calls if c[1] in ("AffineIsometry", "np.eye", "numpy.eye")]
+        assert not sites, f"{name} calls {sites}"
 
 
 def test_library_source_has_no_matmul_operator():

@@ -317,6 +317,26 @@ def test_affine_isometry_overflowing_finite_entries_are_not_orthogonal():
             AffineIsometry(linear, np.zeros(3))
 
 
+def test_affine_isometry_reports_the_linear_part_before_the_translation():
+    for shift in ((np.inf, 0.0, 0.0), (0.0, np.nan, 0.0), np.zeros(4)):
+        with pytest.raises(ValueError, match="^linear part must be a finite 3x3 matrix$"):
+            AffineIsometry(np.diag([np.nan, 1.0, 1.0]), shift)
+
+
+def test_library_constructors_check_the_shift_they_compute():
+    # the validator kernel skips only the copy: a shift that overflows is
+    # still refused with as_vec3's message (2 * 1e308 overflows on floats,
+    # without a warning; numpy's add warns)
+    message = "^vector components must be finite$"
+    with pytest.raises(ValueError, match=message):
+        plane_reflection(Plane((1.0, 0.0, 0.0), 1e308))
+    with pytest.raises(ValueError, match=message):
+        seq_to_affine(ReflectionSequence((Plane((1, 0, 0), 1e308), Plane((1, 0, 0), -1e308))))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match=message):
+            then(translation((1e308, 0.0, 0.0)), translation((1e308, 0.0, 0.0)))
+
+
 def _verdict(validate, linear):
     try:
         stored = validate(linear)
