@@ -344,7 +344,9 @@ def _relocate_axis(linear, v, d) -> list[float]:
     length = math.sqrt(_dot3(p, p))  # at least sqrt(2/3): |d[k]| is the least of a unit d
     p = [x / length for x in p]
     q = _cross3(d, p)
-    sp, sq = ([x - _dot3(row, w) for x, row in zip(w, linear)] for w in (p, q))  # (I - linear) w
+    (l00, l01, l02), (l10, l11, l12), (l20, l21, l22) = linear  # (I - linear) w as _dot3 sums
+    sp, sq = [(w0 - (l00 * w0 + l01 * w1 + l02 * w2), w1 - (l10 * w0 + l11 * w1 + l12 * w2),
+               w2 - (l20 * w0 + l21 * w1 + l22 * w2)) for w0, w1, w2 in (p, q)]
     a11, a12, a21, a22 = _dot3(p, sp), _dot3(p, sq), _dot3(q, sp), _dot3(q, sq)
     det = a11 * a22 - a12 * a21  # 4 sin^2(angle / 2) up to rounding
     if det == 0.0:  # only if sin^2(angle) underflows (eps_angle < 1e-154): a singular solve

@@ -37,12 +37,7 @@ from .classify import (
     classify,
 )
 from .construct import TriplePair, second_motion, three_reflections
-from .errors import (
-    CollinearPoints,
-    DegenerateSource,
-    GeometryError,
-    NotCongruent,
-)
+from .errors import CollinearPoints, GeometryError
 from .example import DEFAULT_ITERATES, analyze, iterate
 from .geom import DEFAULT_TOL, Line3, Plane, PointTriple, Tolerance, _norm, as_vec3
 from .motion import (
@@ -294,7 +289,7 @@ def cmd_triples(args) -> int:
     dst = triple_from_spec(_load_json(args.dst), tol)
     pair = TriplePair(src, (dst.a, dst.b, dst.c))
     first = three_reflections(pair, tol)
-    second = second_motion(first, dst, tol)
+    second = second_motion(first, pair.dst, tol)
     first_motion = seq_to_affine(first)
     partner = seq_to_affine(second)
     residuals = []
@@ -409,12 +404,9 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotCongruent, DegenerateSource) as exc:
+    except GeometryError as exc:  # a violated geometric precondition
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def run() -> None:

@@ -4,7 +4,9 @@ Given congruent noncollinear triples (A, B, C) and (A', B', C'), exactly one
 motion of each orientation maps the first onto the second.  `three_reflections`
 builds the orientation-reversing one as a sequence of three mirrors, moving
 one point into place per stage; `second_motion` appends the destination
-triple's own plane to obtain the orientation-preserving partner.
+triple's own plane to obtain the orientation-preserving partner, built by
+`motion._sequence` to continue its prefix's fold.  `geom._triangle` measures each
+triangle once: PointTriple and the mirror sequence keep their measurements.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
 from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, as_vec3, _finite, _frozen
-from .geom import _bisector, _edge_lengths, _plane_through, _reflect, _thin
-from .motion import ReflectionSequence
+from .geom import _bisector, _measured_plane, _plane_through, _reflect, _thin, _triangle
+from .motion import ReflectionSequence, _sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,11 +35,13 @@ class TriplePair:
         object.__setattr__(self, "dst", tuple(_frozen(as_vec3(p)) for p in dst))
 
 
-def _points_of(triple) -> tuple[Vec3, Vec3, Vec3]:
+def _measured(triple) -> tuple[Vec3, Vec3, tuple]:
+    """First point, normal and measurement of a triple; a PointTriple's are kept."""
     if isinstance(triple, PointTriple):
-        return triple.points()
+        return triple.a, triple._normal, triple._measure
     a, b, c = triple
-    return as_vec3(a), as_vec3(b), as_vec3(c)
+    a, b, c = as_vec3(a), as_vec3(b), as_vec3(c)
+    return (a, *_triangle(a, b, c))
 
 
 def congruent_triples(src, dst, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -45,7 +49,7 @@ def congruent_triples(src, dst, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Either argument may be a PointTriple or a plain sequence of three points.
     """
-    return _congruent(_edge_lengths(*_points_of(src)), _edge_lengths(*_points_of(dst)), tol)
+    return _congruent(_measured(src)[2][1], _measured(dst)[2][1], tol)
 
 
 def _congruent(edges: tuple[float, ...], dst_edges: tuple[float, ...], tol: Tolerance) -> bool:
@@ -67,14 +71,15 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     """
     a, b, c = pair.src.points()
     a2, b2, c2 = pair.dst
-    measure = pair.src._measure  # PointTriple measured the source triangle once
+    n, measure = pair.src._normal, pair.src._measure
     if _thin(measure, tol):
         raise DegenerateSource("source triple is collinear at this tolerance")
-    if not _congruent(measure[1], _edge_lengths(a2, b2, c2), tol):
+    dst_triangle = (a2, *_triangle(a2, b2, c2))
+    if not _congruent(measure[1], dst_triangle[2][1], tol):
         raise NotCongruent("triples are not congruent at this tolerance")
 
     # _bisector is None when the point is already in place
-    alpha = _bisector(a, a2, tol) or _plane_through(a, b, c, tol)
+    alpha = _bisector(a, a2, tol) or _measured_plane(a, n, measure, tol)
 
     b_stage = _finite(_reflect(alpha, b))  # stage images are new: check they are finite
     beta = _bisector(b_stage, b2, tol)
@@ -85,12 +90,14 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
         try:
             beta = _plane_through(a2, b2, c, tol)
         except CollinearPoints:
-            beta = _plane_through(a, b, c, tol)
+            beta = _measured_plane(a, n, measure, tol)
 
     c_stage = _finite(_reflect(beta, _finite(_reflect(alpha, c))))
-    gamma = _bisector(c_stage, c2, tol) or _plane_through(a2, b2, c2, tol)
+    gamma = _bisector(c_stage, c2, tol) or _measured_plane(*dst_triangle, tol)
 
-    return ReflectionSequence((alpha, beta, gamma))
+    seq = _sequence((alpha, beta, gamma))
+    object.__setattr__(seq, "_dst", (pair.dst, dst_triangle))  # for second_motion(seq, pair.dst)
+    return seq
 
 
 def second_motion(
@@ -103,5 +110,6 @@ def second_motion(
     reversing the handedness of everything off that plane.  `dst` may be a
     PointTriple or any three noncollinear points.
     """
-    closing = _plane_through(*_points_of(dst), tol)
-    return ReflectionSequence(seq.planes + (closing,))
+    kept = getattr(seq, "_dst", None)  # three_reflections' measurement of its pair's dst
+    closing = _measured_plane(*(kept[1] if kept and kept[0] is dst else _measured(dst)), tol)
+    return _sequence(seq.planes + (closing,), seq)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Rotation, Screw, classify, classify_fixed_point, split_translation
+from .errors import GeometryError
 from .geom import (
     DEFAULT_TOL,
     Line3,
@@ -136,7 +137,7 @@ def analyze(tol: Tolerance = DEFAULT_TOL) -> ExampleReport:
 
     k_class = classify_fixed_point(k, CENTER, tol)
     if not isinstance(k_class, Rotation):
-        raise RuntimeError("rotation part of h failed to classify as a rotation")
+        raise GeometryError("rotation part of h failed to classify as a rotation")
     theta = abs(k_class.angle)
 
     p = apply(h, CENTER)
@@ -144,7 +145,7 @@ def analyze(tol: Tolerance = DEFAULT_TOL) -> ExampleReport:
 
     h_class = classify(h, tol)
     if not isinstance(h_class, Screw):
-        raise RuntimeError("h failed to classify as a screw")
+        raise GeometryError("h failed to classify as a screw")
 
     return ExampleReport(
         b=b,

@@ -6,9 +6,9 @@ absolute and tuned for inputs of roughly unit scale; pass a custom Tolerance
 to loosen or tighten them.
 
 Public functions and constructors validate their arguments once, then run a
-private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`,
-`_edge_lengths`, the triangle kernel `_triangle` and its verdict `_thin`, the
-plane kernel `_plane`, the line kernel `_line`) that trusts finite float64
+private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`, the
+triangle kernel `_triangle`, its verdict `_thin` and the plane `_measured_plane`
+it fixes, the plane kernel `_plane`, the line kernel `_line`) that trusts finite float64
 (3,) arrays, such as the fields of a built Plane, Line3, PointTriple,
 TriplePair or AffineIsometry.  `Plane()` and `Line3()` coerce their input,
 then run the kernel that library code calls on arrays it has just made.
@@ -208,13 +208,14 @@ class PointTriple:
 
     def __post_init__(self, tol: Tolerance | None) -> None:
         a, b, c = as_vec3(self.a), as_vec3(self.b), as_vec3(self.c)
-        _, measure = _triangle(a, b, c)
+        n, measure = _triangle(a, b, c)
         if _thin(measure, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "b", _frozen(b))
         object.__setattr__(self, "c", _frozen(c))
-        object.__setattr__(self, "_measure", measure)  # three_reflections re-tests it at its tol
+        object.__setattr__(self, "_measure", measure)  # construct re-tests it at its tol
+        object.__setattr__(self, "_normal", n)
 
     def points(self) -> tuple[Vec3, Vec3, Vec3]:
         return self.a, self.b, self.c
@@ -259,11 +260,6 @@ def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
     return measure[0] <= 2.0 * tol.eps_len * max(measure[1])
 
 
-def _edge_lengths(a: Vec3, b: Vec3, c: Vec3) -> tuple[float, float, float]:
-    """|b - a|, |c - a| and |c - b| of checked points."""
-    return _norm(b - a), _norm(c - a), _norm(c - b)
-
-
 def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the tetrahedron abcd is flat within tolerance."""
     a, b, c, d = (as_vec3(p) for p in (a, b, c, d))
@@ -303,7 +299,11 @@ def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
 
 
 def _plane_through(a: Vec3, b: Vec3, c: Vec3, tol: Tolerance) -> Plane:
-    n, measure = _triangle(a, b, c)
+    return _measured_plane(a, *_triangle(a, b, c), tol)
+
+
+def _measured_plane(a: Vec3, n: Vec3, measure, tol: Tolerance) -> Plane:
+    """The plane through a of the triangle that _triangle measured as n, measure."""
     if _thin(measure, tol):
         raise CollinearPoints("three collinear points do not fix a plane")
     return _plane(n, measure[0], n.dot(a))
@@ -316,11 +316,11 @@ def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
     two normals; its stored point is the point of the line nearest the origin.
     """
     direction = _cross(p.normal, q.normal)
-    if _norm(direction) <= tol.eps_angle:
+    if (length := _norm(direction)) <= tol.eps_angle:
         raise ParallelPlanes("planes are parallel within tolerance")
     system = np.vstack((p.normal, q.normal, direction))
     rhs = np.array([p.offset, q.offset, 0.0])
-    return Line3(np.linalg.solve(system, rhs), direction)
+    return _line(np.linalg.solve(system, rhs), (direction / length).tolist())
 
 
 def planes_equal(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:

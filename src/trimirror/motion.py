@@ -1,11 +1,12 @@
 """Rigid motions of 3-space in two interchangeable representations.
 
-AffineIsometry is the closed form x -> L x + t with orthogonal L;
-ReflectionSequence is an ordered list of mirror planes applied left to
-right.  `apply` accepts either, `seq_to_affine` converts, and `then`
-composes affine motions in reading order (first, then second).
-`AffineIsometry()` copies its parts and runs the validator `_isometry`, which
-library code calls directly on the arrays it has just made.
+AffineIsometry is the closed form x -> L x + t with orthogonal L; ReflectionSequence
+is an ordered list of mirror planes applied left to right.  `apply` accepts either,
+`seq_to_affine` converts, and `then` composes affine motions in reading order (first,
+then second).  `AffineIsometry()` copies its parts and runs the validator `_isometry`,
+which library code calls directly on the arrays it has just made.  A sequence folds
+its planes once (`_fold`); one the library builds with `_sequence` skips the plane
+check and may name the sequence it extends, whose fold it continues.
 """
 
 from __future__ import annotations
@@ -100,13 +101,22 @@ class ReflectionSequence:
         planes = tuple(self.planes)
         if not all(isinstance(p, Plane) for p in planes):
             raise ValueError("reflection sequence entries must be Plane values")
-        object.__setattr__(self, "planes", planes)
+        _sequence(planes, None, self)
 
     def __len__(self) -> int:
         return len(self.planes)
 
     def __iter__(self) -> Iterator[Plane]:
         return iter(self.planes)
+
+
+def _sequence(planes: tuple, prefix=None, seq=None) -> ReflectionSequence:
+    """ReflectionSequence(planes) for Planes; `prefix`'s planes begin them and lend their fold."""
+    seq = object.__new__(ReflectionSequence) if seq is None else seq
+    object.__setattr__(seq, "planes", planes)
+    object.__setattr__(seq, "_prefix", prefix)
+    object.__setattr__(seq, "_parts", None)
+    return seq
 
 
 Motion = Union[AffineIsometry, ReflectionSequence]
@@ -189,18 +199,30 @@ def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
     )
 
 
+def _fold(seq: ReflectionSequence) -> tuple[np.ndarray, Vec3]:
+    """The planes folded in reading order as `then` would, once per sequence and from its
+    prefix's fold, unvalidated: `then` after the identity leaves the first plane's parts,
+    -0.0 shifts turned +0.0.  seq_to_affine validates them on every call."""
+    if seq._parts is None:
+        planes, prefix = seq.planes, seq._prefix
+        if prefix is not None:
+            (linear, shift), planes = _fold(prefix), planes[len(prefix.planes):]
+        elif planes:
+            (linear, shift), planes = _reflection_parts(planes[0]), planes[1:]
+            shift = shift + 0.0
+        else:
+            linear, shift = _EYE.copy(), np.zeros(3)
+        for plane in planes:
+            flip, flip_shift = _reflection_parts(plane)
+            linear, shift = flip.dot(linear), flip.dot(shift) + flip_shift
+        object.__setattr__(seq, "_parts", (linear, shift))
+    return seq._parts
+
+
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
-    """The planes folded in reading order as `then` would, validated once: products
-    of reflections in unit normals drift from orthogonality far below _ORTHO_PASS.
-    `then` after the identity leaves the first plane's parts, -0.0 shifts turned +0.0."""
-    if not seq.planes:
-        return identity()
-    linear, shift = _reflection_parts(seq.planes[0])
-    shift = shift + 0.0
-    for plane in seq.planes[1:]:
-        flip, flip_shift = _reflection_parts(plane)
-        linear, shift = flip.dot(linear), flip.dot(shift) + flip_shift
-    return _isometry(linear, shift)
+    """The planes' motion: products of reflections in unit normals drift from
+    orthogonality far below _ORTHO_PASS, so _fold's parts pass as they are."""
+    return _isometry(*_fold(seq))
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:

@@ -277,6 +277,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["triples", "--src", flat, "--dst", src]) == 2
     capsys.readouterr()
 
+    # tolerances too loose for the worked example: at 1 and 2 the rotation
+    # part no longer classifies as a rotation, at 10 the orbit points coincide
+    for tol in ("1", "2", "10"):
+        assert main(["--tol", tol, "example"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     assert main([]) == 2
     capsys.readouterr()
 

@@ -232,7 +232,8 @@ def test_second_motion_properties():
         src = _random_triple(rng)
         motion = _random_motion(rng)
         dst = tuple(apply(motion, p) for p in src.points())
-        first = three_reflections(TriplePair(src, dst))
+        pair = TriplePair(src, dst)
+        first = three_reflections(pair)
         partner = second_motion(first, dst)
         assert len(partner) == 4
         assert orientation(partner) is OrientationParity.PROPER
@@ -246,8 +247,23 @@ def test_second_motion_properties():
         dst_plane = plane_through_points(*dst)
         assert abs(gap - 2.0 * abs(dst_plane.signed_distance(apply(first, probe)))) <= 1e-9
         as_triple = second_motion(first, PointTriple(*dst))
-        for closing in (partner.planes[3], as_triple.planes[3]):
-            assert plane_bytes(closing) == plane_bytes(dst_plane)
+        # three_reflections' own measurement of pair.dst, an equal copy of it
+        # and a looser tol all close with the same plane
+        own = second_motion(first, pair.dst)
+        copied = second_motion(first, tuple(np.array(p) for p in pair.dst))
+        loose = second_motion(first, pair.dst, Tolerance(1e-6, 1e-6))
+        for closing in (partner, as_triple, own, copied, loose):
+            assert plane_bytes(closing.planes[3]) == plane_bytes(dst_plane)
+        # any other destination is measured afresh
+        moved = tuple(p + 1.0 for p in dst)
+        assert plane_bytes(second_motion(first, moved).planes[3]) == plane_bytes(
+            plane_through_points(*moved)
+        )
+        # at a tol that makes the destination thin, each way refuses alike
+        thin = Tolerance(1e3, 1e-9)
+        for given in (pair.dst, dst, PointTriple(*dst)):
+            with pytest.raises(CollinearPoints, match="^three collinear points do not fix a plane$"):
+                second_motion(first, given, thin)
 
 
 def test_second_motion_of_identity_correspondence():

@@ -14,6 +14,7 @@ from trimirror import (
     Plane,
     PointTriple,
     RotaryReflection,
+    Rotation,
     Screw,
     Tolerance,
     Translation,
@@ -31,6 +32,7 @@ from trimirror import (
     point_on_plane,
     points_coincide,
     reflect_point,
+    rotation_from_plane_pair,
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
@@ -231,6 +233,20 @@ def test_intersect_planes_parallel_raises():
         intersect_planes(Plane((1, 0, 0), 0.0), Plane((1, 0, 0), 1.0))
     with pytest.raises(ParallelPlanes):
         intersect_planes(Plane((1, 0, 0), 2.0), Plane((-1, 0, 0), -2.0))
+
+
+def test_intersect_planes_meets_planes_its_parallel_test_accepts():
+    # normals 1e-13 apart are not parallel at eps_angle 1e-14: the line
+    # through both planes is the z axis, not Line3's 1e-12 floor error
+    p, q = Plane((1, 0, 0), 0.0), Plane((1, 1e-13, 0), 0.0)
+    tol = Tolerance(1e-14, 1e-14)
+    assert not planes_equal(p, q, tol)
+    line = intersect_planes(p, q, tol)
+    assert line.direction.tolist() == [0.0, 0.0, 1.0]
+    assert line.point.tolist() == [0.0, 0.0, 0.0]
+    turn = rotation_from_plane_pair(p, q, tol)
+    assert isinstance(turn, Rotation) and turn.axis.direction.tolist() == [0.0, 0.0, 1.0]
+    assert abs(turn.angle - 2e-13) <= 1e-20
 
 
 def test_intersect_planes_symmetric():

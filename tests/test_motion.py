@@ -6,8 +6,10 @@ from trimirror import (
     AffineIsometry,
     OrientationParity,
     Plane,
+    PointTriple,
     ReflectionSequence,
     Tolerance,
+    TriplePair,
     apply,
     identity,
     iso_equal,
@@ -15,8 +17,10 @@ from trimirror import (
     plane_reflection,
     rotation_about_axis,
     rotation_about_line,
+    second_motion,
     seq_to_affine,
     then,
+    three_reflections,
     translation,
     vec3,
 )
@@ -154,7 +158,42 @@ def test_seq_to_affine_matches_then_fold_bit_for_bit():
         for out, fold in ((got, seq_to_affine), (want, _then_fold)):
             motion = fold(seq)
             out.append(motion.linear.tobytes() + motion.translation.tobytes())
+    # second_motion's sequence continues its prefix's fold: converted after
+    # the prefix, or alone, it matches the fold of all four planes; so does
+    # the extension of a public sequence, empty or not
+    walk = np.random.default_rng(25)
+    for _ in range(300):
+        src = walk.uniform(-3.0, 3.0, (3, 3)) * 10.0 ** walk.uniform(-3.0, 3.0)
+        turn = rotation_about_axis(walk.normal(size=3), walk.normal(size=3), walk.uniform(-3, 3))
+        pair = TriplePair(PointTriple(*src), tuple(apply(turn, p) for p in src))
+        public = (lambda pair: ReflectionSequence(three_reflections(pair).planes),
+                  lambda pair: ReflectionSequence(()))
+        for prefix in (three_reflections, *public):
+            first, only = prefix(pair), prefix(pair)
+            second, alone = second_motion(first, pair.dst), second_motion(only, pair.dst)
+            for seq in (first, second, alone):
+                for out, fold in ((got, seq_to_affine), (want, _then_fold)):
+                    motion = fold(seq)
+                    out.append(motion.linear.tobytes() + motion.translation.tobytes())
     assert got == want
+
+
+def test_reused_fold_gives_read_only_arrays():
+    # a sequence folds once; each conversion validates those parts again and
+    # hands out read-only arrays, whichever sequence is converted first
+    src = PointTriple((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    pair = TriplePair(src, ((1, 2, 3), (1, 3, 3), (0, 2, 3)))
+    first = three_reflections(pair)
+    second = second_motion(first, pair.dst)
+    motions = [seq_to_affine(seq) for seq in (second, first, second, first)]
+    for m in motions:
+        assert not m.linear.flags.writeable and not m.translation.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.linear[0, 0] = 2.0
+    for again, once in zip(motions[2:], motions[:2]):
+        assert again.linear.tobytes() + again.translation.tobytes() == (
+            once.linear.tobytes() + once.translation.tobytes()
+        )
 
 
 def test_reflection_parts_match_numpy_reference_bit_for_bit():
