@@ -95,9 +95,7 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     c_stage = _finite(_reflect(beta, _finite(_reflect(alpha, c))))
     gamma = _bisector(c_stage, c2, tol) or _measured_plane(*dst_triangle, tol)
 
-    seq = _sequence((alpha, beta, gamma))
-    object.__setattr__(seq, "_dst", (pair.dst, dst_triangle))  # for second_motion(seq, pair.dst)
-    return seq
+    return _sequence((alpha, beta, gamma), dst=(pair.dst, dst_triangle))  # for second_motion
 
 
 def second_motion(
@@ -110,6 +108,6 @@ def second_motion(
     reversing the handedness of everything off that plane.  `dst` may be a
     PointTriple or any three noncollinear points.
     """
-    kept = getattr(seq, "_dst", None)  # three_reflections' measurement of its pair's dst
+    kept = seq._dst  # three_reflections' measurement of its pair's dst, or None
     closing = _measured_plane(*(kept[1] if kept and kept[0] is dst else _measured(dst)), tol)
     return _sequence(seq.planes + (closing,), seq)

@@ -110,12 +110,14 @@ class ReflectionSequence:
         return iter(self.planes)
 
 
-def _sequence(planes: tuple, prefix=None, seq=None) -> ReflectionSequence:
-    """ReflectionSequence(planes) for Planes; `prefix`'s planes begin them and lend their fold."""
+def _sequence(planes: tuple, prefix=None, seq=None, dst=None) -> ReflectionSequence:
+    """ReflectionSequence(planes) for Planes; `prefix`'s planes begin them and lend their fold,
+    and `dst` is a (triple, measurement) that construct.second_motion may reuse."""
     seq = object.__new__(ReflectionSequence) if seq is None else seq
     object.__setattr__(seq, "planes", planes)
     object.__setattr__(seq, "_prefix", prefix)
     object.__setattr__(seq, "_parts", None)
+    object.__setattr__(seq, "_dst", dst)
     return seq
 
 

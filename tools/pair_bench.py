@@ -2,16 +2,16 @@
 
     python3 tools/pair_bench.py --pr N --base HEAD~1 \
         --run construct-triples=1101-1110 --run classify-mixed=1201-1205 \
-        [--head REV] [--seconds 28] [--trace 0] [--out BENCH_N.json]
+        [--out BENCH_N.json]
 
 Each side is a copy of the repository in a temporary directory, so both run
-from sibling directories: --base, and --head when given, name a git revision
-exported with `git archive`; without --head the head side is a copy of the
-working tree's files that git tracks or would track.  For each workload and seed
-of a --run, both sides run `perfbench/run.py` one after the other with the
-same arguments, in alternating order (base first on even-numbered pairs, head
-first on odd ones), so a machine that slows down for minutes slows both sides.
-The last stdout line of a run is its JSON result.
+from sibling directories: the base side is the git revision --base, exported
+with `git archive`; the head side is a copy of the working tree's files that
+git tracks or would track.  For each workload and seed of a --run, both sides
+run `perfbench/run.py --seconds 28 --trace 0` one after the other with the same
+arguments, in alternating order (base first on even-numbered pairs, head first
+on odd ones), so a machine that slows down for minutes slows both sides.  The
+last stdout line of a run is its JSON result.
 
 The output holds, per workload and metric: each side's median and quartiles
 (inclusive method: the median of 10 values is the mean of the middle two),
@@ -37,6 +37,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 28  # BENCHMARK.json's run_seconds
+TRACE = 0  # untraced: per-layer spans slow the op they time
 
 
 def git(*args: str) -> str:
@@ -87,11 +89,11 @@ def seeds_of(text: str) -> list[int]:
     return seeds
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(root: str, workload: str, seed: int) -> dict:
     """The JSON result of one perfbench run in the checkout at root, with the
     fail_ratio that run.py prints on a line of its own (not a JSON metric)."""
     argv = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(TRACE)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -176,11 +178,8 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the output file name")
     p.add_argument("--base", required=True, help="git revision of the parent side")
-    p.add_argument("--head", default=None, help="git revision of the change (default: working tree)")
     p.add_argument("--run", action="append", required=True, metavar="WORKLOAD=SEEDS",
                    help="a workload and its seeds, such as construct-triples=1101-1110")
-    p.add_argument("--seconds", type=float, default=28.0)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", default=None, help="output path (default: BENCH_<pr>.json at the root)")
     return p.parse_args(argv)
 
@@ -193,22 +192,22 @@ def main(argv=None) -> int:
         plan.append((workload, seeds_of(seeds)))
     out_path = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with tempfile.TemporaryDirectory(prefix="pair-bench-") as scratch:
-        roots, sides = {}, {}
-        for side, rev in (("base", args.base), ("head", args.head)):
-            roots[side] = os.path.join(scratch, side)
-            os.mkdir(roots[side])
-            if rev is None:
-                copy_worktree(roots[side])
-                dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-                sides[side] = {"rev": git("rev-parse", "HEAD"), "working_tree": True, "dirty": dirty}
-            else:
-                sides[side] = {"rev": export(rev, roots[side]), "working_tree": False}
-            sides[side]["src_sha256"] = src_digest(roots[side])
+        roots = {side: os.path.join(scratch, side) for side in ("base", "head")}
+        for root in roots.values():
+            os.mkdir(root)
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+        sides = {
+            "base": {"rev": export(args.base, roots["base"])},
+            "head": {"rev": git("rev-parse", "HEAD"), "dirty": dirty},  # the working tree
+        }
+        copy_worktree(roots["head"])
+        for side, root in roots.items():
+            sides[side]["src_sha256"] = src_digest(root)
         better = directions(roots["head"])
         report = {
             "pr": args.pr,
             "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-            "args": {k: v for k, v in vars(args).items() if k != "out"},
+            "args": {"base": args.base, "run": args.run, "seconds": SECONDS, "trace": TRACE},
             "sides": sides,
             "machine": machine(),
             "workloads": {},
@@ -221,7 +220,7 @@ def main(argv=None) -> int:
                 k += 1
                 run = {"seed": seed, "order": list(order)}
                 for side in order:
-                    run[side] = run_once(roots[side], workload, seed, args.seconds, args.trace)
+                    run[side] = run_once(roots[side], workload, seed)
                 runs.append(run)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {run[side]['metrics']['ops_per_s']['value']:.0f} ops/s" for side in order
