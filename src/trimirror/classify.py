@@ -14,8 +14,15 @@ give the axis or mirror normal, and trace against skew gives the angle.
 point; `classify` recombines it with t, keeping the component along the
 axis or mirror as slide and using the rest to relocate the axis, mirror or
 center.  `reconstruct` rebuilds a motion from its record, closing the loop.
-The record constructors copy their vector fields; `classify` builds its
-records with `_record`, which checks and freezes its fresh arrays uncopied.
+
+The axis point and the rotary center come from one closed form,
+`_fixed_point`: x = (w + cot(angle / 2) d x w) / 2 solves (I - L) x = w, w
+being the part of t across the axis, or for the center all of t.  For w
+across the unit d, the turn R by angle about d gives (I - R) w = 2 s (s w -
+c d x w) and (I - R) d x w = 2 s (s d x w + c w), with s and c the sine and
+cosine of angle / 2, so (I - R) x = w.  The rotary L = R (I - 2 d d^T) sends
+d to -d, which halves w's component along d, as x does.  Both points solve
+the record's own turn, which `reconstruct` rebuilds.
 
 The paper's own construction, which walks probe points and their images
 (`find_probe`, `ProbeWitness`, `rotation_from_plane_pair`), stays available
@@ -331,29 +338,18 @@ def _split(u: Vec3, d: Vec3) -> tuple[Vec3, Vec3]:
     return n, u - n
 
 
-def _relocate_axis(linear, v, d) -> list[float]:
-    """Point x with (I - linear) x = v, for v perpendicular to the axis d.
+def _fixed_point(w, d, angle: float) -> list[float]:
+    """The module docstring's x for floats w, unit d and a nonzero angle.
 
-    Restricted to the plane perpendicular to d the map I - linear is
-    invertible whenever the rotation angle is nonzero, so a 2x2 solve in an
-    orthonormal basis of that plane pins the relocated axis.  linear is rows
-    of floats, v and d are sequences of floats.
+    The cross product takes the part of w across d, so its rounding scales
+    with that part and cot(angle / 2) cannot carry a long w's rounding along d.
     """
-    k = min(range(3), key=lambda j: abs(d[j]))
-    p = _cross3(d, [float(j == k) for j in range(3)])
-    length = math.sqrt(_dot3(p, p))  # at least sqrt(2/3): |d[k]| is the least of a unit d
-    p = [x / length for x in p]
-    q = _cross3(d, p)
-    (l00, l01, l02), (l10, l11, l12), (l20, l21, l22) = linear  # (I - linear) w as _dot3 sums
-    sp, sq = [(w0 - (l00 * w0 + l01 * w1 + l02 * w2), w1 - (l10 * w0 + l11 * w1 + l12 * w2),
-               w2 - (l20 * w0 + l21 * w1 + l22 * w2)) for w0, w1, w2 in (p, q)]
-    a11, a12, a21, a22 = _dot3(p, sp), _dot3(p, sq), _dot3(q, sp), _dot3(q, sq)
-    det = a11 * a22 - a12 * a21  # 4 sin^2(angle / 2) up to rounding
-    if det == 0.0:  # only if sin^2(angle) underflows (eps_angle < 1e-154): a singular solve
-        raise np.linalg.LinAlgError("Singular matrix")
-    r1, r2 = _dot3(p, v), _dot3(q, v)
-    c1, c2 = (r1 * a22 - a12 * r2) / det, (a11 * r2 - a21 * r1) / det
-    return [c1 * x + c2 * y for x, y in zip(p, q)]
+    (d0, d1, d2), (w0, w1, w2) = d, w
+    k = d0 * w0 + d1 * w1 + d2 * w2
+    v0, v1, v2 = w0 - k * d0, w1 - k * d1, w2 - k * d2
+    c = 0.5 / math.tan(0.5 * angle)
+    return [0.5 * w0 + c * (d1 * v2 - d2 * v1), 0.5 * w1 + c * (d2 * v0 - d0 * v2),
+            0.5 * w2 + c * (d0 * v1 - d1 * v0)]
 
 
 def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
@@ -366,8 +362,7 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     """
     m = _as_affine(m)
     u = m.translation
-    rows = m.linear.tolist()
-    kind, direction, angle = _linear_kernel(rows, tol)
+    kind, direction, angle = _linear_kernel(m.linear.tolist(), tol)
 
     if kind is Identity:
         if _norm(u) <= tol.eps_len:
@@ -378,19 +373,17 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
         return _record(Inversion, center=0.5 * u)
 
     length = _norm(direction)  # measured once for the split and the axis or mirror
-    if kind is RotaryReflection:
-        # the full motion still has exactly one fixed point, and I - linear
-        # is invertible, so solve for it directly
-        center = np.linalg.solve(m.linear - _EYE, -u)
-        mirror = _plane(direction, length, float(direction.dot(center)))
-        return _record(RotaryReflection, mirror=mirror, center=center, angle=angle)
-
     if not _SIGN_EPS < length < math.inf:
         raise ValueError("splitter direction must have a nonzero, finite length")
     d = [x / length for x in direction.tolist()]
+    if kind is RotaryReflection:
+        center = np.array(_fixed_point(u.tolist(), d, angle))
+        mirror = _plane(direction, length, float(direction.dot(center)))
+        return _record(RotaryReflection, mirror=mirror, center=center, angle=angle)
+
     n, v = _split(u, np.array(d))
     if kind is Rotation:
-        axis = _line(np.array(_relocate_axis(rows, v.tolist(), direction.tolist())), d)
+        axis = _line(np.array(_fixed_point(v.tolist(), d, angle)), d)
         if _norm(n) <= tol.eps_len:
             return Rotation(axis=axis, angle=angle)
         return _record(Screw, axis=axis, angle=angle, slide=n)

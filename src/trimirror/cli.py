@@ -288,8 +288,9 @@ def cmd_triples(args) -> int:
     src = triple_from_spec(_load_json(args.src), tol)
     dst = triple_from_spec(_load_json(args.dst), tol)
     pair = TriplePair(src, (dst.a, dst.b, dst.c))
-    first = three_reflections(pair, tol)
-    second = second_motion(first, pair.dst, tol)
+    with np.errstate(over="ignore"):  # an overflowing chord raises a ValueError; no warning too
+        first = three_reflections(pair, tol)
+        second = second_motion(first, pair.dst, tol)
     first_motion = seq_to_affine(first)
     partner = seq_to_affine(second)
     residuals = []
@@ -401,12 +402,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GeometryError as exc:  # a violated geometric precondition
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a SpecError, or input beyond the float range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

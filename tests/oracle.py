@@ -17,11 +17,10 @@ frame of points near the fixed point and reads the axis and mirror from
 their displacements and midpoints.  It uses only the public API, so it
 checks the library's kernel by a second, independent route.
 
-`numpy_linear_kernel`, `numpy_relocate_axis`, `numpy_rotation_parts` and
-`numpy_validate` are the classify and motion kernels as the library wrote
-them on numpy arrays, before they moved to Python floats.  The library's
-kernels must give the same classes and verdicts, and parameters equal to
-rounding.  `numpy_reflection_parts` is the reflection's I - 2 n n^T and
+`numpy_linear_kernel`, `numpy_rotation_parts` and `numpy_validate` are the
+classify and motion kernels as the library wrote them on numpy arrays,
+before they moved to Python floats.  The library's kernels must give the
+same classes and verdicts, and parameters equal to rounding.  `numpy_reflection_parts` is the reflection's I - 2 n n^T and
 2 offset n as numpy computes them; the library's written-out entries must
 match it bit for bit, signed zeros included (`zero_component_vectors`).
 
@@ -323,18 +322,6 @@ def numpy_linear_kernel(linear: np.ndarray, tol: Tolerance = TOL):
     if abs(abs(angle) - np.pi) <= tol.eps_angle:
         return Inversion, None, 0.0
     return RotaryReflection, direction, angle
-
-
-def numpy_relocate_axis(linear: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Point x perpendicular to d with (I - linear) x = v, by a 2x2 solve."""
-    seed = np.eye(3)[int(np.argmin(np.abs(d)))]
-    p = np.cross(d, seed)
-    p = p / np.linalg.norm(p)
-    q = np.cross(d, p)
-    shifted = np.eye(3) - linear
-    system = np.array([[p @ shifted @ p, p @ shifted @ q], [q @ shifted @ p, q @ shifted @ q]])
-    coeffs = np.linalg.solve(system, np.array([p @ v, q @ v]))
-    return coeffs[0] * p + coeffs[1] * q
 
 
 def numpy_rotation_parts(point, direction, angle: float):

@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from trimirror.errors import (
     ParallelDistinctMirrors,
     ProbeExhausted,
 )
-from trimirror.classify import _linear_kernel, _relocate_axis
+from trimirror.classify import _fixed_point, _linear_kernel
 from trimirror.example import make_f, make_g, make_h, make_k
 
 import oracle
@@ -471,30 +473,75 @@ def test_linear_kernel_matches_numpy_reference_at_seams():
     assert seen == {Identity, Rotation, Reflection, Inversion, RotaryReflection}
 
 
-def test_relocate_axis_matches_numpy_reference():
-    # the 2x2 system has determinant 4 sin^2(angle / 2), so rounding moves the
-    # solution by a few eps * |v| / det; Cramer and numpy's LU differ by that
+def test_fixed_point_matches_exact_reference():
+    # _fixed_point against (w + cos(h) / sin(h) d x w) / 2, h = angle / 2,
+    # evaluated exactly in fractions from the same float w, d, cos(h) and sin(h);
+    # the worst miss here is 5.6 eps |x|.  8 eps |x| is never looser than the
+    # old 2x2 solve's 16 eps |v| / det, since |x| = |v| / (2 |sin(h)|) and det
+    # = 4 sin^2(h) <= 4.  That solve, which used the input's linear part
+    # rather than the turn by angle about d, missed it by up to 2e8 eps |x|.
     rng = np.random.default_rng(55)
     tol = Tolerance()
     eps = np.finfo(float).eps
+    seen = set()
     for linear in _seam_linear_parts(rng):
         kind, direction, angle = _linear_kernel(linear.tolist(), tol)
-        if kind is not Rotation:
+        if kind not in (Rotation, RotaryReflection):
             continue
-        v = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
-        v = v - (v @ direction) * direction
-        got = _relocate_axis(linear.tolist(), v, direction)
-        want = oracle.numpy_relocate_axis(linear, v, direction)
-        det = 4.0 * np.sin(angle / 2.0) ** 2
-        assert np.max(np.abs(got - want)) <= 16.0 * eps * np.linalg.norm(v) / det, linear
+        seen.add(kind)
+        u = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
+        w = u - (u @ direction) * direction if kind is Rotation else u
+        d, w = direction.tolist(), w.tolist()
+        got = _fixed_point(w, d, angle)
+        cot = Fraction(math.cos(0.5 * angle)) / Fraction(math.sin(0.5 * angle))
+        (d0, d1, d2), (w0, w1, w2) = map(Fraction, d), map(Fraction, w)
+        cross = (d1 * w2 - d2 * w1, d2 * w0 - d0 * w2, d0 * w1 - d1 * w0)
+        want = [(Fraction(x) + cot * y) / 2 for x, y in zip(w, cross)]
+        size = math.sqrt(sum(float(x) ** 2 for x in want))
+        miss = max(abs(Fraction(g) - x) for g, x in zip(got, want))
+        assert float(miss) <= 8.0 * eps * size, (linear, w)
+    assert seen == {Rotation, RotaryReflection}
 
 
-def test_relocate_axis_raises_like_a_singular_solve():
-    d = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        _relocate_axis(np.eye(3).tolist(), d, d)
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        oracle.numpy_relocate_axis(np.eye(3), d, d)
+def test_turn_records_fix_their_axis_point_or_center():
+    # the input motion moves a Rotation's or Screw's axis point by exactly its
+    # slide, and fixes a RotaryReflection's center, up to rounding.  Over
+    # seeds 57 to 63 the worst miss was 32 eps max(1, |x|) (91 on the same
+    # seeds without the motions fixing c), before and after the closed form
+    # alike: a half turn, whose axis the kernel reads to a few eps.  A flipped
+    # cot(angle / 2) or w x d for d x w misses by about |x|.
+    rng = np.random.default_rng(57)
+    bound = 128.0 * np.finfo(float).eps
+    motions = [
+        oracle.record_motion(oracle.random_record(rng, variant))
+        for _ in range(200)
+        for variant in ("rotation", "screw", "rotary_reflection")
+    ]
+    for linear in _seam_linear_parts(rng):
+        turn = classify(AffineIsometry(linear, np.zeros(3)))
+        for scale in (1.0, 1e3, 1e6):
+            u, c = rng.normal(size=(2, 3)) * scale
+            motions.append(AffineIsometry(linear, u))
+            # fixing c, at a small angle u runs almost along d: the rounding
+            # of its long component must not move the center along d
+            motions.append(AffineIsometry(linear, c - linear @ c))
+            if isinstance(turn, Rotation):  # no slide along the axis: a Rotation record
+                d = turn.axis.direction
+                motions.append(AffineIsometry(linear, u - (u @ d) * d))
+    seen = set()
+    for m in motions:
+        record = classify(m)
+        if isinstance(record, (Rotation, Screw)):
+            x = record.axis.point
+            want = x + record.slide if isinstance(record, Screw) else x
+        elif isinstance(record, RotaryReflection):
+            x = want = record.center
+        else:
+            continue
+        seen.add(type(record))
+        miss = np.linalg.norm(apply(m, x) - want)
+        assert miss <= bound * max(1.0, np.linalg.norm(x)), (m, record)
+    assert seen == {Rotation, Screw, RotaryReflection}
 
 
 def test_seam_round_trips_raise_nothing_unexpected():

@@ -287,6 +287,34 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_input_beyond_the_float_range_exits_as_malformed_input(tmp_path, capsys):
+    # congruent triples 2e307 apart: the first bisector's chord length
+    # overflows, so the input is beyond the float range (2), not a violated
+    # geometric precondition (3); one error line, no traceback or numpy warning
+    far = {"A": [1e307, 0, 0], "B": [1e307, 1, 0], "C": [1e307, 0, 1]}
+    mirrored = {k: [-x, y, z] for k, (x, y, z) in far.items()}
+    src = _write(tmp_path, "src.json", far)
+    dst = _write(tmp_path, "dst.json", mirrored)
+    assert main(["triples", "--src", src, "--dst", dst]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: plane normal must have a nonzero, finite length\n"
+
+    # a non-congruent pair as far apart is still a violated precondition
+    stretched = _write(tmp_path, "stretched.json", {**mirrored, "B": [-1e307, 3, 0]})
+    assert main(["triples", "--src", src, "--dst", stretched]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+    # a screw whose slide overflows is refused as malformed input too
+    steps = [{"kind": "rotation", "point": [0, 0, 0], "dir": [1, 1, 0], "angle": 1},
+             {"kind": "translation", "v": [1.5e308, 1.5e308, 0]}]
+    screw = _write(tmp_path, "screw.json", {"kind": "sequence", "steps": steps})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert main(["classify", "--input", screw]) == 2
+    assert capsys.readouterr().err == "error: vector components must be finite\n"
+
+
 def test_tolerance_flag_loosens_length_checks(tmp_path, capsys):
     path = _write(tmp_path, "tiny.json", {"kind": "translation", "v": [1e-5, 0, 0]})
     strict = _run_json(capsys, ["classify", "--input", path])

@@ -44,3 +44,13 @@ def test_summarize_counts_wins_in_each_metric_direction():
     # a tie counts for neither side
     assert got["op_p50_us"]["wins"] == 2 and got["op_p50_us"]["ratio"] == 0.9
     assert got["ops_per_s"]["pairs"] == 3
+
+
+def test_failures_reports_a_missing_fail_ratio_whatever_the_run_order():
+    with_ratio = {**_result(), "fail_ratio": 0.25}
+    without = _result()
+    runs = [{"base": with_ratio, "head": without}, {"base": without, "head": without}]
+    for ordered in (runs, runs[::-1]):
+        got = pair_bench.failures(ordered)
+        assert got["base"] == {"all_correct": True, "max_fail_ratio": 0.25, "runs_without_fail_ratio": 1}
+        assert got["head"] == {"all_correct": True, "max_fail_ratio": None, "runs_without_fail_ratio": 2}

@@ -144,14 +144,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def failures(runs: list[dict]) -> dict:
-    """Per side: whether every run was correct, and the largest fail_ratio of a run."""
-    return {
-        side: {
+    """Per side: whether every run was correct, the largest fail_ratio a run
+    printed (None if none did), and how many runs printed none."""
+    out = {}
+    for side in ("base", "head"):
+        ratios = [r[side]["fail_ratio"] for r in runs if "fail_ratio" in r[side]]
+        out[side] = {
             "all_correct": all(r[side]["correct"] for r in runs),
-            "max_fail_ratio": max(r[side].get("fail_ratio", float("nan")) for r in runs),
+            "max_fail_ratio": max(ratios, default=None),
+            "runs_without_fail_ratio": len(runs) - len(ratios),
         }
-        for side in ("base", "head")
-    }
+    return out
 
 
 def machine() -> dict:
