@@ -24,9 +24,10 @@ cosine of angle / 2, so (I - R) x = w.  The rotary L = R (I - 2 d d^T) sends
 d to -d, which halves w's component along d, as x does.  Both points solve
 the record's own turn, which `reconstruct` rebuilds.
 
-The paper's own construction, which walks probe points and their images
-(`find_probe`, `ProbeWitness`, `rotation_from_plane_pair`), stays available
-for the worked example and for cross-checking the kernel.
+The kernel and `classify` run on Python floats up to the record, whose
+fields each become one array.  The paper's probe walk (`find_probe`,
+`ProbeWitness`) and `rotation_from_plane_pair` stay public for cross-checking
+the kernel; the library, the worked example included, calls none of them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors
 from .errors import ParallelPlanes, ProbeExhausted
 from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, collinear, intersect_planes
-from .geom import planes_equal, points_coincide, _SIGN_EPS, _canonical_sign, _cross, _cross3, _dot3
+from .geom import planes_equal, points_coincide, _SIGN_EPS, _canonical_sign, _cross, _dot3
 from .geom import _finite, _frozen, _line, _norm, _plane, _unit
 from .motion import AffineIsometry, Motion, ReflectionSequence, apply, identity, plane_reflection
 from .motion import seq_to_affine, _EYE, _as_affine, _isometry, _reflection_parts, _rodrigues
@@ -228,41 +229,24 @@ def rotation_from_plane_pair(
     return Rotation(axis=axis, angle=angle)
 
 
-def _rotation_axis(r) -> list[float]:
-    """Unit axis of the proper orthogonal rows `r`, with canonical sign.
-
-    The skew vector of r is accurate while cos(angle) > 0.  Toward a half
-    turn it vanishes, but the symmetric part minus cos(angle)*I is
-    (1 - cos(angle)) axis axis^T, whose column on its largest diagonal entry
-    is then long and accurate.  Either way only the canonical sign sets its
-    sign; the angle's sign then comes from the skew vector.  Returns the zero
-    vector only for r = I up to rounding, where the angle reads zero and
-    every caller collapses before using the axis.
-    """
-    cos = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
-    if cos > 0.0:
-        axis = _skew_vector(r)
-    else:
-        k = max(range(3), key=lambda j: r[j][j])
-        axis = [r[k][k] - cos if j == k else 0.5 * (r[j][k] + r[k][j]) for j in range(3)]
-    length = math.sqrt(_dot3(axis, axis))
-    if length == 0.0:
-        return axis
-    axis = [x / length for x in axis]
-    sign = _canonical_sign(axis)
-    return [sign * x for x in axis]
-
-
-def _linear_kernel(linear, tol: Tolerance) -> tuple[type, Vec3 | None, float]:
+def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, float]:
     """Class of the linear part, as rows of floats, as a motion fixing the origin.
 
     Returns the record class (Identity, Rotation, Reflection, Inversion or
-    RotaryReflection), the canonical unit axis or mirror normal, and the
-    angle signed about it.  Orientation parity comes from the determinant;
-    an improper `linear` is minus a rotation by angle + pi about the mirror
-    normal.  Columns of linear -/+ I within eps_len give Identity and
-    Inversion; angles within eps_angle of 0 (or of 0 and pi for a rotary
-    reflection) collapse to the simpler class.
+    RotaryReflection), the canonical unit axis or mirror normal as floats,
+    and the angle signed about it.  Orientation parity comes from the
+    determinant; an improper `linear` is minus a rotation r by angle + pi
+    about the mirror normal.  Columns of linear -/+ I within eps_len give
+    Identity and Inversion; angles within eps_angle of 0 (or of 0 and pi for
+    a rotary reflection) collapse to the simpler class.
+
+    The skew vector of r is sin(angle) times the axis, accurate while
+    cos(angle) > 0.  Toward a half turn it vanishes, but the symmetric part
+    minus cos(angle) I is (1 - cos(angle)) axis axis^T, whose column on its
+    largest diagonal entry is then long and accurate.  Either way only the
+    canonical sign sets the axis's sign; the angle's sign then comes from the
+    skew vector.  The axis is zero only for r = I up to rounding, where the
+    angle reads zero and the class collapses.
     """
     (a, b, c), (d, e, f), (g, h, i) = linear
     for s, kind in ((-1.0, Identity), (1.0, Inversion)):  # columns of linear + s I, as _dot3
@@ -270,20 +254,34 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, Vec3 | None, float]:
         widest = max(x * x + d * d + g * g, b * b + y * y + h * h, c * c + f * f + z * z)
         if math.sqrt(widest) <= tol.eps_len:
             return kind, None, 0.0
-    proper = _dot3(linear[0], _cross3(linear[1], linear[2])) > 0.0
-    r = linear if proper else [[-x for x in row] for row in linear]
-    direction = _rotation_axis(r)
-    angle = _angle_about(r, direction)
+    proper = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) > 0.0
+    if not proper:
+        a, b, c, d, e, f, g, h, i = -a, -b, -c, -d, -e, -f, -g, -h, -i
+    cos = (a + e + i - 1.0) / 2.0
+    skew = (0.5 * (h - f), 0.5 * (c - g), 0.5 * (d - b))
+    if cos > 0.0:
+        axis = skew
+    elif a >= e and a >= i:
+        axis = (a - cos, 0.5 * (d + b), 0.5 * (g + c))
+    elif e >= i:
+        axis = (0.5 * (b + d), e - cos, 0.5 * (h + f))
+    else:
+        axis = (0.5 * (c + g), 0.5 * (f + h), i - cos)
+    length = math.sqrt(_dot3(axis, axis))
+    direction = [x / length for x in axis] if length != 0.0 else list(axis)
+    sign = _canonical_sign(direction)
+    direction = [sign * x for x in direction]
+    angle = _canonical_angle(math.atan2(_dot3(skew, direction), min(max(cos, -1.0), 1.0)))
     if proper:
         if abs(angle) <= tol.eps_angle:
             return Identity, None, 0.0
-        return Rotation, np.array(direction), angle
+        return Rotation, direction, angle
     angle = _canonical_angle(angle - math.pi)
     if abs(angle) <= tol.eps_angle:
-        return Reflection, np.array(direction), 0.0
+        return Reflection, direction, 0.0
     if abs(abs(angle) - math.pi) <= tol.eps_angle:
         return Inversion, None, 0.0
-    return RotaryReflection, np.array(direction), angle
+    return RotaryReflection, direction, angle
 
 
 def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
@@ -310,7 +308,7 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
         return Inversion(center=c)
     if kind is Rotation:
         return Rotation(axis=Line3(c, direction), angle=angle)
-    mirror = Plane(direction, float(direction.dot(c)))
+    mirror = Plane(direction, float(c.dot(direction)))
     if kind is Reflection:
         return Reflection(mirror=mirror)
     return RotaryReflection(mirror=mirror, center=c, angle=angle)
@@ -329,13 +327,15 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
         d = splitter.normal
     else:
         d = _unit(splitter, "splitter direction")
-    return _split(u, d)
+    n, v = _split(u.tolist(), d.tolist())
+    return np.array(n), np.array(v)
 
 
-def _split(u: Vec3, d: Vec3) -> tuple[Vec3, Vec3]:
-    """split_translation of a checked u along a checked unit array d."""
-    n = u.dot(d) * d
-    return n, u - n
+def _split(u, d) -> tuple[list[float], list[float]]:
+    """split_translation of floats u along the unit floats d."""
+    k = _dot3(u, d)
+    n = [k * d[0], k * d[1], k * d[2]]
+    return n, [u[0] - n[0], u[1] - n[1], u[2] - n[2]]
 
 
 def _fixed_point(w, d, angle: float) -> list[float]:
@@ -365,33 +365,34 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     kind, direction, angle = _linear_kernel(m.linear.tolist(), tol)
 
     if kind is Identity:
-        if _norm(u) <= tol.eps_len:
+        if math.hypot(*u.tolist()) <= tol.eps_len:  # without overflow
             return Identity()
         return _record(Translation, v=u.copy())
 
     if kind is Inversion:
         return _record(Inversion, center=0.5 * u)
 
-    length = _norm(direction)  # measured once for the split and the axis or mirror
+    length = math.sqrt(_dot3(direction, direction))  # once for the split and the axis or mirror
     if not _SIGN_EPS < length < math.inf:
         raise ValueError("splitter direction must have a nonzero, finite length")
-    d = [x / length for x in direction.tolist()]
+    d = [x / length for x in direction]
+    u = u.tolist()
     if kind is RotaryReflection:
-        center = np.array(_fixed_point(u.tolist(), d, angle))
-        mirror = _plane(direction, length, float(direction.dot(center)))
-        return _record(RotaryReflection, mirror=mirror, center=center, angle=angle)
+        center = _fixed_point(u, d, angle)
+        mirror = _plane(direction, length, _dot3(direction, center))
+        return _record(RotaryReflection, mirror=mirror, center=np.array(center), angle=angle)
 
-    n, v = _split(u, np.array(d))
+    n, v = _split(u, d)
     if kind is Rotation:
-        axis = _line(np.array(_fixed_point(v.tolist(), d, angle)), d)
-        if _norm(n) <= tol.eps_len:
+        axis = _line(_fixed_point(v, d, angle), d)
+        if math.sqrt(_dot3(n, n)) <= tol.eps_len:
             return Rotation(axis=axis, angle=angle)
-        return _record(Screw, axis=axis, angle=angle, slide=n)
+        return _record(Screw, axis=axis, angle=angle, slide=np.array(n))
 
-    mirror = _plane(direction, length, 0.5 * float(direction.dot(n)))
-    if _norm(v) <= tol.eps_len:
+    mirror = _plane(direction, length, 0.5 * _dot3(direction, n))
+    if math.sqrt(_dot3(v, v)) <= tol.eps_len:
         return Reflection(mirror=mirror)
-    return _record(GlideReflection, mirror=mirror, slide=v)
+    return _record(GlideReflection, mirror=mirror, slide=np.array(v))
 
 
 def _require(condition: bool, message: str) -> None:

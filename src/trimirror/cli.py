@@ -325,7 +325,8 @@ def cmd_iterate(args) -> int:
     start = _parse_start(args.start)
     if args.count < 0:
         raise SpecError("count must be nonnegative")
-    points = iterate(motion, start, args.count)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing point is refused, silently
+        points = iterate(motion, start, args.count)
     if args.format == "json":
         _emit({"points": [_floats(p) for p in points]})
         return 0

@@ -24,6 +24,7 @@ from .geom import (
     as_vec3,
     intersect_planes,
     perpendicular_bisector_plane,
+    _finite,
     _frozen,
     _norm,
 )
@@ -75,7 +76,7 @@ def iterate(m: Motion, start, count: int) -> list[Vec3]:
         raise ValueError("iterate count must be nonnegative")
     points = [as_vec3(start)]
     for _ in range(int(count)):
-        points.append(apply(m, points[-1]))
+        points.append(_finite(apply(m, points[-1])))
     return points
 
 

@@ -144,16 +144,17 @@ class Plane:
         return float(self.normal.dot(p)) - self.offset
 
 
-def _plane(n: Vec3, length: float, offset, plane: Plane | None = None) -> Plane:
-    """Plane(n, offset) for a fresh (3,) array n of _norm length; Plane() passes itself in."""
+def _plane(n, length: float, offset, plane: Plane | None = None) -> Plane:
+    """Plane(n, offset) for a fresh (3,) array or three floats n of length `length`;
+    Plane() passes itself in."""
     plane = object.__new__(Plane) if plane is None else plane
     if not 0.0 < length < math.inf:
-        _finite(n)  # a kernel's normal may have overflowed: report it as as_vec3 would
+        _finite(np.asarray(n))  # a kernel's normal may have overflowed: report it as as_vec3 would
         raise ValueError("plane normal must have a nonzero, finite length")
     d = float(offset) / length
     if not math.isfinite(d):
         raise ValueError("plane offset must be finite")
-    x, y, z = n.tolist()
+    x, y, z = n.tolist() if isinstance(n, np.ndarray) else n
     x, y, z = x / length, y / length, z / length
     s = _canonical_sign((x, y, z))
     # adding 0.0 clears negative zeros left over from sign flips
@@ -183,14 +184,18 @@ class Line3:
         return _norm(w - w.dot(self.direction) * self.direction)
 
 
-def _line(p: Vec3, d, line: Line3 | None = None) -> Line3:
-    """Line3(p, d) for a fresh (3,) array p and unit floats d; Line3() passes itself in."""
+def _line(p, d, line: Line3 | None = None) -> Line3:
+    """Line3(p, d) for a fresh (3,) array or three floats p and unit floats d;
+    Line3() passes itself in."""
     line = object.__new__(Line3) if line is None else line
     s = _canonical_sign(d)
     x, y, z = s * d[0] + 0.0, s * d[1] + 0.0, s * d[2] + 0.0
     d = np.array((x, y, z))
-    k = p.dot(d)  # numpy's dot; it overflows (and warns) for p near the largest double
-    px, py, pz = p.tolist()
+    if isinstance(p, np.ndarray):  # numpy's dot; it overflows (and warns) for p near the largest double
+        k, p = p.dot(d), p.tolist()
+    else:
+        k = p[0] * x + p[1] * y + p[2] * z
+    px, py, pz = p
     foot = _finite(np.array((px - k * x + 0.0, py - k * y + 0.0, pz - k * z + 0.0)))
     object.__setattr__(line, "point", _frozen(foot))
     object.__setattr__(line, "direction", _frozen(d))

@@ -24,6 +24,11 @@ same classes and verdicts, and parameters equal to rounding.  `numpy_reflection_
 2 offset n as numpy computes them; the library's written-out entries must
 match it bit for bit, signed zeros included (`zero_component_vectors`).
 
+`two_pass_linear_kernel` is the library's float kernel before it became one
+pass over the linear part: it finds the axis, then measures the angle about
+it, on a negated copy of an improper linear part.  Negation is exact, so the
+one-pass kernel must match it bit for bit.
+
 The module also carries random generators for motions and canonical
 records, and tolerant comparison helpers for the geometric parameter types.
 """
@@ -31,6 +36,7 @@ records, and tolerant comparison helpers for the geometric parameter types.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -365,6 +371,73 @@ def numpy_validate(linear) -> np.ndarray:
     if abs(abs(float(np.linalg.det(l))) - 1.0) > 1e-10:
         raise ValueError("linear part must have determinant +1 or -1")
     return l
+
+
+# ---------------------------------------------------------------- two-pass float kernel
+
+
+def _float_canonical_angle(angle: float) -> float:
+    wrapped = math.atan2(math.sin(angle), math.cos(angle))
+    return math.pi if wrapped <= -math.pi else wrapped
+
+
+def _float_dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _float_skew(r) -> list[float]:
+    return [0.5 * (r[2][1] - r[1][2]), 0.5 * (r[0][2] - r[2][0]), 0.5 * (r[1][0] - r[0][1])]
+
+
+def _float_rotation_axis(r) -> list[float]:
+    """Unit axis of the proper rows r: skew vector while cos(angle) > 0, else the
+    column of the symmetric part minus cos(angle) I on its largest diagonal entry."""
+    cos = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
+    if cos > 0.0:
+        axis = _float_skew(r)
+    else:
+        k = max(range(3), key=lambda j: r[j][j])
+        axis = [r[k][k] - cos if j == k else 0.5 * (r[j][k] + r[k][j]) for j in range(3)]
+    length = math.sqrt(_float_dot(axis, axis))
+    if length == 0.0:
+        return axis
+    axis = [x / length for x in axis]
+    sign = next((1.0 if x > 0.0 else -1.0 for x in axis if abs(x) > 1e-12), 1.0)
+    return [sign * x for x in axis]
+
+
+def _float_angle_about(r, direction) -> float:
+    cos = min(max((r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0, -1.0), 1.0)
+    return _float_canonical_angle(math.atan2(_float_dot(_float_skew(r), direction), cos))
+
+
+def two_pass_linear_kernel(linear, tol: Tolerance = TOL):
+    """(class, unit direction as floats or None, angle) of rows of floats, as the
+    library's float kernel computed them in separate passes for the axis and the
+    angle, on a copy of the rows negated for an improper linear part."""
+    (a, b, c), (d, e, f), (g, h, i) = linear
+    for s, kind in ((-1.0, Identity), (1.0, Inversion)):
+        x, y, z = a + s, e + s, i + s
+        widest = max(x * x + d * d + g * g, b * b + y * y + h * h, c * c + f * f + z * z)
+        if math.sqrt(widest) <= tol.eps_len:
+            return kind, None, 0.0
+    row1, row2 = linear[1], linear[2]
+    cross = (row1[1] * row2[2] - row1[2] * row2[1], row1[2] * row2[0] - row1[0] * row2[2],
+             row1[0] * row2[1] - row1[1] * row2[0])
+    proper = _float_dot(linear[0], cross) > 0.0
+    r = linear if proper else [[-x for x in row] for row in linear]
+    direction = _float_rotation_axis(r)
+    angle = _float_angle_about(r, direction)
+    if proper:
+        if abs(angle) <= tol.eps_angle:
+            return Identity, None, 0.0
+        return Rotation, direction, angle
+    angle = _float_canonical_angle(angle - math.pi)
+    if abs(angle) <= tol.eps_angle:
+        return Reflection, direction, 0.0
+    if abs(abs(angle) - math.pi) <= tol.eps_angle:
+        return Inversion, None, 0.0
+    return RotaryReflection, direction, angle
 
 
 # ---------------------------------------------------------------- generators

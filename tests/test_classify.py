@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from trimirror.errors import (
     ParallelDistinctMirrors,
     ProbeExhausted,
 )
-from trimirror.classify import _fixed_point, _linear_kernel
+from trimirror.classify import _fixed_point, _linear_kernel, _split
 from trimirror.example import make_f, make_g, make_h, make_k
 
 import oracle
@@ -473,6 +474,69 @@ def test_linear_kernel_matches_numpy_reference_at_seams():
     assert seen == {Identity, Rotation, Reflection, Inversion, RotaryReflection}
 
 
+def _random_orthogonal_parts(rng):
+    """Seeded random orthogonal matrices, proper and improper in turn."""
+    for _ in range(2000):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        q = q if np.linalg.det(q) > 0.0 else -q
+        yield q
+        yield -q
+
+
+def test_linear_kernel_matches_two_pass_reference_bit_for_bit():
+    # the one-pass kernel negates the unpacked entries of an improper linear
+    # part and forms the trace and skew vector once; negation is exact, so
+    # the class, direction and angle must keep every bit of the two passes
+    rng = np.random.default_rng(58)
+    parts = itertools.chain(_seam_linear_parts(rng), _random_orthogonal_parts(rng))
+    seen = set()
+    for linear in parts:
+        rows = linear.tolist()
+        kind, direction, angle = _linear_kernel(rows, Tolerance())
+        want_kind, want_direction, want_angle = oracle.two_pass_linear_kernel(rows)
+        assert kind is want_kind, linear
+        seen.add(kind)
+        assert (direction is None) == (want_direction is None), linear
+        if direction is not None:
+            assert np.array(direction).tobytes() == np.array(want_direction).tobytes(), linear
+        assert np.float64(angle).tobytes() == np.float64(want_angle).tobytes(), linear
+    assert seen == {Identity, Rotation, Reflection, Inversion, RotaryReflection}
+
+
+def test_split_matches_exact_reference():
+    # _split(u, d) against k = u . d, n = k d, v = u - n evaluated exactly in
+    # fractions from the same floats.  With unit roundoff r = eps / 2, the
+    # three-term dot product misses by at most 3 r sum |u_i d_i| <= 3 r |u| |d|
+    # (Higham's gamma_3 bound and Cauchy-Schwarz), and each k d_i adds its own
+    # rounding, r |k| |d_i|, so |n - N| <= (3 + 1) r |u| |d|^2 = 2 eps |u|.
+    # Each u_i - n_i adds r |u_i - n_i|, at most r |u| in norm, so |v - V| <=
+    # 5 r |u| = 2.5 eps |u|.  |d| is 1 to a few eps, and the bounds hold to
+    # first order in eps: the factor 1 + 1e-12 covers the second-order terms.
+    # The worst miss here is 0.93 eps |u|, along and across.
+    rng = np.random.default_rng(59)
+    eps = np.finfo(float).eps
+    directions = []
+    for linear in _seam_linear_parts(rng):
+        kind, direction, _ = _linear_kernel(linear.tolist(), Tolerance())
+        if direction is not None:  # the unit d as classify makes it
+            length = math.sqrt(sum(x * x for x in direction))
+            directions.append([x / length for x in direction])
+    directions += [oracle.random_unit(rng).tolist() for _ in range(len(directions))]
+    for d in directions:
+        u = (rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)).tolist()
+        n, v = _split(u, d)
+        fu, fd = [Fraction(x) for x in u], [Fraction(x) for x in d]
+        k = sum(x * y for x, y in zip(fu, fd))
+        along = [k * x for x in fd]
+        across = [x - y for x, y in zip(fu, along)]
+        size = math.sqrt(sum(x * x for x in u)) * (1.0 + 1e-12)
+        miss_along = math.sqrt(sum(float(Fraction(g) - x) ** 2 for g, x in zip(n, along)))
+        miss_across = math.sqrt(sum(float(Fraction(g) - x) ** 2 for g, x in zip(v, across)))
+        assert miss_along <= 2.0 * eps * size, (u, d)
+        assert miss_across <= 2.5 * eps * size, (u, d)
+
+
 def test_fixed_point_matches_exact_reference():
     # _fixed_point against (w + cos(h) / sin(h) d x w) / 2, h = angle / 2,
     # evaluated exactly in fractions from the same float w, d, cos(h) and sin(h);
@@ -489,12 +553,12 @@ def test_fixed_point_matches_exact_reference():
         if kind not in (Rotation, RotaryReflection):
             continue
         seen.add(kind)
+        d = np.array(direction)
         u = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
-        w = u - (u @ direction) * direction if kind is Rotation else u
-        d, w = direction.tolist(), w.tolist()
-        got = _fixed_point(w, d, angle)
+        w = (u - (u @ d) * d if kind is Rotation else u).tolist()
+        got = _fixed_point(w, direction, angle)
         cot = Fraction(math.cos(0.5 * angle)) / Fraction(math.sin(0.5 * angle))
-        (d0, d1, d2), (w0, w1, w2) = map(Fraction, d), map(Fraction, w)
+        (d0, d1, d2), (w0, w1, w2) = map(Fraction, direction), map(Fraction, w)
         cross = (d1 * w2 - d2 * w1, d2 * w0 - d0 * w2, d0 * w1 - d1 * w0)
         want = [(Fraction(x) + cot * y) / 2 for x, y in zip(w, cross)]
         size = math.sqrt(sum(float(x) ** 2 for x in want))
@@ -564,17 +628,16 @@ def test_round_trip_kernels_keep_every_check():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(ValueError, match=message):
             reconstruct(Inversion(center=(1e308, 0.0, 0.0)))
+    # classify splits the translation on floats, which overflow without a
+    # numpy warning; the test run turns any RuntimeWarning into an error
     turn = rotation_about_axis((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), 1.0).linear
     screw = AffineIsometry(turn, (1.5e308, 1.5e308, 0.0))  # slide along the axis overflows
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            with pytest.raises(ValueError, match=message):
-                classify(screw)
+    with pytest.raises(ValueError, match=message):
+        classify(screw)
     flip = plane_reflection(Plane((-0.1, 0.995, 0.0), 0.0)).linear
     glide = AffineIsometry(flip, (1.7e308, 1.7e308, 0.0))  # only the in-plane slide overflows
-    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
-        with pytest.raises(ValueError, match=message):
-            classify(glide)
+    with pytest.raises(ValueError, match=message):
+        classify(glide)
 
 
 def _record_arrays(record):

@@ -305,14 +305,30 @@ def test_input_beyond_the_float_range_exits_as_malformed_input(tmp_path, capsys)
     assert main(["triples", "--src", src, "--dst", stretched]) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
-    # a screw whose slide overflows is refused as malformed input too
+    # a screw whose slide overflows is refused as malformed input too, and
+    # classify's float split overflows without a numpy warning (the test run
+    # turns any RuntimeWarning into an error)
     steps = [{"kind": "rotation", "point": [0, 0, 0], "dir": [1, 1, 0], "angle": 1},
              {"kind": "translation", "v": [1.5e308, 1.5e308, 0]}]
     screw = _write(tmp_path, "screw.json", {"kind": "sequence", "steps": steps})
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            assert main(["classify", "--input", screw]) == 2
+    assert main(["classify", "--input", screw]) == 2
     assert capsys.readouterr().err == "error: vector components must be finite\n"
+
+    # a translation that long is still finite: classified without a warning
+    far_shift = _write(tmp_path, "far_shift.json", {"kind": "translation", "v": [1.5e308, 1.5e308, 0]})
+    assert _run_json(capsys, ["classify", "--input", far_shift])["class"] == "translation"
+
+
+def test_orbit_beyond_the_float_range_exits_as_malformed_input(tmp_path, capsys):
+    # the first step overflows: one error line, no numpy warning, and no
+    # infinite point printed, whether or not a later step would reach it
+    path = _write(tmp_path, "shift.json", {"kind": "translation", "v": [1e308, 0, 0]})
+    for count in ([], ["--count", "1"]):
+        argv = ["iterate", "--input", path, "--start", "1e308,1e308,0", *count]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vector components must be finite\n"
 
 
 def test_tolerance_flag_loosens_length_checks(tmp_path, capsys):
