@@ -177,10 +177,9 @@ def _skew_vector(a) -> list[float]:
     return [0.5 * (a[2][1] - a[1][2]), 0.5 * (a[0][2] - a[2][0]), 0.5 * (a[1][0] - a[0][1])]
 
 
-def _angle_about(linear, direction) -> float:
-    """Signed rotation angle of an orthogonal `linear` about the unit `direction`."""
-    cos = min(max((linear[0][0] + linear[1][1] + linear[2][2] - 1.0) / 2.0, -1.0), 1.0)
-    return _canonical_angle(math.atan2(_dot3(_skew_vector(linear), direction), cos))
+def _angle_about(skew, cos: float, direction) -> float:
+    """Signed rotation angle about the unit `direction` from its skew vector and cosine."""
+    return _canonical_angle(math.atan2(_dot3(skew, direction), min(max(cos, -1.0), 1.0)))
 
 
 def find_probe(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> ProbeWitness:
@@ -225,7 +224,9 @@ def rotation_from_plane_pair(
             "parallel distinct mirrors compose to a translation, not a rotation"
         ) from exc
     composite = seq_to_affine(ReflectionSequence((alpha, beta)))
-    angle = _angle_about(composite.linear.tolist(), axis.direction.tolist())
+    rows = composite.linear.tolist()
+    cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
+    angle = _angle_about(_skew_vector(rows), cos, axis.direction.tolist())
     return Rotation(axis=axis, angle=angle)
 
 
@@ -255,10 +256,11 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, fl
         if math.sqrt(widest) <= tol.eps_len:
             return kind, None, 0.0
     proper = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) > 0.0
-    if not proper:
+    skew = _skew_vector(linear)
+    if not proper:  # negation is exact, so r = -linear has skew vector -skew
         a, b, c, d, e, f, g, h, i = -a, -b, -c, -d, -e, -f, -g, -h, -i
+        skew = [-x for x in skew]
     cos = (a + e + i - 1.0) / 2.0
-    skew = (0.5 * (h - f), 0.5 * (c - g), 0.5 * (d - b))
     if cos > 0.0:
         axis = skew
     elif a >= e and a >= i:
@@ -271,7 +273,7 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, fl
     direction = [x / length for x in axis] if length != 0.0 else list(axis)
     sign = _canonical_sign(direction)
     direction = [sign * x for x in direction]
-    angle = _canonical_angle(math.atan2(_dot3(skew, direction), min(max(cos, -1.0), 1.0)))
+    angle = _angle_about(skew, cos, direction)
     if proper:
         if abs(angle) <= tol.eps_angle:
             return Identity, None, 0.0

@@ -71,7 +71,7 @@ def make_k() -> AffineIsometry:
 
 
 def iterate(m: Motion, start, count: int) -> list[Vec3]:
-    """Orbit [x, m(x), m(m(x)), ...] with count applications of m."""
+    """Orbit [x, m(x), m(m(x)), ...] of count applications of m; ValueError if a point overflows."""
     if count < 0:
         raise ValueError("iterate count must be nonnegative")
     points = [as_vec3(start)]

@@ -9,6 +9,7 @@ from trimirror import (
     classify_fixed_point,
     identity,
     iso_equal,
+    translation,
 )
 from trimirror.example import (
     ANCHOR,
@@ -144,6 +145,12 @@ def test_iterate_basics():
     with pytest.raises(ValueError):
         iterate(make_g(), (1, 0, 0), -1)
     assert DEFAULT_ITERATES == 12
+
+
+def test_iterate_refuses_an_orbit_point_beyond_the_float_range():
+    # 1e308 + 1e308 overflows to inf on the first application
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="vector components must be finite"):
+        iterate(translation((1e308, 0, 0)), (1e308, 1e308, 0), 1)
 
 
 def test_iterate_screw_orbit():

@@ -1,7 +1,5 @@
 import importlib.util
-import json
 import pathlib
-import subprocess
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "pair_bench.py"
 _SPEC = importlib.util.spec_from_file_location("pair_bench", _PATH)
@@ -56,29 +54,3 @@ def test_failures_reports_a_missing_fail_ratio_whatever_the_run_order():
         got = pair_bench.failures(ordered)
         assert got["base"] == {"all_correct": True, "max_fail_ratio": 0.25, "runs_without_fail_ratio": 1}
         assert got["head"] == {"all_correct": True, "max_fail_ratio": None, "runs_without_fail_ratio": 2}
-
-
-def test_trace_reaches_run_py_and_a_traced_run_is_summarized(monkeypatch):
-    assert pair_bench.parse_args(["--pr", "1", "--base", "HEAD", "--run", "w=1"]).trace == 0
-    assert pair_bench.parse_args(["--pr", "1", "--base", "HEAD", "--run", "w=1", "--trace", "1"]).trace == 1
-    traced = _result(**{"classify.classify_us": 30.0, "classify.rejected": 0.0})
-    seen = []
-
-    def fake_run(argv, **kwargs):
-        seen.append(argv)
-        return subprocess.CompletedProcess(argv, 0, "traced 100 ops\n" + json.dumps(traced) + "\n", "")
-
-    monkeypatch.setattr(pair_bench.subprocess, "run", fake_run)
-    got = pair_bench.run_once("/repo", "classify-mixed", 7, 1)
-    assert seen[0][-6:] == ["--seed", "7", "--seconds", str(pair_bench.SECONDS), "--trace", "1"]
-    pair_bench.run_once("/repo", "classify-mixed", 7)
-    assert seen[1][-2:] == ["--trace", "0"]
-    # a traced run has per-layer metrics only, and they are summarized as usual
-    assert pair_bench.headline(got) == "100 traced ops"
-    assert pair_bench.headline(_result(ops_per_s=1234.4)) == "1234 ops/s"
-    better = {"classify.classify_us": "lower", "classify.rejected": "lower"}
-    summary = pair_bench.summarize([{"base": got, "head": got}], better)
-    assert summary["classify.classify_us"]["ratio"] == 1.0
-    # a count that is 0 on the base side has no ratio
-    assert summary["classify.rejected"]["ratio"] is None
-    assert summary["classify.rejected"]["wins"] == 0

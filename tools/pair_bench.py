@@ -2,19 +2,16 @@
 
     python3 tools/pair_bench.py --pr N --base HEAD~1 \
         --run construct-triples=1101-1110 --run classify-mixed=1201-1205 \
-        [--trace 0|1] [--out BENCH_N.json]
+        [--out BENCH_N.json]
 
 Each side is a copy of the repository in a temporary directory, so both run
 from sibling directories: the base side is the git revision --base, exported
 with `git archive`; the head side is a copy of the working tree's files that
 git tracks or would track.  For each workload and seed of a --run, both sides
-run `perfbench/run.py --seconds 28 --trace T` one after the other with the same
+run `perfbench/run.py --seconds 28 --trace 0` one after the other with the same
 arguments, in alternating order (base first on even-numbered pairs, head first
 on odd ones), so a machine that slows down for minutes slows both sides.  The
-last stdout line of a run is its JSON result.  T is --trace: 0 (the default)
-gives the end-to-end metrics, untraced, since per-layer spans slow the op they
-time; 1 gives the per-layer metrics, such as classify.classify_us, and no
-end-to-end ones.
+last stdout line of a run is its JSON result.
 
 The output holds, per workload and metric: each side's median and quartiles
 (inclusive method: the median of 10 values is the mean of the middle two),
@@ -41,6 +38,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 28  # BENCHMARK.json's run_seconds
+TRACE = 0  # untraced: per-layer spans slow the op they time
 
 
 def git(*args: str) -> str:
@@ -91,11 +89,11 @@ def seeds_of(text: str) -> list[int]:
     return seeds
 
 
-def run_once(root: str, workload: str, seed: int, trace: int = 0) -> dict:
+def run_once(root: str, workload: str, seed: int) -> dict:
     """The JSON result of one perfbench run in the checkout at root, with the
     fail_ratio that run.py prints on a line of its own (not a JSON metric)."""
     argv = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(TRACE)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -106,14 +104,6 @@ def run_once(root: str, workload: str, seed: int, trace: int = 0) -> dict:
             result["fail_ratio"] = float(line.split()[1])
             result["failures"] = line.partition("(")[2].rstrip(")")
     return result
-
-
-def headline(result: dict) -> str:
-    """ops/s of an untraced run; a traced run reports per-layer metrics only."""
-    metrics = result["metrics"]
-    if "ops_per_s" in metrics:
-        return f"{metrics['ops_per_s']['value']:.0f} ops/s"
-    return f"{result['attempted']} traced ops"
 
 
 def directions(root: str) -> dict[str, str]:
@@ -135,7 +125,6 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
     `runs` holds one {"base": result, "head": result} per pair; a metric is
     summarized when every run of both sides reports it and its direction is known.
-    The ratio is None where the base median is 0, as a count of failures may be.
     """
     out = {}
     names = set.intersection(*(set(r[side]["metrics"]) for r in runs for side in ("base", "head")))
@@ -143,12 +132,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         base = [r["base"]["metrics"][name]["value"] for r in runs]
         head = [r["head"]["metrics"][name]["value"] for r in runs]
         sign = 1.0 if better[name] == "higher" else -1.0
-        low = statistics.median(base)
         out[name] = {
             "better": better[name],
             "base": spread(base),
             "head": spread(head),
-            "ratio": statistics.median(head) / low if low else None,
+            "ratio": statistics.median(head) / statistics.median(base),
             "wins": sum(sign * (h - b) > 0.0 for b, h in zip(base, head)),
             "pairs": len(runs),
         }
@@ -195,8 +183,6 @@ def parse_args(argv=None):
     p.add_argument("--base", required=True, help="git revision of the parent side")
     p.add_argument("--run", action="append", required=True, metavar="WORKLOAD=SEEDS",
                    help="a workload and its seeds, such as construct-triples=1101-1110")
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
-                   help="1: traced runs, which report per-layer metrics only")
     p.add_argument("--out", default=None, help="output path (default: BENCH_<pr>.json at the root)")
     return p.parse_args(argv)
 
@@ -224,7 +210,7 @@ def main(argv=None) -> int:
         report = {
             "pr": args.pr,
             "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-            "args": {"base": args.base, "run": args.run, "seconds": SECONDS, "trace": args.trace},
+            "args": {"base": args.base, "run": args.run, "seconds": SECONDS, "trace": TRACE},
             "sides": sides,
             "machine": machine(),
             "workloads": {},
@@ -237,10 +223,10 @@ def main(argv=None) -> int:
                 k += 1
                 run = {"seed": seed, "order": list(order)}
                 for side in order:
-                    run[side] = run_once(roots[side], workload, seed, args.trace)
+                    run[side] = run_once(roots[side], workload, seed)
                 runs.append(run)
                 print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{side} {headline(run[side])}" for side in order
+                    f"{side} {run[side]['metrics']['ops_per_s']['value']:.0f} ops/s" for side in order
                 ), flush=True)
                 report["workloads"][workload] = {
                     "seeds": seeds[: len(runs)],
