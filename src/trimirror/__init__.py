@@ -11,7 +11,6 @@ from .errors import (
     NotCongruent,
     ParallelDistinctMirrors,
     ParallelPlanes,
-    ProbeExhausted,
 )
 from .geom import (
     DEFAULT_TOL,
@@ -57,7 +56,6 @@ from .classify import (
     Identity,
     Inversion,
     MotionClass,
-    ProbeWitness,
     Reflection,
     Rotation,
     RotaryReflection,
@@ -65,7 +63,6 @@ from .classify import (
     Translation,
     classify,
     classify_fixed_point,
-    find_probe,
     reconstruct,
     rotation_from_plane_pair,
     split_translation,

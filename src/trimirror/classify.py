@@ -25,9 +25,11 @@ d to -d, which halves w's component along d, as x does.  Both points solve
 the record's own turn, which `reconstruct` rebuilds.
 
 The kernel and `classify` run on Python floats up to the record, whose
-fields each become one array.  The paper's probe walk (`find_probe`,
-`ProbeWitness`) and `rotation_from_plane_pair` stay public for cross-checking
-the kernel; the library, the worked example included, calls none of them.
+fields each become one array.  The eight record classes are the one table of
+classes: each carries its JSON name (NAME) and its own rebuild (_motion), so
+`reconstruct` and the CLI's encoder need no per-class branches.
+`rotation_from_plane_pair` stays public for cross-checking the kernel on
+mirror pairs; the library, the worked example included, does not call it.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors
-from .errors import ParallelPlanes, ProbeExhausted
-from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, collinear, intersect_planes
-from .geom import planes_equal, points_coincide, _SIGN_EPS, _canonical_sign, _cross, _dot3
+from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
+from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, intersect_planes
+from .geom import planes_equal, points_coincide, _SIGN_EPS, _canonical_sign, _cross3, _dot3
 from .geom import _finite, _frozen, _line, _norm, _plane, _unit
 from .motion import AffineIsometry, Motion, ReflectionSequence, apply, identity, plane_reflection
 from .motion import seq_to_affine, _EYE, _as_affine, _isometry, _reflection_parts, _rodrigues
@@ -51,9 +52,30 @@ from .motion import seq_to_affine, _EYE, _as_affine, _isometry, _reflection_part
 _PARAM_EPS = 1e-9
 
 
-class _Vectors:
-    """Base of the records whose _VECTORS fields the constructor copies, checks and freezes."""
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise InvalidClassParameters(message)
 
+
+def _require_turn(angle: float, name: str) -> None:
+    _require(math.isfinite(angle), f"{name} angle must be finite")
+    _require(1e-12 < abs(angle) <= np.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
+
+
+def _turn(point: Vec3, direction: Vec3, angle: float) -> tuple[np.ndarray, Vec3]:
+    """rotation_about_axis's parts for a record's checked point and unit direction."""
+    return _rodrigues(point.tolist(), (direction / _norm(direction)).tolist(), angle)
+
+
+class _Record:
+    """Base of the class records.
+
+    NAME is the class's name in JSON documents.  The constructor copies,
+    checks and freezes the _VECTORS fields, and _motion() checks the fields
+    against the class's invariants and builds the motion they describe.
+    """
+
+    NAME = ""
     _VECTORS: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -70,56 +92,93 @@ def _record(cls, **fields):
 
 
 @dataclass(frozen=True)
-class Identity:
-    pass
+class Identity(_Record):
+    NAME = "identity"
+
+    def _motion(self) -> AffineIsometry:
+        return identity()
 
 
 @dataclass(frozen=True, eq=False)
-class Translation(_Vectors):
+class Translation(_Record):
     v: Vec3
-    _VECTORS = ("v",)
+    NAME, _VECTORS = "translation", ("v",)
+
+    def _motion(self) -> AffineIsometry:
+        _require(math.hypot(*self.v.tolist()) > 0.0, "translation vector must be nonzero")
+        return _isometry(_EYE.copy(), self.v.copy())
 
 
 @dataclass(frozen=True, eq=False)
-class Rotation:
+class Rotation(_Record):
     """Rotation by `angle` about `axis`, right-handed about the canonical direction."""
 
     axis: Line3
     angle: float
+    NAME = "rotation"
+
+    def _motion(self) -> AffineIsometry:
+        _require_turn(self.angle, "rotation")
+        return _isometry(*_turn(self.axis.point, self.axis.direction, self.angle))
 
 
 @dataclass(frozen=True, eq=False)
-class Screw(_Vectors):
+class Screw(_Record):
     """Rotation about `axis` combined with the parallel translation `slide`."""
 
     axis: Line3
     angle: float
     slide: Vec3
-    _VECTORS = ("slide",)
+    NAME, _VECTORS = "screw", ("slide",)
+
+    def _motion(self) -> AffineIsometry:
+        _require_turn(self.angle, "screw")
+        slide = self.slide.tolist()  # measured on floats: numpy's dot warns past 1.3e154
+        slide_len = math.hypot(*slide)
+        _require(slide_len > 0.0, "screw slide must be nonzero")
+        drift = math.hypot(*_cross3(slide, self.axis.direction.tolist()))
+        _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
+        turn, shift = _turn(self.axis.point, self.axis.direction, self.angle)
+        return _isometry(turn, shift + self.slide)
 
 
 @dataclass(frozen=True, eq=False)
-class Reflection:
+class Reflection(_Record):
     mirror: Plane
+    NAME = "reflection"
+
+    def _motion(self) -> AffineIsometry:
+        return plane_reflection(self.mirror)
 
 
 @dataclass(frozen=True, eq=False)
-class GlideReflection(_Vectors):
+class GlideReflection(_Record):
     """Reflection in `mirror` combined with the in-plane translation `slide`."""
 
     mirror: Plane
     slide: Vec3
-    _VECTORS = ("slide",)
+    NAME, _VECTORS = "glide_reflection", ("slide",)
+
+    def _motion(self) -> AffineIsometry:
+        slide_len = math.hypot(*self.slide.tolist())
+        _require(slide_len > 0.0, "glide slide must be nonzero")
+        drift = abs(float(self.slide.dot(self.mirror.normal)))
+        _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
+        flip, shift = _reflection_parts(self.mirror)
+        return _isometry(flip, shift + self.slide)
 
 
 @dataclass(frozen=True, eq=False)
-class Inversion(_Vectors):
+class Inversion(_Record):
     center: Vec3
-    _VECTORS = ("center",)
+    NAME, _VECTORS = "inversion", ("center",)
+
+    def _motion(self) -> AffineIsometry:
+        return _isometry(-_EYE, 2.0 * self.center)
 
 
 @dataclass(frozen=True, eq=False)
-class RotaryReflection(_Vectors):
+class RotaryReflection(_Record):
     """Reflection in `mirror` combined with rotation by `angle` about the
     axis through `center` perpendicular to the mirror; the sign of `angle`
     is right-handed about the mirror's canonical normal."""
@@ -127,7 +186,18 @@ class RotaryReflection(_Vectors):
     mirror: Plane
     center: Vec3
     angle: float
-    _VECTORS = ("center",)
+    NAME, _VECTORS = "rotary_reflection", ("center",)
+
+    def _motion(self) -> AffineIsometry:
+        _require(math.isfinite(self.angle), "rotary angle must be finite")
+        _require(1e-12 < abs(self.angle) < np.pi - 1e-12, "rotary angle must avoid 0 and pi")
+        _require(
+            abs(self.mirror._distance(self.center)) <= _PARAM_EPS,
+            "rotary center must lie on the mirror",
+        )
+        flip, flip_shift = _reflection_parts(self.mirror)
+        turn, turn_shift = _turn(self.center, self.mirror.normal, self.angle)
+        return _isometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
 
 
 MotionClass = Union[
@@ -140,30 +210,6 @@ MotionClass = Union[
     Inversion,
     RotaryReflection,
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ProbeWitness(_Vectors):
-    """A probe A with images B = m(A), B' = m(B), and which degeneracy it hit."""
-
-    a: Vec3
-    b: Vec3
-    b_prime: Vec3
-    case_tag: str
-    _VECTORS = ("a", "b", "b_prime")
-
-
-_PROBE_DIRECTIONS = tuple(
-    np.array(w, dtype=float)
-    for w in (
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0),
-        (0.0, 0.0, 1.0),
-        (1.0, 1.0, 0.0),
-        (0.0, 1.0, 1.0),
-        (1.0, 0.0, 1.0),
-    )
-)
 
 
 def _canonical_angle(angle: float) -> float:
@@ -180,28 +226,6 @@ def _skew_vector(a) -> list[float]:
 def _angle_about(skew, cos: float, direction) -> float:
     """Signed rotation angle about the unit `direction` from its skew vector and cosine."""
     return _canonical_angle(math.atan2(_dot3(skew, direction), min(max(cos, -1.0), 1.0)))
-
-
-def find_probe(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> ProbeWitness:
-    """A probe near the fixed point c that the motion visibly moves.
-
-    Candidates are c + s*w for the six directions e1, e2, e3, e1+e2, e2+e3,
-    e1+e3 with s = max(1, |c|); the first candidate that is moved by at least
-    eps_len and stays noncollinear with its image and c is returned.  For any
-    actual isometry other than the identity at least one candidate works, so
-    ProbeExhausted signals inputs far outside the supported scale.
-    """
-    c = as_vec3(c)
-    s = max(1.0, _norm(c))
-    for w in _PROBE_DIRECTIONS:
-        a = c + s * w
-        b = apply(m, a)
-        if points_coincide(a, b, tol) or collinear(a, b, c, tol):
-            continue
-        b_prime = apply(m, b)
-        tag = "half-turn" if points_coincide(b_prime, a, tol) else "generic"
-        return ProbeWitness(a, b, b_prime, tag)
-    raise ProbeExhausted("no probe witness near the fixed point")
 
 
 def rotation_from_plane_pair(
@@ -397,21 +421,6 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     return _record(GlideReflection, mirror=mirror, slide=np.array(v))
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidClassParameters(message)
-
-
-def _require_turn(angle: float, name: str) -> None:
-    _require(math.isfinite(angle), f"{name} angle must be finite")
-    _require(1e-12 < abs(angle) <= np.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
-
-
-def _turn(point: Vec3, direction: Vec3, angle: float) -> tuple[np.ndarray, Vec3]:
-    """rotation_about_axis's parts for a record's checked point and unit direction."""
-    return _rodrigues(point.tolist(), (direction / _norm(direction)).tolist(), angle)
-
-
 def reconstruct(record: MotionClass) -> AffineIsometry:
     """The affine motion described by a canonical-form record.
 
@@ -419,52 +428,6 @@ def reconstruct(record: MotionClass) -> AffineIsometry:
     class invariants (zero translation vector, slide not parallel to the
     axis, center off the mirror, and so on).
     """
-    if isinstance(record, Identity):
-        return identity()
-
-    if isinstance(record, Translation):
-        _require(_norm(record.v) > 0.0, "translation vector must be nonzero")
-        return _isometry(_EYE.copy(), record.v.copy())
-
-    if isinstance(record, Rotation):
-        _require_turn(record.angle, "rotation")
-        return _isometry(*_turn(record.axis.point, record.axis.direction, record.angle))
-
-    if isinstance(record, Screw):
-        _require_turn(record.angle, "screw")
-        slide_len = _norm(record.slide)
-        _require(slide_len > 0.0, "screw slide must be nonzero")
-        drift = _norm(_cross(record.slide, record.axis.direction))
-        _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
-        turn, shift = _turn(record.axis.point, record.axis.direction, record.angle)
-        return _isometry(turn, shift + record.slide)
-
-    if isinstance(record, Reflection):
-        return plane_reflection(record.mirror)
-
-    if isinstance(record, GlideReflection):
-        slide_len = _norm(record.slide)
-        _require(slide_len > 0.0, "glide slide must be nonzero")
-        drift = abs(float(record.slide.dot(record.mirror.normal)))
-        _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
-        flip, shift = _reflection_parts(record.mirror)
-        return _isometry(flip, shift + record.slide)
-
-    if isinstance(record, Inversion):
-        return _isometry(-_EYE, 2.0 * record.center)
-
-    if isinstance(record, RotaryReflection):
-        _require(math.isfinite(record.angle), "rotary angle must be finite")
-        _require(
-            1e-12 < abs(record.angle) < np.pi - 1e-12,
-            "rotary angle must avoid 0 and pi",
-        )
-        _require(
-            abs(record.mirror._distance(record.center)) <= _PARAM_EPS,
-            "rotary center must lie on the mirror",
-        )
-        flip, flip_shift = _reflection_parts(record.mirror)
-        turn, turn_shift = _turn(record.center, record.mirror.normal, record.angle)
-        return _isometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
-
-    raise InvalidClassParameters(f"unrecognized class record {record!r}")
+    if not isinstance(record, _Record):
+        raise InvalidClassParameters(f"unrecognized class record {record!r}")
+    return record._motion()

@@ -18,24 +18,14 @@ may be numbers or the tokens "pi", "-pi", "pi/6" and so on.  Exit status is
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
 
 import numpy as np
 
-from .classify import (
-    GlideReflection,
-    Identity,
-    Inversion,
-    MotionClass,
-    Reflection,
-    Rotation,
-    RotaryReflection,
-    Screw,
-    Translation,
-    classify,
-)
+from .classify import MotionClass, classify
 from .construct import TriplePair, second_motion, three_reflections
 from .errors import CollinearPoints, GeometryError
 from .example import DEFAULT_ITERATES, analyze, iterate
@@ -154,101 +144,25 @@ def _load_json(path: str):
         raise SpecError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _floats(v) -> list[float]:
-    return [float(x) for x in v]
+def _json(value):
+    """JSON form of a field value: a Plane or Line3 as an object, an array as a flat float list."""
+    if isinstance(value, Plane):
+        return {"normal": _json(value.normal), "offset": float(value.offset)}
+    if isinstance(value, Line3):
+        return {"point": _json(value.point), "dir": _json(value.direction)}
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist()
+    return float(value)
 
 
-def _plane_json(p: Plane) -> dict:
-    return {"normal": _floats(p.normal), "offset": float(p.offset)}
-
-
-def _line_json(line: Line3) -> dict:
-    return {"point": _floats(line.point), "dir": _floats(line.direction)}
+def _fields_json(value) -> dict:
+    """The dataclass `value`'s fields through _json, in declaration order."""
+    return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
 
 
 def class_to_json(record: MotionClass) -> dict:
-    if isinstance(record, Identity):
-        return {"class": "identity"}
-    if isinstance(record, Translation):
-        return {"class": "translation", "v": _floats(record.v)}
-    if isinstance(record, Rotation):
-        return {"class": "rotation", "axis": _line_json(record.axis), "angle": float(record.angle)}
-    if isinstance(record, Screw):
-        return {
-            "class": "screw",
-            "axis": _line_json(record.axis),
-            "angle": float(record.angle),
-            "slide": _floats(record.slide),
-        }
-    if isinstance(record, Reflection):
-        return {"class": "reflection", "mirror": _plane_json(record.mirror)}
-    if isinstance(record, GlideReflection):
-        return {
-            "class": "glide_reflection",
-            "mirror": _plane_json(record.mirror),
-            "slide": _floats(record.slide),
-        }
-    if isinstance(record, Inversion):
-        return {"class": "inversion", "center": _floats(record.center)}
-    if isinstance(record, RotaryReflection):
-        return {
-            "class": "rotary_reflection",
-            "mirror": _plane_json(record.mirror),
-            "center": _floats(record.center),
-            "angle": float(record.angle),
-        }
-    raise SpecError(f"unknown class record {record!r}")
-
-
-def motion_class_from_json(doc: dict) -> MotionClass:
-    """Inverse of class_to_json, so emitted classifications can be reloaded."""
-    if not isinstance(doc, dict):
-        raise SpecError("class document must be a JSON object")
-    name = doc.get("class")
-    try:
-        if name == "identity":
-            return Identity()
-        if name == "translation":
-            return Translation(v=_vec_field(doc, "v"))
-        if name == "rotation":
-            return Rotation(axis=_line_from_json(doc.get("axis")), angle=_num_field(doc, "angle"))
-        if name == "screw":
-            return Screw(
-                axis=_line_from_json(doc.get("axis")),
-                angle=_num_field(doc, "angle"),
-                slide=_vec_field(doc, "slide"),
-            )
-        if name == "reflection":
-            return Reflection(mirror=_plane_from_json(doc.get("mirror")))
-        if name == "glide_reflection":
-            return GlideReflection(
-                mirror=_plane_from_json(doc.get("mirror")), slide=_vec_field(doc, "slide")
-            )
-        if name == "inversion":
-            return Inversion(center=_vec_field(doc, "center"))
-        if name == "rotary_reflection":
-            return RotaryReflection(
-                mirror=_plane_from_json(doc.get("mirror")),
-                center=_vec_field(doc, "center"),
-                angle=_num_field(doc, "angle"),
-            )
-    except SpecError:
-        raise
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    raise SpecError(f"unknown class name {name!r}")
-
-
-def _plane_from_json(doc) -> Plane:
-    if not isinstance(doc, dict):
-        raise SpecError("plane document must be a JSON object")
-    return Plane(_vec_field(doc, "normal"), _num_field(doc, "offset"))
-
-
-def _line_from_json(doc) -> Line3:
-    if not isinstance(doc, dict):
-        raise SpecError("line document must be a JSON object")
-    return Line3(_vec_field(doc, "point"), _vec_field(doc, "dir"))
+    """A class record's JSON document: its class name, then its fields."""
+    return {"class": record.NAME, **_fields_json(record)}
 
 
 def _emit(doc: dict) -> None:
@@ -274,12 +188,7 @@ def cmd_classify(args) -> int:
 def cmd_compose(args) -> int:
     _tolerance(args)
     motion = motion_from_spec(_load_json(args.input))
-    _emit(
-        {
-            "linear": _floats(np.asarray(motion.linear).reshape(9)),
-            "translation": _floats(motion.translation),
-        }
-    )
+    _emit({"linear": _json(motion.linear), "translation": _json(motion.translation)})
     return 0
 
 
@@ -299,8 +208,8 @@ def cmd_triples(args) -> int:
         residuals.append(_norm(apply(partner, source_point) - target))
     _emit(
         {
-            "mirrors": [_plane_json(p) for p in first.planes],
-            "fourth_mirror": _plane_json(second.planes[3]),
+            "mirrors": [_json(p) for p in first.planes],
+            "fourth_mirror": _json(second.planes[3]),
             "first_class": class_to_json(classify(first_motion, tol)),
             "second_class": class_to_json(classify(partner, tol)),
             "self_check": bool(max(residuals) <= tol.eps_len),
@@ -328,7 +237,7 @@ def cmd_iterate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing point is refused, silently
         points = iterate(motion, start, args.count)
     if args.format == "json":
-        _emit({"points": [_floats(p) for p in points]})
+        _emit({"points": [_json(p) for p in points]})
         return 0
     lines = ["i,x,y,z"]
     for i, p in enumerate(points):
@@ -340,22 +249,7 @@ def cmd_iterate(args) -> int:
 def cmd_example(args) -> int:
     tol = _tolerance(args)
     report = analyze(tol)
-    _emit(
-        {
-            "b": _floats(report.b),
-            "b_prime": _floats(report.b_prime),
-            "axis_k": _line_json(report.axis_k),
-            "n_direction": _floats(report.n_direction),
-            "theta": float(report.theta),
-            "m": _floats(report.m),
-            "residual": _floats(report.residual),
-            "p": _floats(report.p),
-            "screw_axis_h": _line_json(report.screw_axis_h),
-            "bisector_normal_ab": _floats(report.bisector_normal_ab),
-            "bisector_normal_bb_prime": _floats(report.bisector_normal_bb_prime),
-            "residual_dot_n": float(report.residual_dot_n()),
-        }
-    )
+    _emit({**_fields_json(report), "residual_dot_n": float(report.residual_dot_n())})
     return 0
 
 

@@ -33,10 +33,6 @@ class NotAFixedPoint(GeometryError):
     """The supplied point is moved by the motion it was claimed to anchor."""
 
 
-class ProbeExhausted(GeometryError):
-    """No probe point produced a usable witness; inputs are badly scaled."""
-
-
 class ParallelDistinctMirrors(GeometryError):
     """Two mirror planes are parallel but not equal; their product is not a rotation."""
 

@@ -15,7 +15,12 @@ geom functions, which validate each argument again.  The library's
 classifier used before it read the class off the linear part: it moves a
 frame of points near the fixed point and reads the axis and mirror from
 their displacements and midpoints.  It uses only the public API, so it
-checks the library's kernel by a second, independent route.
+checks the library's kernel by a second, independent route.  `find_probe`
+picks the first probe the motion visibly moves; the walk reads a plain
+reflection off a half-turn witness.
+
+`record_from_json` is the inverse of the CLI's `class_to_json`, driven by
+each record class's NAME and dataclass fields.
 
 `numpy_linear_kernel`, `numpy_rotation_parts` and `numpy_validate` are the
 classify and motion kernels as the library wrote them on numpy arrays,
@@ -35,6 +40,7 @@ records, and tolerant comparison helpers for the geometric parameter types.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -43,6 +49,7 @@ import numpy as np
 from trimirror import (
     AffineIsometry,
     DegenerateSource,
+    GeometryError,
     GlideReflection,
     Identity,
     Inversion,
@@ -52,7 +59,6 @@ from trimirror import (
     OrientationParity,
     Plane,
     PointTriple,
-    ProbeExhausted,
     ReflectionSequence,
     Reflection,
     Rotation,
@@ -61,9 +67,9 @@ from trimirror import (
     Tolerance,
     Translation,
     apply,
+    as_vec3,
     collinear,
     congruent_triples,
-    find_probe,
     identity,
     iso_equal,
     orientation,
@@ -195,6 +201,42 @@ _PROBE_DIRECTIONS = tuple(
     np.array(w, dtype=float)
     for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
 )
+
+
+class ProbeExhausted(GeometryError):
+    """No probe point produced a usable witness; inputs are badly scaled."""
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ProbeWitness:
+    """A probe A with images B = m(A), B' = m(B), and which degeneracy it hit."""
+
+    a: np.ndarray
+    b: np.ndarray
+    b_prime: np.ndarray
+    case_tag: str
+
+
+def find_probe(motion, c, tol: Tolerance = TOL) -> ProbeWitness:
+    """A probe near the fixed point c that the motion visibly moves.
+
+    Candidates are c + s*w for the six directions e1, e2, e3, e1+e2, e2+e3,
+    e1+e3 with s = max(1, |c|); the first candidate that is moved by at least
+    eps_len and stays noncollinear with its image and c is returned.  For any
+    actual isometry other than the identity at least one candidate works, so
+    ProbeExhausted signals inputs far outside the supported scale.
+    """
+    c = as_vec3(c)
+    s = max(1.0, float(np.linalg.norm(c)))
+    for w in _PROBE_DIRECTIONS:
+        a = c + s * w
+        b = apply(motion, a)
+        if points_coincide(a, b, tol) or collinear(a, b, c, tol):
+            continue
+        b_prime = apply(motion, b)
+        tag = "half-turn" if points_coincide(b_prime, a, tol) else "generic"
+        return ProbeWitness(a, b, b_prime, tag)
+    raise ProbeExhausted("no probe witness near the fixed point")
 
 
 def _wrap_angle(angle: float) -> float:
@@ -536,6 +578,24 @@ ALL_VARIANTS = (
     "inversion",
     "rotary_reflection",
 )
+
+RECORD_CLASSES = {
+    cls.NAME: cls
+    for cls in (Identity, Translation, Rotation, Screw, Reflection, GlideReflection, Inversion,
+                RotaryReflection)
+}
+
+_FIELD_FROM_JSON = {
+    "Plane": lambda doc: Plane(doc["normal"], doc["offset"]),
+    "Line3": lambda doc: Line3(doc["point"], doc["dir"]),
+}
+
+
+def record_from_json(doc: dict):
+    """The record a `class_to_json` document describes, built by its public constructor."""
+    cls = RECORD_CLASSES[doc["class"]]
+    fields = dataclasses.fields(cls)
+    return cls(**{f.name: _FIELD_FROM_JSON.get(f.type, lambda v: v)(doc[f.name]) for f in fields})
 
 
 # ---------------------------------------------------------------- comparisons

@@ -23,7 +23,6 @@ from trimirror import (
     apply,
     classify,
     classify_fixed_point,
-    find_probe,
     identity,
     iso_equal,
     lines_equal,
@@ -41,7 +40,6 @@ from trimirror.errors import (
     InvalidClassParameters,
     NotAFixedPoint,
     ParallelDistinctMirrors,
-    ProbeExhausted,
 )
 from trimirror.classify import _fixed_point, _linear_kernel, _split
 from trimirror.example import make_f, make_g, make_h, make_k
@@ -158,17 +156,17 @@ def test_fixed_point_tiny_rotary_angle_collapses_to_reflection():
 
 def test_find_probe_witness_fields():
     motion = rotation_about_axis((0, 0, 0), (0, 0, 1), 0.7)
-    w = find_probe(motion, (0, 0, 0))
+    w = oracle.find_probe(motion, (0, 0, 0))
     assert w.case_tag == "generic"
     assert np.allclose(w.b, apply(motion, w.a), atol=1e-15)
     assert np.allclose(w.b_prime, apply(motion, w.b), atol=1e-15)
     half = rotation_about_axis((0, 0, 0), (0, 0, 1), np.pi)
-    assert find_probe(half, (0, 0, 0)).case_tag == "half-turn"
+    assert oracle.find_probe(half, (0, 0, 0)).case_tag == "half-turn"
 
 
 def test_find_probe_exhausts_on_identity():
-    with pytest.raises(ProbeExhausted):
-        find_probe(identity(), (0, 0, 0))
+    with pytest.raises(oracle.ProbeExhausted):
+        oracle.find_probe(identity(), (0, 0, 0))
 
 
 def test_plane_pair_coincident_mirrors_cancel():
@@ -327,6 +325,8 @@ def test_reconstruct_validates_records():
     for record in cases:
         with pytest.raises(InvalidClassParameters):
             reconstruct(record)
+    with pytest.raises(InvalidClassParameters, match="^unrecognized class record"):
+        reconstruct(z_plane)
 
 
 def test_round_trip_all_variants():
@@ -638,6 +638,18 @@ def test_round_trip_kernels_keep_every_check():
     glide = AffineIsometry(flip, (1.7e308, 1.7e308, 0.0))  # only the in-plane slide overflows
     with pytest.raises(ValueError, match=message):
         classify(glide)
+
+
+def test_reconstruct_measures_long_vectors_without_overflow():
+    # a slide or translation past 1.3e154 overflows a numpy dot product, with
+    # a warning; the test run turns any RuntimeWarning into an error
+    far = classify(translation((1.5e308, 1.5e308, 0.0)))
+    assert isinstance(far, Translation)
+    assert reconstruct(far).translation.tolist() == [1.5e308, 1.5e308, 0.0]
+    screw = Screw(axis=Line3((0, 0, 0), (0, 0, 1)), angle=1.0, slide=(0.0, 0.0, 1e200))
+    assert reconstruct(screw).translation.tolist() == [0.0, 0.0, 1e200]
+    glide = GlideReflection(mirror=Plane((0, 0, 1), 0.0), slide=(1e200, 0.0, 0.0))
+    assert reconstruct(glide).translation.tolist() == [1e200, 0.0, 0.0]
 
 
 def _record_arrays(record):

@@ -15,13 +15,7 @@ from trimirror import (
     rotation_about_axis,
     translation,
 )
-from trimirror.cli import (
-    SpecError,
-    main,
-    motion_class_from_json,
-    motion_from_spec,
-    parse_angle,
-)
+from trimirror.cli import SpecError, class_to_json, main, motion_from_spec, parse_angle
 from trimirror.motion import apply
 
 import oracle
@@ -132,6 +126,53 @@ def test_classify_command(tmp_path, capsys):
     assert doc["angle"] == pytest.approx(np.pi / 2, abs=1e-12)
     assert np.allclose(doc["axis"]["dir"], (0, 0, 1))
     assert np.allclose(doc["axis"]["point"], (0, 0, 0))
+
+
+HALF_PI = 1.5707963267948966
+QUARTER_TURN_Z = {"kind": "rotation", "point": [1, 0, 0], "dir": [0, 0, 1], "angle": "pi/2"}
+
+# one motion document per class, and the exact document classify prints for it
+CLASS_DOCUMENTS = [
+    ({"kind": "translation", "v": [0, 0, 0]}, {"class": "identity"}),
+    ({"kind": "translation", "v": [1, 2, 3]}, {"class": "translation", "v": [1.0, 2.0, 3.0]}),
+    (
+        QUARTER_TURN_Z,
+        {"class": "rotation", "axis": {"point": [1.0, 0.0, 0.0], "dir": [0.0, 0.0, 1.0]},
+         "angle": HALF_PI},
+    ),
+    (
+        {"kind": "sequence", "steps": [QUARTER_TURN_Z, {"kind": "translation", "v": [0, 0, 2]}]},
+        {"class": "screw", "axis": {"point": [1.0, 0.0, 0.0], "dir": [0.0, 0.0, 1.0]},
+         "angle": HALF_PI, "slide": [0.0, 0.0, 2.0]},
+    ),
+    (
+        {"kind": "reflection", "normal": [0, 0, 2], "offset": 3},
+        {"class": "reflection", "mirror": {"normal": [0.0, 0.0, 1.0], "offset": 1.5}},
+    ),
+    (
+        {"kind": "sequence", "steps": [{"kind": "reflection", "normal": [0, 0, 1], "offset": 1},
+                                       {"kind": "translation", "v": [2, 0, 0]}]},
+        {"class": "glide_reflection", "mirror": {"normal": [0.0, 0.0, 1.0], "offset": 1.0},
+         "slide": [2.0, 0.0, 0.0]},
+    ),
+    ({"kind": "inversion", "center": [1, 2, 3]}, {"class": "inversion", "center": [1.0, 2.0, 3.0]}),
+    (
+        {"kind": "sequence", "steps": [
+            {"kind": "reflection", "normal": [0, 0, 1], "offset": 0},
+            {"kind": "rotation", "point": [0, 0, 0], "dir": [0, 0, 1], "angle": "pi/2"}]},
+        {"class": "rotary_reflection", "mirror": {"normal": [0.0, 0.0, 1.0], "offset": 0.0},
+         "center": [0.0, 0.0, 0.0], "angle": 1.5707963267948968},
+    ),
+]
+
+
+def test_classify_prints_each_class_document_exactly(tmp_path, capsys):
+    # the encoder walks each record's dataclass fields, so key order is pinned
+    # too, nested keys included
+    for spec, want in CLASS_DOCUMENTS:
+        doc = _run_json(capsys, ["classify", "--input", _write(tmp_path, "m.json", spec)])
+        assert (doc, json.dumps(doc)) == (want, json.dumps(want))
+    assert [want["class"] for _, want in CLASS_DOCUMENTS] == list(oracle.ALL_VARIANTS)
 
 
 def test_classify_reads_stdin(monkeypatch, capsys):
@@ -250,6 +291,11 @@ def test_example_command(capsys):
     assert np.allclose(doc["bisector_normal_ab"], (1.29261, -0.611424, 1), atol=5e-6)
     assert np.allclose(doc["bisector_normal_bb_prime"], (0.332024, -2.93047, 1), atol=5e-6)
     assert doc["residual_dot_n"] <= 1e-9
+    assert list(doc) == [
+        "b", "b_prime", "axis_k", "n_direction", "theta", "m", "residual", "p", "screw_axis_h",
+        "bisector_normal_ab", "bisector_normal_bb_prime", "residual_dot_n",
+    ]
+    assert list(doc["axis_k"]) == list(doc["screw_axis_h"]) == ["point", "dir"]
     assert len(doc["axis_k"]["dir"]) == 3 and len(doc["screw_axis_h"]["point"]) == 3
 
 
@@ -340,15 +386,22 @@ def test_tolerance_flag_loosens_length_checks(tmp_path, capsys):
 
 
 def test_emitted_class_round_trips(tmp_path, capsys):
+    # classify's records of random motions, then a public-constructor record
+    # of every class, through JSON text and back
     rng = np.random.default_rng(51)
+    cases = []
     for _ in range(20):
         motion = oracle.random_motion(rng)
-        record = classify(motion)
-        from trimirror.cli import class_to_json
-
+        cases.append((classify(motion), motion))
+    for variant in oracle.ALL_VARIANTS:
+        record = oracle.random_record(rng, variant)
+        cases.append((record, oracle.record_motion(record)))
+    for record, motion in cases:
         doc = json.loads(json.dumps(class_to_json(record)))
-        again = motion_class_from_json(doc)
+        again = oracle.record_from_json(doc)
+        assert type(again) is type(record)
         assert iso_equal(reconstruct(again), motion, Tolerance(1e-8, 1e-8))
+    assert {type(record) for record, _ in cases} == set(oracle.RECORD_CLASSES.values())
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
