@@ -11,9 +11,11 @@ part L is the image of e_i minus the image of 0.  One closed-form kernel
 works on L: the determinant gives the parity, the skew and symmetric parts
 give the axis or mirror normal, and trace against skew gives the angle.
 `classify_fixed_point` places the kernel's answer through a given fixed
-point; `classify` recombines it with t, keeping the component along the
-axis or mirror as slide and using the rest to relocate the axis, mirror or
-center.  `reconstruct` rebuilds a motion from its record, closing the loop.
+point; `classify` splits t once along the axis or mirror normal: a turn keeps
+the part along its axis as slide and is placed by the part across it, while
+every mirror, the rotary one included, lies at half the part along its normal
+and a glide keeps the part across it as slide.  `reconstruct` rebuilds a
+motion from its record, closing the loop.
 
 The axis point and the rotary center come from one closed form,
 `_fixed_point`: x = (w + cot(angle / 2) d x w) / 2 solves (I - L) x = w, w
@@ -21,8 +23,9 @@ being the part of t across the axis, or for the center all of t.  For w
 across the unit d, the turn R by angle about d gives (I - R) w = 2 s (s w -
 c d x w) and (I - R) d x w = 2 s (s d x w + c w), with s and c the sine and
 cosine of angle / 2, so (I - R) x = w.  The rotary L = R (I - 2 d d^T) sends
-d to -d, which halves w's component along d, as x does.  Both points solve
-the record's own turn, which `reconstruct` rebuilds.
+d to -d, which halves w's component along d, as x does: the center lies on
+the mirror up to rounding, which `reconstruct` allows (_CENTER_SLACK).  Both
+points solve the record's own turn, which `reconstruct` rebuilds.
 
 The kernel and `classify` run on Python floats up to the record, whose
 fields each become one array.  The eight record classes are the one table of
@@ -42,14 +45,22 @@ import numpy as np
 
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
 from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, intersect_planes
-from .geom import planes_equal, points_coincide, _SIGN_EPS, _canonical_sign, _cross3, _dot3
+from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
 from .geom import _finite, _frozen, _line, _norm, _plane, _unit
-from .motion import AffineIsometry, Motion, ReflectionSequence, apply, identity, plane_reflection
-from .motion import seq_to_affine, _EYE, _as_affine, _isometry, _reflection_parts, _rodrigues
+from .motion import AffineIsometry, Motion, apply, identity, plane_reflection
+from .motion import _EYE, _as_affine, _fold, _isometry, _reflection_parts, _rodrigues
 
 # Validation slack for reconstruct(): parameter records are expected to come
 # from the classifiers, so only outright inconsistencies are rejected.
 _PARAM_EPS = 1e-9
+
+# reconstruct checks a rotary center x against its mirror at _CENTER_SLACK |x| above
+# _PARAM_EPS: classify's x misses it by rounding alone, to first order with r = eps / 2,
+# |u| <= 2 |x| and classify's unit d as the normal, by (2 + 2 sqrt 2) r |x| from
+# _fixed_point's d x v term (exact along d, and |cot||v| / 2 <= |x|), 3 r |x| from
+# k = u . d and 13 r |x| from the rest of the offset (d . k d) / 2, |d|^2 - 1 included,
+# and 3 r |x| from _distance's dot product: at most 24 r |x| in all.
+_CENTER_SLACK = 12.0 * float(np.finfo(float).eps)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -59,7 +70,7 @@ def _require(condition: bool, message: str) -> None:
 
 def _require_turn(angle: float, name: str) -> None:
     _require(math.isfinite(angle), f"{name} angle must be finite")
-    _require(1e-12 < abs(angle) <= np.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
+    _require(0.0 < abs(angle) <= np.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
 
 
 def _turn(point: Vec3, direction: Vec3, angle: float) -> tuple[np.ndarray, Vec3]:
@@ -190,11 +201,10 @@ class RotaryReflection(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require(math.isfinite(self.angle), "rotary angle must be finite")
-        _require(1e-12 < abs(self.angle) < np.pi - 1e-12, "rotary angle must avoid 0 and pi")
-        _require(
-            abs(self.mirror._distance(self.center)) <= _PARAM_EPS,
-            "rotary center must lie on the mirror",
-        )
+        _require(0.0 < abs(self.angle) < np.pi, "rotary angle must avoid 0 and pi")
+        miss = abs(self.mirror._distance(self.center))  # a far center's |x| only when needed
+        on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*self.center.tolist())
+        _require(on_mirror, "rotary center must lie on the mirror")
         flip, flip_shift = _reflection_parts(self.mirror)
         turn, turn_shift = _turn(self.center, self.mirror.normal, self.angle)
         return _isometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
@@ -247,8 +257,7 @@ def rotation_from_plane_pair(
         raise ParallelDistinctMirrors(
             "parallel distinct mirrors compose to a translation, not a rotation"
         ) from exc
-    composite = seq_to_affine(ReflectionSequence((alpha, beta)))
-    rows = composite.linear.tolist()
+    rows = _fold((alpha, beta))[0].tolist()
     cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
     angle = _angle_about(_skew_vector(rows), cos, axis.direction.tolist())
     return Rotation(axis=axis, angle=angle)
@@ -399,15 +408,8 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
         return _record(Inversion, center=0.5 * u)
 
     length = math.sqrt(_dot3(direction, direction))  # once for the split and the axis or mirror
-    if not _SIGN_EPS < length < math.inf:
-        raise ValueError("splitter direction must have a nonzero, finite length")
     d = [x / length for x in direction]
     u = u.tolist()
-    if kind is RotaryReflection:
-        center = _fixed_point(u, d, angle)
-        mirror = _plane(direction, length, _dot3(direction, center))
-        return _record(RotaryReflection, mirror=mirror, center=np.array(center), angle=angle)
-
     n, v = _split(u, d)
     if kind is Rotation:
         axis = _line(_fixed_point(v, d, angle), d)
@@ -416,6 +418,9 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
         return _record(Screw, axis=axis, angle=angle, slide=np.array(n))
 
     mirror = _plane(direction, length, 0.5 * _dot3(direction, n))
+    if kind is RotaryReflection:
+        center = np.array(_fixed_point(u, d, angle))
+        return _record(RotaryReflection, mirror=mirror, center=center, angle=angle)
     if math.sqrt(_dot3(v, v)) <= tol.eps_len:
         return Reflection(mirror=mirror)
     return _record(GlideReflection, mirror=mirror, slide=np.array(v))

@@ -4,8 +4,8 @@ Given congruent noncollinear triples (A, B, C) and (A', B', C'), exactly one
 motion of each orientation maps the first onto the second.  `three_reflections`
 builds the orientation-reversing one as a sequence of three mirrors, moving
 one point into place per stage; `second_motion` appends the destination
-triple's own plane to obtain the orientation-preserving partner, built by
-`motion._sequence` to continue its prefix's fold.  `geom._triangle` measures each
+triple's own plane to obtain the orientation-preserving partner, whose fold
+continues its prefix's fold by that one plane.  `geom._triangle` measures each
 triangle once: PointTriple and the mirror sequence keep their measurements.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
 from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, as_vec3, _finite, _frozen
 from .geom import _bisector, _measured_plane, _plane_through, _reflect, _thin, _triangle
-from .motion import ReflectionSequence, _sequence
+from .motion import ReflectionSequence, _fold, _sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,4 +110,4 @@ def second_motion(
     """
     kept = seq._dst  # three_reflections' measurement of its pair's dst, or None
     closing = _measured_plane(*(kept[1] if kept and kept[0] is dst else _measured(dst)), tol)
-    return _sequence(seq.planes + (closing,), seq)
+    return _sequence(seq.planes + (closing,), _fold((closing,), seq._parts))

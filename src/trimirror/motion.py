@@ -5,8 +5,8 @@ is an ordered list of mirror planes applied left to right.  `apply` accepts eith
 `seq_to_affine` converts, and `then` composes affine motions in reading order (first,
 then second).  `AffineIsometry()` copies its parts and runs the validator `_isometry`,
 which library code calls directly on the arrays it has just made.  A sequence folds
-its planes once (`_fold`); one the library builds with `_sequence` skips the plane
-check and may name the sequence it extends, whose fold it continues.
+its planes when it is built (`_fold`); one the library builds with `_sequence` skips
+the plane check and may be handed that fold, as its prefix's fold continued.
 """
 
 from __future__ import annotations
@@ -110,13 +110,12 @@ class ReflectionSequence:
         return iter(self.planes)
 
 
-def _sequence(planes: tuple, prefix=None, seq=None, dst=None) -> ReflectionSequence:
-    """ReflectionSequence(planes) for Planes; `prefix`'s planes begin them and lend their fold,
-    and `dst` is a (triple, measurement) that construct.second_motion may reuse."""
+def _sequence(planes: tuple, parts=None, seq=None, dst=None) -> ReflectionSequence:
+    """ReflectionSequence(planes) for Planes, folded unless `parts` is their fold already;
+    `dst` is a (triple, measurement) that construct.second_motion may reuse."""
     seq = object.__new__(ReflectionSequence) if seq is None else seq
     object.__setattr__(seq, "planes", planes)
-    object.__setattr__(seq, "_prefix", prefix)
-    object.__setattr__(seq, "_parts", None)
+    object.__setattr__(seq, "_parts", _fold(planes) if parts is None else parts)
     object.__setattr__(seq, "_dst", dst)
     return seq
 
@@ -201,30 +200,24 @@ def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
     )
 
 
-def _fold(seq: ReflectionSequence) -> tuple[np.ndarray, Vec3]:
-    """The planes folded in reading order as `then` would, once per sequence and from its
-    prefix's fold, unvalidated: `then` after the identity leaves the first plane's parts,
-    -0.0 shifts turned +0.0.  seq_to_affine validates them on every call."""
-    if seq._parts is None:
-        planes, prefix = seq.planes, seq._prefix
-        if prefix is not None:
-            (linear, shift), planes = _fold(prefix), planes[len(prefix.planes):]
-        elif planes:
-            (linear, shift), planes = _reflection_parts(planes[0]), planes[1:]
-            shift = shift + 0.0
-        else:
-            linear, shift = _EYE.copy(), np.zeros(3)
-        for plane in planes:
-            flip, flip_shift = _reflection_parts(plane)
-            linear, shift = flip.dot(linear), flip.dot(shift) + flip_shift
-        object.__setattr__(seq, "_parts", (linear, shift))
-    return seq._parts
+def _fold(planes: tuple, parts=None) -> tuple[np.ndarray, Vec3]:
+    """The planes folded in reading order as `then` would, continuing `parts`, the fold of
+    the planes before them, unvalidated: `then` after the identity leaves the first plane's
+    parts, -0.0 shifts turned +0.0.  seq_to_affine validates them on every call."""
+    if parts is None and planes:
+        (linear, shift), planes = _reflection_parts(planes[0]), planes[1:]
+        parts = linear, shift + 0.0
+    linear, shift = (_EYE.copy(), np.zeros(3)) if parts is None else parts
+    for plane in planes:
+        flip, flip_shift = _reflection_parts(plane)
+        linear, shift = flip.dot(linear), flip.dot(shift) + flip_shift
+    return linear, shift
 
 
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
     """The planes' motion: products of reflections in unit normals drift from
     orthogonality far below _ORTHO_PASS, so _fold's parts pass as they are."""
-    return _isometry(*_fold(seq))
+    return _isometry(*seq._parts)
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:

@@ -41,7 +41,7 @@ from trimirror.errors import (
     NotAFixedPoint,
     ParallelDistinctMirrors,
 )
-from trimirror.classify import _fixed_point, _linear_kernel, _split
+from trimirror.classify import _CENTER_SLACK, _fixed_point, _linear_kernel, _split
 from trimirror.example import make_f, make_g, make_h, make_k
 
 import oracle
@@ -606,6 +606,57 @@ def test_turn_records_fix_their_axis_point_or_center():
         miss = np.linalg.norm(apply(m, x) - want)
         assert miss <= bound * max(1.0, np.linalg.norm(x)), (m, record)
     assert seen == {Rotation, Screw, RotaryReflection}
+
+
+def test_far_rotary_centers_round_trip():
+    # a rotary reflection by a small angle with a long translation u puts its
+    # center x about |u| / angle away.  The mirror is placed from u's split, at
+    # (d . k d) / 2 with k = u . d, within 4 eps |u| of the exact (d . u) / 2:
+    # 3 r |u| / 2 from k and 13 r |k| / 2 from the rest, r = eps / 2, as the
+    # classify module derives beside _CENTER_SLACK; x lies within _CENTER_SLACK
+    # |x| of it, and reconstruct takes every record back.  The worst misses
+    # here are 1.1 eps |u| and 0.95 eps |x|.  The mirror placed through x, as
+    # before, missed (d . u) / 2 by up to 7e6 eps |u| here, and reconstruct
+    # refused 2,413 of these 3,600 records against an absolute 1e-9.
+    rng = np.random.default_rng(73)
+    eps = np.finfo(float).eps
+    for exponent in range(-7, -1):
+        for scale in (1e3, 1e6):
+            for _ in range(300):
+                d = oracle.random_unit(rng)
+                angle = float(rng.choice((-1.0, 1.0))) * 10.0**exponent
+                mirror = plane_reflection(Plane(d, 0.0))
+                linear = then(mirror, rotation_about_axis((0, 0, 0), d, angle)).linear
+                u = rng.normal(size=3) * scale
+                record = classify(AffineIsometry(linear, u))
+                assert isinstance(record, RotaryReflection), (angle, u)
+                reconstruct(record)
+                normal = [Fraction(x) for x in record.mirror.normal.tolist()]
+                offset = Fraction(record.mirror.offset)
+                want = sum(n * Fraction(x) for n, x in zip(normal, u.tolist())) / 2
+                assert abs(float(offset - want)) <= 4.0 * eps * np.linalg.norm(u), (angle, u)
+                x = record.center.tolist()
+                miss = sum(n * Fraction(c) for n, c in zip(normal, x)) - offset
+                assert abs(float(miss)) <= _CENTER_SLACK * math.hypot(*x), (angle, u)
+
+
+def test_records_below_the_default_angle_floor_round_trip():
+    # at eps_angle 1e-16 classify emits turns by less than 1e-12 and rotary
+    # angles within 1e-12 of 0 or pi; reconstruct takes them back, since it
+    # tests the class invariants: 0 < |angle| <= pi for a turn, 0 < |angle| < pi
+    # for a rotary reflection
+    tol = Tolerance(1e-16, 1e-16)
+    z = (0.0, 0.0, 1.0)
+    cases = []
+    for small in (1e-13, 5e-13):
+        turn = rotation_about_axis((1.0, 2.0, 0.0), z, small)
+        cases += [(turn, Rotation), (then(turn, translation((0.0, 0.0, 0.5))), Screw)]
+        for angle in (small, np.pi - small):
+            cases.append((_rotary_motion(Plane(z, 0.5), (1.0, 2.0, 0.5), angle), RotaryReflection))
+    for m, kind in cases:
+        record = classify(m, tol)
+        assert isinstance(record, kind), record
+        assert iso_equal(reconstruct(record), m), record
 
 
 def test_seam_round_trips_raise_nothing_unexpected():

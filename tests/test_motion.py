@@ -196,6 +196,21 @@ def test_reused_fold_gives_read_only_arrays():
         )
 
 
+def test_sequences_are_complete_when_built():
+    # a sequence folds its planes when it is built: converting or extending it
+    # leaves every attribute the same object, on a three_reflections result, a
+    # public sequence and an empty one alike
+    src = PointTriple((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    pair = TriplePair(src, ((1, 2, 3), (1, 3, 3), (0, 2, 3)))
+    built = three_reflections(pair)
+    for seq in (built, ReflectionSequence(built.planes), ReflectionSequence(())):
+        before = dict(vars(seq))
+        seq_to_affine(seq)
+        second_motion(seq, pair.dst)
+        assert vars(seq).keys() == before.keys()
+        assert all(vars(seq)[name] is value for name, value in before.items()), seq
+
+
 def test_reflection_parts_match_numpy_reference_bit_for_bit():
     # the entries written out on floats against I - 2 n n^T and 2 offset n;
     # zero components make zero products, where a -0.0 would show in the bytes
