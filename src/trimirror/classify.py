@@ -18,14 +18,11 @@ and a glide keeps the part across it as slide.  `reconstruct` rebuilds a
 motion from its record, closing the loop.
 
 The axis point and the rotary center come from one closed form,
-`_fixed_point`: x = (w + cot(angle / 2) d x w) / 2 solves (I - L) x = w, w
-being the part of t across the axis, or for the center all of t.  For w
-across the unit d, the turn R by angle about d gives (I - R) w = 2 s (s w -
-c d x w) and (I - R) d x w = 2 s (s d x w + c w), with s and c the sine and
-cosine of angle / 2, so (I - R) x = w.  The rotary L = R (I - 2 d d^T) sends
-d to -d, which halves w's component along d, as x does: the center lies on
-the mirror up to rounding, which `reconstruct` allows (_CENTER_SLACK).  Both
-points solve the record's own turn, which `reconstruct` rebuilds.
+`motion._fixed_point`, the inverse of the shift of the record's own turn,
+which `reconstruct` rebuilds: x solves (I - L) x = w, w being the part of t
+across the axis, or for the center all of t.  The rotary L = R (I - 2 d d^T)
+sends d to -d, which halves w's component along d, as x does: the center
+lies on the mirror up to rounding, which `reconstruct` allows (_CENTER_SLACK).
 
 The kernel and `classify` run on Python floats up to the record, whose
 fields each become one array.  The eight record classes are the one table of
@@ -46,9 +43,9 @@ import numpy as np
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
 from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
-from .geom import _finite, _frozen, _line, _norm, _plane, _unit
-from .motion import AffineIsometry, Motion, apply, identity, plane_reflection
-from .motion import _EYE, _as_affine, _fold, _isometry, _reflection_parts, _rodrigues
+from .geom import _finite, _frozen, _line, _plane, _unit
+from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _EYE, _as_affine
+from .motion import _fixed_point, _fold, _isometry, _reflection_parts, _rodrigues, _split
 
 # Validation slack for reconstruct(): parameter records are expected to come
 # from the classifiers, so only outright inconsistencies are rejected.
@@ -73,23 +70,23 @@ def _require_turn(angle: float, name: str) -> None:
     _require(0.0 < abs(angle) <= np.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
 
 
-def _turn(point: Vec3, direction: Vec3, angle: float) -> tuple[np.ndarray, Vec3]:
-    """rotation_about_axis's parts for a record's checked point and unit direction."""
-    return _rodrigues(point.tolist(), (direction / _norm(direction)).tolist(), angle)
-
-
 class _Record:
     """Base of the class records.
 
-    NAME is the class's name in JSON documents.  The constructor copies,
-    checks and freezes the _VECTORS fields, and _motion() checks the fields
-    against the class's invariants and builds the motion they describe.
+    NAME is the class's name in JSON documents.  The constructor refuses an
+    axis that is not a Line3 and a mirror that is not a Plane, whose unit
+    direction _motion() trusts; it copies, checks and freezes the _VECTORS
+    fields.  _motion() checks the fields against the class's invariants and
+    builds the motion they describe.
     """
 
     NAME = ""
     _VECTORS: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for name, kind in (("axis", Line3), ("mirror", Plane)):
+            if hasattr(self, name) and not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}")
         for name in self._VECTORS:
             object.__setattr__(self, name, _frozen(as_vec3(getattr(self, name))))
 
@@ -130,7 +127,8 @@ class Rotation(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require_turn(self.angle, "rotation")
-        return _isometry(*_turn(self.axis.point, self.axis.direction, self.angle))
+        axis = self.axis
+        return _isometry(*_rodrigues(axis.point.tolist(), axis.direction.tolist(), self.angle))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +147,7 @@ class Screw(_Record):
         _require(slide_len > 0.0, "screw slide must be nonzero")
         drift = math.hypot(*_cross3(slide, self.axis.direction.tolist()))
         _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
-        turn, shift = _turn(self.axis.point, self.axis.direction, self.angle)
+        turn, shift = _rodrigues(self.axis.point.tolist(), self.axis.direction.tolist(), self.angle)
         return _isometry(turn, shift + self.slide)
 
 
@@ -206,7 +204,7 @@ class RotaryReflection(_Record):
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*self.center.tolist())
         _require(on_mirror, "rotary center must lie on the mirror")
         flip, flip_shift = _reflection_parts(self.mirror)
-        turn, turn_shift = _turn(self.center, self.mirror.normal, self.angle)
+        turn, turn_shift = _rodrigues(self.center.tolist(), self.mirror.normal.tolist(), self.angle)
         return _isometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
 
 
@@ -364,27 +362,6 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
         d = _unit(splitter, "splitter direction")
     n, v = _split(u.tolist(), d.tolist())
     return np.array(n), np.array(v)
-
-
-def _split(u, d) -> tuple[list[float], list[float]]:
-    """split_translation of floats u along the unit floats d."""
-    k = _dot3(u, d)
-    n = [k * d[0], k * d[1], k * d[2]]
-    return n, [u[0] - n[0], u[1] - n[1], u[2] - n[2]]
-
-
-def _fixed_point(w, d, angle: float) -> list[float]:
-    """The module docstring's x for floats w, unit d and a nonzero angle.
-
-    The cross product takes the part of w across d, so its rounding scales
-    with that part and cot(angle / 2) cannot carry a long w's rounding along d.
-    """
-    (d0, d1, d2), (w0, w1, w2) = d, w
-    k = d0 * w0 + d1 * w1 + d2 * w2
-    v0, v1, v2 = w0 - k * d0, w1 - k * d1, w2 - k * d2
-    c = 0.5 / math.tan(0.5 * angle)
-    return [0.5 * w0 + c * (d1 * v2 - d2 * v1), 0.5 * w1 + c * (d2 * v0 - d0 * v2),
-            0.5 * w2 + c * (d0 * v1 - d1 * v0)]
 
 
 def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:

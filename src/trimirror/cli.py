@@ -73,7 +73,7 @@ def _vec_field(doc: dict, key: str):
         raise SpecError(f"missing field {key!r}")
     try:
         return as_vec3(doc[key])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past the largest double
         raise SpecError(f"field {key!r}: {exc}") from exc
 
 
@@ -111,7 +111,7 @@ def motion_from_spec(doc) -> AffineIsometry:
             return out
     except SpecError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past the largest double
         raise SpecError(str(exc)) from exc
     raise SpecError(f"unknown motion kind {kind!r}")
 

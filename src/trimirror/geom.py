@@ -110,8 +110,8 @@ class Tolerance:
     eps_angle: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.eps_len > 0.0 and self.eps_angle > 0.0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0.0 < self.eps_len < math.inf and 0.0 < self.eps_angle < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

@@ -329,6 +329,24 @@ def test_reconstruct_validates_records():
         reconstruct(z_plane)
 
 
+def test_records_refuse_an_axis_or_mirror_of_another_type():
+    # the rebuilds trust the unit direction a Line3 or Plane keeps, so the
+    # public constructors refuse any other value, as TriplePair does
+    z_axis, z_plane = Line3((0, 0, 0), (0, 0, 1)), Plane((0, 0, 1), 1.0)
+    with pytest.raises(ValueError, match="^axis must be a Line3$"):
+        Rotation(axis=None, angle=1.0)
+    with pytest.raises(ValueError, match="^axis must be a Line3$"):
+        Screw(axis=z_plane, angle=1.0, slide=(0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="^mirror must be a Plane$"):
+        Reflection(mirror=((0, 0, 1), 1.0))
+    with pytest.raises(ValueError, match="^mirror must be a Plane$"):
+        GlideReflection(mirror=z_axis, slide=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="^mirror must be a Plane$"):
+        RotaryReflection(mirror=None, center=(0.0, 0.0, 1.0), angle=1.0)
+    rebuilt = reconstruct(Rotation(axis=z_axis, angle=np.pi / 2))
+    assert np.allclose(apply(rebuilt, (1.0, 0.0, 0.0)), (0.0, 1.0, 0.0))
+
+
 def test_round_trip_all_variants():
     rng = np.random.default_rng(46)
     for variant in oracle.ALL_VARIANTS:
@@ -639,6 +657,43 @@ def test_far_rotary_centers_round_trip():
                 miss = sum(n * Fraction(c) for n, c in zip(normal, x)) - offset
                 assert abs(float(miss)) <= _CENTER_SLACK * math.hypot(*x), (angle, u)
 
+
+def test_near_translation_turns_round_trip():
+    # a turn by a small angle about an axis through the origin, then a
+    # translation u of length s, puts the axis point or center about s / angle
+    # away.  A record that stays a turn must rebuild the motion within
+    # 64 eps s on the frame {0, s e_i}; the worst miss here is 12 eps s.  With
+    # p - R p as the rebuilt shift it missed by up to 1.2e-7 s at angle
+    # 1.01e-9.  A Translation is the tolerance's own collapse: the kernel
+    # reads the identity when every column of L - I is within eps_len, so it
+    # misses s e_i by at most eps_len s, and the frame origin not at all, up
+    # to the rounding of applying either motion.
+    rng = np.random.default_rng(75)
+    tol = Tolerance()
+    eps = np.finfo(float).eps
+    seen = set()
+    for angle in (1.01e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+        for s in (1.0, 1e3, 1e6):
+            for kind in ("rotation", "screw", "rotary_reflection") * 40:
+                d = oracle.random_unit(rng)
+                turn = rotation_about_axis((0, 0, 0), d, float(rng.choice((-1.0, 1.0))) * angle)
+                if kind == "rotary_reflection":
+                    turn = then(plane_reflection(Plane(d, 0.0)), turn)
+                u = oracle.random_unit(rng)
+                if kind == "rotation":
+                    u = u - (u @ d) * d
+                m = AffineIsometry(turn.linear, s * u / np.linalg.norm(u))
+                record = classify(m, tol)
+                seen.add(type(record))
+                back = reconstruct(record)
+                frame = [np.zeros(3), *(s * np.eye(3))]
+                miss = max(np.linalg.norm(apply(m, p) - apply(back, p)) for p in frame)
+                if isinstance(record, Translation):
+                    assert miss <= (tol.eps_len + 4.0 * eps) * s, (kind, angle, s)
+                else:
+                    assert isinstance(record, (Rotation, Screw, RotaryReflection)), record
+                    assert miss <= 64.0 * eps * s, (kind, angle, s, record)
+    assert seen == {Translation, Rotation, Screw, RotaryReflection}
 
 def test_records_below_the_default_angle_floor_round_trip():
     # at eps_angle 1e-16 classify emits turns by less than 1e-12 and rotary

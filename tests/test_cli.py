@@ -328,6 +328,14 @@ def test_exit_codes(tmp_path, capsys):
     for tol in ("1", "2", "10"):
         assert main(["--tol", tol, "example"]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+    # a tolerance that is not positive and finite is malformed input: at inf
+    # a translation by (5, 0, 0) would classify as the identity
+    shift = _write(tmp_path, "shift.json", {"kind": "translation", "v": [5, 0, 0]})
+    for tol in ("inf", "1e400", "nan", "0", "-1e-9"):
+        assert main([f"--tol={tol}", "classify", "--input", shift]) == 2, tol
+        captured = capsys.readouterr()
+        assert captured.out == "", tol
+        assert captured.err == "error: tolerances must be positive and finite\n", tol
 
     assert main([]) == 2
     capsys.readouterr()
@@ -363,6 +371,24 @@ def test_input_beyond_the_float_range_exits_as_malformed_input(tmp_path, capsys)
     # a translation that long is still finite: classified without a warning
     far_shift = _write(tmp_path, "far_shift.json", {"kind": "translation", "v": [1.5e308, 1.5e308, 0]})
     assert _run_json(capsys, ["classify", "--input", far_shift])["class"] == "translation"
+
+    # a JSON integer past the largest double, as an angle, an offset, a vector
+    # component or a pi token's denominator, cannot become a float
+    huge, message = 10**400, "int too large to convert to float"
+    turn = {"kind": "rotation", "point": [0, 0, 0], "dir": [0, 0, 1]}
+    for name, doc, err in (
+        ("angle", {**turn, "angle": huge}, message),
+        ("offset", {"kind": "reflection", "normal": [0, 0, 1], "offset": huge}, message),
+        ("component", {"kind": "translation", "v": [huge, 0, 0]}, f"field 'v': {message}"),
+        ("token", {**turn, "angle": f"pi/{huge}"}, message),
+    ):
+        assert main(["classify", "--input", _write(tmp_path, f"{name}.json", doc)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err == f"error: {err}\n", name
+    huge_src = _write(tmp_path, "huge_src.json", {**far, "A": [huge, 0, 0]})
+    assert main(["triples", "--src", huge_src, "--dst", dst]) == 2
+    assert capsys.readouterr().err == f"error: field 'A': {message}\n"
 
 
 def test_orbit_beyond_the_float_range_exits_as_malformed_input(tmp_path, capsys):

@@ -478,6 +478,13 @@ def test_tolerance_validation():
         Tolerance(eps_len=0.0)
     with pytest.raises(ValueError):
         Tolerance(eps_angle=-1e-9)
+    # an infinite eps_len would read every motion as the identity
+    for bad in (np.inf, 1e400, np.nan):
+        with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+            Tolerance(eps_len=bad)
+        with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+            Tolerance(eps_angle=bad)
+    assert Tolerance(1e300, 1e300).eps_len == 1e300
     tol = Tolerance()
     assert tol.eps_len == 1e-9 and tol.eps_angle == 1e-9
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from trimirror import (
 )
 from trimirror.example import make_f, make_g, make_h
 from trimirror.geom import Line3, coplanar
-from trimirror.motion import _reflection_parts, _rotation_parts
+from trimirror.motion import _fixed_point, _reflection_parts, _rodrigues, _rotation_parts
 
 import oracle
 
@@ -317,6 +320,64 @@ def test_rotation_parts_match_numpy_reference():
         assert np.max(np.abs(shift - want_shift)) <= 8.0 * eps * np.linalg.norm(point), angle
 
 
+def _turn_cases(rng):
+    """Seeded (p, unit d, angle) floats: angles log-uniform from 1e-12 to pi, both
+    signs, pi itself, and points from 1e-3 to 1e6 long, a third of them far along d."""
+    cases = []
+    for i in range(600):
+        angle = math.pi if i % 50 == 0 else 10.0 ** rng.uniform(-12.0, math.log10(math.pi))
+        d = oracle.random_unit(rng).tolist()
+        p = (rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)).tolist()
+        if i % 3 == 0:
+            p = [x + 1e3 * y for x, y in zip(p, d)]
+        cases.append((p, d, float(rng.choice((-1.0, 1.0))) * angle))
+    return cases
+
+
+def _exact_across(p, d):
+    """The part of the floats p across the floats d, in fractions."""
+    fp, fd = [Fraction(x) for x in p], [Fraction(x) for x in d]
+    k = sum(x * y for x, y in zip(fp, fd))
+    return [x - k * y for x, y in zip(fp, fd)], fd
+
+
+def test_turn_shift_matches_exact_reference():
+    # _rodrigues's shift against 2 h (h V - k d x V), V the part of p across d,
+    # evaluated exactly in fractions from the same float p, d, h = sin(angle / 2)
+    # and k = cos(angle / 2).  With r = eps / 2, to first order: the split's v
+    # misses V by 5 r |p| (test_split_matches_exact_reference); the cross product
+    # adds 2 sqrt 2 r |v| and carries v's miss; h v - k c adds 2 sqrt 2 r |v| and
+    # carries both misses, |h| + |k| <= sqrt 2 times; the product with 2 h adds r.
+    # With |v| <= |p|: 2 |h| (5 sqrt 2 + 4 sqrt 2 + 1) r |p| <= 14 eps |h| |p|.
+    # The worst miss here is 2.9 eps |h| |p|; p - R p, the old shift, missed by
+    # about eps |p| whatever the angle, 6e11 eps |h| |p| here.
+    eps = np.finfo(float).eps
+    for p, d, angle in _turn_cases(np.random.default_rng(61)):
+        shift = _rodrigues(p, d, angle)[1].tolist()
+        h, k = Fraction(math.sin(0.5 * angle)), Fraction(math.cos(0.5 * angle))
+        v, (d0, d1, d2) = _exact_across(p, d)
+        cross = (d1 * v[2] - d2 * v[1], d2 * v[0] - d0 * v[2], d0 * v[1] - d1 * v[0])
+        want = [2 * h * (h * a - k * b) for a, b in zip(v, cross)]
+        miss = math.sqrt(sum(float(Fraction(g) - x) ** 2 for g, x in zip(shift, want)))
+        assert miss <= 14.0 * eps * abs(float(h)) * math.hypot(*p), (p, d, angle)
+
+
+def test_turn_shift_inverts_to_its_axis_point():
+    # _fixed_point of _rodrigues's shift gives back the part V of p across d.
+    # _fixed_point maps a miss of w across d to one 1 / (2 |h|) times as long, so
+    # the shift's 14 eps |h| |p| becomes 7 eps |p|; its own rounding is pinned
+    # within 8 eps |x| (test_fixed_point_matches_exact_reference, from the same
+    # float cos(angle / 2) and sin(angle / 2)), and those two floats' squares sum
+    # to 1 within 2 eps: 17 eps |p| in all, as |x| and |V| are at most |p|.  The
+    # worst miss here is 2.3 eps |p|; with p - R p it reached 3e11 eps |p|.
+    eps = np.finfo(float).eps
+    for p, d, angle in _turn_cases(np.random.default_rng(61)):
+        x = _fixed_point(_rodrigues(p, d, angle)[1].tolist(), d, angle)
+        v = _exact_across(p, d)[0]
+        miss = math.sqrt(sum(float(Fraction(g) - y) ** 2 for g, y in zip(x, v)))
+        assert miss <= 17.0 * eps * math.hypot(*p), (p, d, angle)
+
+
 def test_affine_isometry_absorbs_small_drift():
     r = rotation_about_axis((0, 0, 0), (1, 1, 1), 0.7).linear
     dirty = np.array(r) + 1e-8 * np.ones((3, 3))
@@ -386,6 +447,12 @@ def test_library_constructors_check_the_shift_they_compute():
         plane_reflection(Plane((1.0, 0.0, 0.0), 1e308))
     with pytest.raises(ValueError, match=message):
         seq_to_affine(ReflectionSequence((Plane((1, 0, 0), 1e308), Plane((1, 0, 0), -1e308))))
+    # p . d is past the largest double, so the turn's shift is not finite, at
+    # any angle; the float split overflows without a warning.  Line3 refuses
+    # the same axis point and direction
+    for angle in (1e-3, 1.0, np.pi):
+        with pytest.raises(ValueError, match=message):
+            rotation_about_axis((1.7e308, 1.7e308, 0.0), (1.0, 1.0, 0.0), angle)
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(ValueError, match=message):
             then(translation((1e308, 0.0, 0.0)), translation((1e308, 0.0, 0.0)))
