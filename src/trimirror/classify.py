@@ -56,7 +56,7 @@ _PARAM_EPS = 1e-9
 # |u| <= 2 |x| and classify's unit d as the normal, by (2 + 2 sqrt 2) r |x| from
 # _fixed_point's d x v term (exact along d, and |cot||v| / 2 <= |x|), 3 r |x| from
 # k = u . d and 13 r |x| from the rest of the offset (d . k d) / 2, |d|^2 - 1 included,
-# and 3 r |x| from _distance's dot product: at most 24 r |x| in all.
+# and 3 r |x| from signed_distance's dot product: at most 24 r |x| in all.
 _CENTER_SLACK = 12.0 * float(np.finfo(float).eps)
 
 
@@ -173,7 +173,7 @@ class GlideReflection(_Record):
         _require(slide_len > 0.0, "glide slide must be nonzero")
         drift = abs(float(self.slide.dot(self.mirror.normal)))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
-        flip, shift = _reflection_parts(self.mirror)
+        flip, shift = map(np.array, _reflection_parts(self.mirror))
         return _isometry(flip, shift + self.slide)
 
 
@@ -200,10 +200,10 @@ class RotaryReflection(_Record):
     def _motion(self) -> AffineIsometry:
         _require(math.isfinite(self.angle), "rotary angle must be finite")
         _require(0.0 < abs(self.angle) < np.pi, "rotary angle must avoid 0 and pi")
-        miss = abs(self.mirror._distance(self.center))  # a far center's |x| only when needed
+        miss = abs(self.mirror.signed_distance(self.center))  # a far center's |x| only when needed
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*self.center.tolist())
         _require(on_mirror, "rotary center must lie on the mirror")
-        flip, flip_shift = _reflection_parts(self.mirror)
+        flip, flip_shift = map(np.array, _reflection_parts(self.mirror))
         turn, turn_shift = _rodrigues(self.center.tolist(), self.mirror.normal.tolist(), self.angle)
         return _isometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
 
@@ -255,7 +255,7 @@ def rotation_from_plane_pair(
         raise ParallelDistinctMirrors(
             "parallel distinct mirrors compose to a translation, not a rotation"
         ) from exc
-    rows = _fold((alpha, beta))[0].tolist()
+    rows = _fold((alpha, beta))[0]
     cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
     angle = _angle_about(_skew_vector(rows), cos, axis.direction.tolist())
     return Rotation(axis=axis, angle=angle)

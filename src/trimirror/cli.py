@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 
@@ -52,20 +53,20 @@ def parse_angle(value) -> float:
     """Angle from a JSON number or a pi-token string like "pi/6" or "-pi"."""
     if isinstance(value, bool):
         raise SpecError("angle must be a number or a pi token")
-    if isinstance(value, (int, float)):
-        angle = float(value)
-        if not np.isfinite(angle):
+    match = isinstance(value, str) and _ANGLE_TOKEN.match(value.strip())
+    if not (match or isinstance(value, (int, float))):
+        raise SpecError(f"cannot parse angle {value!r}")
+    try:  # float() refuses an int past the largest double, int() may refuse over 4300 digits
+        number = float(int(match.group(2) or "1")) if match else float(value)
+    except (ValueError, OverflowError) as exc:
+        raise SpecError(str(exc)) from exc
+    if not match:
+        if not math.isfinite(number):
             raise SpecError("angle must be finite")
-        return angle
-    if isinstance(value, str):
-        match = _ANGLE_TOKEN.match(value.strip())
-        if match:
-            sign = -1.0 if match.group(1) == "-" else 1.0
-            denom = int(match.group(2)) if match.group(2) else 1
-            if denom == 0:
-                raise SpecError("pi token denominator must be nonzero")
-            return sign * np.pi / denom
-    raise SpecError(f"cannot parse angle {value!r}")
+        return number
+    if number == 0.0:
+        raise SpecError("pi token denominator must be nonzero")
+    return (-1.0 if match.group(1) == "-" else 1.0) * math.pi / number
 
 
 def _vec_field(doc: dict, key: str):
@@ -197,9 +198,8 @@ def cmd_triples(args) -> int:
     src = triple_from_spec(_load_json(args.src), tol)
     dst = triple_from_spec(_load_json(args.dst), tol)
     pair = TriplePair(src, (dst.a, dst.b, dst.c))
-    with np.errstate(over="ignore"):  # an overflowing chord raises a ValueError; no warning too
-        first = three_reflections(pair, tol)
-        second = second_motion(first, pair.dst, tol)
+    first = three_reflections(pair, tol)  # on floats: an overflowing chord raises, silently
+    second = second_motion(first, pair.dst, tol)
     first_motion = seq_to_affine(first)
     partner = seq_to_affine(second)
     residuals = []

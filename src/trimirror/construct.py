@@ -5,8 +5,8 @@ motion of each orientation maps the first onto the second.  `three_reflections`
 builds the orientation-reversing one as a sequence of three mirrors, moving
 one point into place per stage; `second_motion` appends the destination
 triple's own plane to obtain the orientation-preserving partner, whose fold
-continues its prefix's fold by that one plane.  `geom._triangle` measures each
-triangle once: PointTriple and the mirror sequence keep their measurements.
+continues its prefix's fold by that one plane.  The walk runs on Python floats, and
+`geom._triangle` measures each triangle once: PointTriple and the sequence keep it.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ class TriplePair:
         object.__setattr__(self, "dst", tuple(_frozen(as_vec3(p)) for p in dst))
 
 
-def _measured(triple) -> tuple[Vec3, Vec3, tuple]:
-    """First point, normal and measurement of a triple; a PointTriple's are kept."""
+def _measured(triple) -> tuple[list[float], tuple, tuple]:
+    """First point, normal and measurement of a triple, as floats; a PointTriple's are kept."""
     if isinstance(triple, PointTriple):
-        return triple.a, triple._normal, triple._measure
-    a, b, c = triple
-    a, b, c = as_vec3(a), as_vec3(b), as_vec3(c)
+        return triple.a.tolist(), triple._normal, triple._measure
+    a, b, c = (as_vec3(p).tolist() for p in triple)
     return (a, *_triangle(a, b, c))
 
 
@@ -69,8 +68,7 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     Raises DegenerateSource if the source triple fails the collinearity check
     at this tolerance, NotCongruent if the distance pattern does not match.
     """
-    a, b, c = pair.src.points()
-    a2, b2, c2 = pair.dst
+    a, b, c, a2, b2, c2 = (p.tolist() for p in (*pair.src.points(), *pair.dst))
     n, measure = pair.src._normal, pair.src._measure
     if _thin(measure, tol):
         raise DegenerateSource("source triple is collinear at this tolerance")

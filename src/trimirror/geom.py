@@ -8,10 +8,10 @@ to loosen or tighten them.
 Public functions and constructors validate their arguments once, then run a
 private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`, the
 triangle kernel `_triangle`, its verdict `_thin` and the plane `_measured_plane`
-it fixes, the plane kernel `_plane`, the line kernel `_line`) that trusts finite float64
-(3,) arrays, such as the fields of a built Plane, Line3, PointTriple,
-TriplePair or AffineIsometry.  `Plane()` and `Line3()` coerce their input,
-then run the kernel that library code calls on arrays it has just made.
+it fixes, the plane kernel `_plane`, the line kernel `_line`) on the checked
+points' Python floats (`as_vec3(x).tolist()`), with dots and lengths written out:
+no numpy call per 3-vector.  `Plane()` and `Line3()` coerce their input, then
+run the kernel that library code calls on floats it has just computed.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ def as_vec3(value) -> Vec3:
     return _finite(v)
 
 
-def _finite(v: Vec3) -> Vec3:
-    x, y, z = v.tolist()  # x * 0.0 is +-0.0 for finite x, NaN for inf and NaN: no overflow
-    if not math.isfinite(x * 0.0 + y * 0.0 + z * 0.0):
+def _finite(v):
+    x, y, z = v.tolist() if isinstance(v, np.ndarray) else v  # a (3,) array or three floats
+    if not math.isfinite(x * 0.0 + y * 0.0 + z * 0.0):  # +-0.0 for finite x, else NaN: no overflow
         raise ValueError("vector components must be finite")
     return v
 
@@ -134,28 +134,23 @@ class Plane:
     def __post_init__(self) -> None:
         n = as_vec3(self.normal)
         length = _norm(n)  # a raw normal must clear the floor; kernels have judged theirs
-        _plane(n, length if length > _SIGN_EPS else 0.0, self.offset, self)
+        _plane(n.tolist(), length if length > _SIGN_EPS else 0.0, self.offset, self)
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
-        return self._distance(as_vec3(point))
-
-    def _distance(self, p: Vec3) -> float:
-        return float(self.normal.dot(p)) - self.offset
+        return _dot3(self.normal.tolist(), as_vec3(point).tolist()) - self.offset
 
 
 def _plane(n, length: float, offset, plane: Plane | None = None) -> Plane:
-    """Plane(n, offset) for a fresh (3,) array or three floats n of length `length`;
-    Plane() passes itself in."""
+    """Plane(n, offset) for three floats n of length `length`; Plane() passes itself in."""
     plane = object.__new__(Plane) if plane is None else plane
     if not 0.0 < length < math.inf:
-        _finite(np.asarray(n))  # a kernel's normal may have overflowed: report it as as_vec3 would
+        _finite(n)  # a kernel's normal may have overflowed: report it as as_vec3 would
         raise ValueError("plane normal must have a nonzero, finite length")
     d = float(offset) / length
     if not math.isfinite(d):
         raise ValueError("plane offset must be finite")
-    x, y, z = n.tolist() if isinstance(n, np.ndarray) else n
-    x, y, z = x / length, y / length, z / length
+    x, y, z = n[0] / length, n[1] / length, n[2] / length
     s = _canonical_sign((x, y, z))
     # adding 0.0 clears negative zeros left over from sign flips
     n = np.array((s * x + 0.0, s * y + 0.0, s * z + 0.0))
@@ -177,7 +172,7 @@ class Line3:
 
     def __post_init__(self) -> None:
         d = _unit(self.direction, "line direction").tolist()
-        _line(as_vec3(self.point), d, self)
+        _line(as_vec3(self.point).tolist(), d, self)
 
     def distance_to(self, point) -> float:
         w = as_vec3(point) - self.point
@@ -185,20 +180,15 @@ class Line3:
 
 
 def _line(p, d, line: Line3 | None = None) -> Line3:
-    """Line3(p, d) for a fresh (3,) array or three floats p and unit floats d;
-    Line3() passes itself in."""
+    """Line3(p, d) for three floats p and unit floats d; Line3() passes itself in."""
     line = object.__new__(Line3) if line is None else line
     s = _canonical_sign(d)
     x, y, z = s * d[0] + 0.0, s * d[1] + 0.0, s * d[2] + 0.0
-    d = np.array((x, y, z))
-    if isinstance(p, np.ndarray):  # numpy's dot; it overflows (and warns) for p near the largest double
-        k, p = p.dot(d), p.tolist()
-    else:
-        k = p[0] * x + p[1] * y + p[2] * z
     px, py, pz = p
-    foot = _finite(np.array((px - k * x + 0.0, py - k * y + 0.0, pz - k * z + 0.0)))
-    object.__setattr__(line, "point", _frozen(foot))
-    object.__setattr__(line, "direction", _frozen(d))
+    k = px * x + py * y + pz * z  # inf, silently, near the largest double: the foot is refused
+    foot = _finite((px - k * x + 0.0, py - k * y + 0.0, pz - k * z + 0.0))
+    object.__setattr__(line, "point", _frozen(np.array(foot)))
+    object.__setattr__(line, "direction", _frozen(np.array((x, y, z))))
     return line
 
 
@@ -213,7 +203,7 @@ class PointTriple:
 
     def __post_init__(self, tol: Tolerance | None) -> None:
         a, b, c = as_vec3(self.a), as_vec3(self.b), as_vec3(self.c)
-        n, measure = _triangle(a, b, c)
+        n, measure = _triangle(a.tolist(), b.tolist(), c.tolist())
         if _thin(measure, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
         object.__setattr__(self, "a", _frozen(a))
@@ -228,19 +218,23 @@ class PointTriple:
 
 def reflect_point(plane: Plane, point) -> Vec3:
     """Mirror image of `point` in `plane`."""
-    return _reflect(plane, as_vec3(point))
+    return np.array(_reflect(plane, as_vec3(point).tolist()))
 
 
-def _reflect(plane: Plane, p: Vec3) -> Vec3:
-    return p - 2.0 * plane._distance(p) * plane.normal
+def _reflect(plane: Plane, p) -> list[float]:
+    """p - 2 (n . p - offset) n for the floats p; unchecked, so it may overflow."""
+    n0, n1, n2 = n = plane.normal.tolist()
+    k = 2.0 * (_dot3(n, p) - plane.offset)
+    return [p[0] - k * n0, p[1] - k * n1, p[2] - k * n2]
 
 
 def points_coincide(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _coincide(as_vec3(a), as_vec3(b), tol)
+    return _coincide(as_vec3(a).tolist(), as_vec3(b).tolist(), tol)
 
 
-def _coincide(a: Vec3, b: Vec3, tol: Tolerance) -> bool:
-    return _norm(a - b) <= tol.eps_len
+def _coincide(a, b, tol: Tolerance) -> bool:
+    d = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+    return math.sqrt(_dot3(d, d)) <= tol.eps_len
 
 
 def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -250,14 +244,16 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
     edge, which keeps the verdict stable under uniform rescaling of the
     points and agrees with PointTriple's construction check.
     """
-    return _thin(_triangle(as_vec3(a), as_vec3(b), as_vec3(c))[1], tol)
+    return _thin(_triangle(as_vec3(a).tolist(), as_vec3(b).tolist(), as_vec3(c).tolist())[1], tol)
 
 
-def _triangle(a: Vec3, b: Vec3, c: Vec3) -> tuple[Vec3, tuple[float, tuple[float, ...]]]:
-    """n = (b - a) x (c - a) of checked points, and the doubled area |n| with the edges."""
-    ab, ac = b - a, c - a
-    n = _cross(ab, ac)
-    return n, (_norm(n), (_norm(ab), _norm(ac), _norm(c - b)))
+def _triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]]]:
+    """n = (b - a) x (c - a) of checked float points, and the doubled area |n| with the edges."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
+    u, v, w = (b0 - a0, b1 - a1, b2 - a2), (c0 - a0, c1 - a1, c2 - a2), (c0 - b0, c1 - b1, c2 - b2)
+    n = _cross3(u, v)
+    edges = (math.sqrt(_dot3(u, u)), math.sqrt(_dot3(v, v)), math.sqrt(_dot3(w, w)))
+    return n, (math.sqrt(_dot3(n, n)), edges)
 
 
 def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
@@ -284,34 +280,35 @@ def perpendicular_bisector_plane(a, b, tol: Tolerance = DEFAULT_TOL) -> Plane:
     Raises CoincidentPoints when a and b agree within tol, since every plane
     through them would qualify.
     """
-    plane = _bisector(as_vec3(a), as_vec3(b), tol)
+    plane = _bisector(as_vec3(a).tolist(), as_vec3(b).tolist(), tol)
     if plane is None:
         raise CoincidentPoints("bisector plane needs two distinct points")
     return plane
 
 
-def _bisector(a: Vec3, b: Vec3, tol: Tolerance) -> Plane | None:
-    """Bisector plane of checked points, None where _coincide(a, b, tol) holds."""
-    chord = b - a
-    if (length := _norm(chord)) <= tol.eps_len:
+def _bisector(a, b, tol: Tolerance) -> Plane | None:
+    """Bisector plane of checked float points, None where _coincide(a, b, tol) holds."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    x = (b0 - a0, b1 - a1, b2 - a2)
+    if (length := math.sqrt(_dot3(x, x))) <= tol.eps_len:
         return None
-    return _plane(chord, length, chord.dot(0.5 * (a + b)))
+    return _plane(x, length, _dot3(x, (0.5 * (a0 + b0), 0.5 * (a1 + b1), 0.5 * (a2 + b2))))
 
 
 def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
     """The unique plane through three noncollinear points."""
-    return _plane_through(as_vec3(a), as_vec3(b), as_vec3(c), tol)
+    return _plane_through(as_vec3(a).tolist(), as_vec3(b).tolist(), as_vec3(c).tolist(), tol)
 
 
-def _plane_through(a: Vec3, b: Vec3, c: Vec3, tol: Tolerance) -> Plane:
+def _plane_through(a, b, c, tol: Tolerance) -> Plane:
     return _measured_plane(a, *_triangle(a, b, c), tol)
 
 
-def _measured_plane(a: Vec3, n: Vec3, measure, tol: Tolerance) -> Plane:
+def _measured_plane(a, n, measure, tol: Tolerance) -> Plane:
     """The plane through a of the triangle that _triangle measured as n, measure."""
     if _thin(measure, tol):
         raise CollinearPoints("three collinear points do not fix a plane")
-    return _plane(n, measure[0], n.dot(a))
+    return _plane(n, measure[0], _dot3(n, a))
 
 
 def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
@@ -325,7 +322,7 @@ def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
         raise ParallelPlanes("planes are parallel within tolerance")
     system = np.vstack((p.normal, q.normal, direction))
     rhs = np.array([p.offset, q.offset, 0.0])
-    return _line(np.linalg.solve(system, rhs), (direction / length).tolist())
+    return _line(np.linalg.solve(system, rhs).tolist(), (direction / length).tolist())
 
 
 def planes_equal(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -340,4 +337,4 @@ def lines_equal(a: Line3, b: Line3, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two lines describe the same point set, orientation aside."""
     if _norm(_cross(a.direction, b.direction)) > tol.eps_angle:
         return False
-    return _coincide(a.point, b.point, tol)
+    return _coincide(a.point.tolist(), b.point.tolist(), tol)

@@ -5,8 +5,8 @@ is an ordered list of mirror planes applied left to right.  `apply` accepts eith
 `seq_to_affine` converts, and `then` composes affine motions in reading order (first,
 then second).  `AffineIsometry()` copies its parts and runs the validator `_isometry`,
 which library code calls directly on the arrays it has just made.  A sequence folds
-its planes when it is built (`_fold`); one the library builds with `_sequence` skips
-the plane check and may be handed that fold, as its prefix's fold continued.
+its planes on floats when built (`_fold`, by `then`'s product `_compose`); `_sequence`
+skips the plane check and may be handed that fold, as its prefix's fold continued.
 """
 
 from __future__ import annotations
@@ -131,20 +131,19 @@ def translation(v) -> AffineIsometry:
     return _isometry(_EYE.copy(), as_vec3(v))
 
 
-def _reflection_parts(plane: Plane) -> tuple[np.ndarray, Vec3]:
-    """I - 2 n n^T and 2 offset n of the reflection in `plane`, unvalidated, bit for bit."""
+def _reflection_parts(plane: Plane) -> tuple[list[list[float]], list[float]]:
+    """I - 2 n n^T as rows of floats and 2 offset n of the reflection in `plane`, unvalidated."""
     x, y, z = plane.normal.tolist()
     k = 2.0 * plane.offset
     # 0.0 - ... as in I - 2 n n^T: a bare -2.0 * (x * y) would give -0.0 for a zero product
     xy, xz, yz = 0.0 - 2.0 * (x * y), 0.0 - 2.0 * (x * z), 0.0 - 2.0 * (y * z)
     xx, yy, zz = 1.0 - 2.0 * (x * x), 1.0 - 2.0 * (y * y), 1.0 - 2.0 * (z * z)
-    flip = [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]
-    return np.array(flip), np.array((k * x, k * y, k * z))
+    return [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]], [k * x, k * y, k * z]
 
 
 def plane_reflection(plane: Plane) -> AffineIsometry:
     """The reflection in `plane` as an affine map."""
-    return _isometry(*_reflection_parts(plane))
+    return _isometry(*map(np.array, _reflection_parts(plane)))
 
 
 def _rotation_parts(point, direction, angle: float) -> tuple[np.ndarray, Vec3]:
@@ -219,32 +218,36 @@ def apply(motion: Motion, point) -> Vec3:
     return p
 
 
+def _compose(m, u, l, t) -> tuple[list[list[float]], list[float]]:
+    """(m l, m t + u) on float rows and 3-lists: x -> l x + t, then x -> m x + u."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = l
+    t0, t1, t2 = t  # written out: comprehensions cost twice the time
+    return ([[a * p0 + b * q0 + c * r0, a * p1 + b * q1 + c * r1, a * p2 + b * q2 + c * r2],
+             [d * p0 + e * q0 + f * r0, d * p1 + e * q1 + f * r1, d * p2 + e * q2 + f * r2],
+             [g * p0 + h * q0 + i * r0, g * p1 + h * q1 + i * r1, g * p2 + h * q2 + i * r2]],
+            [a * t0 + b * t1 + c * t2 + u[0], d * t0 + e * t1 + f * t2 + u[1],
+             g * t0 + h * t1 + i * t2 + u[2]])
+
+
 def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
     """Composite motion that applies `first`, then `second`."""
-    return _isometry(
-        second.linear.dot(first.linear),
-        second.linear.dot(first.translation) + second.translation,
-    )
+    return _isometry(*map(np.array, _compose(second.linear.tolist(), second.translation.tolist(),
+                                             first.linear.tolist(), first.translation.tolist())))
 
 
-def _fold(planes: tuple, parts=None) -> tuple[np.ndarray, Vec3]:
-    """The planes folded in reading order as `then` would, continuing `parts`, the fold of
-    the planes before them, unvalidated: `then` after the identity leaves the first plane's
-    parts, -0.0 shifts turned +0.0.  seq_to_affine validates them on every call."""
-    if parts is None and planes:
-        (linear, shift), planes = _reflection_parts(planes[0]), planes[1:]
-        parts = linear, shift + 0.0
-    linear, shift = (_EYE.copy(), np.zeros(3)) if parts is None else parts
+def _fold(planes: tuple, parts=None) -> tuple[list[list[float]], list[float]]:
+    """The planes folded on floats as `then` would, from the identity or on from `parts`."""
+    linear, shift = (_EYE.tolist(), [0.0, 0.0, 0.0]) if parts is None else parts
     for plane in planes:
-        flip, flip_shift = _reflection_parts(plane)
-        linear, shift = flip.dot(linear), flip.dot(shift) + flip_shift
+        linear, shift = _compose(*_reflection_parts(plane), linear, shift)
     return linear, shift
 
 
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
     """The planes' motion: products of reflections in unit normals drift from
     orthogonality far below _ORTHO_PASS, so _fold's parts pass as they are."""
-    return _isometry(*seq._parts)
+    return _isometry(*map(np.array, seq._parts))
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:

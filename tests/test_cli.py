@@ -71,6 +71,20 @@ def test_parse_angle_tokens():
             parse_angle(bad)
 
 
+def test_parse_angle_refuses_numbers_past_the_float_range():
+    # an int past the largest double, and a pi token whose denominator is one
+    # (or is too long for int() where int() limits its digits), are bad angles
+    # like any other: SpecError, not a bare OverflowError or ValueError
+    message = "^int too large to convert to float$"
+    for bad in (10**400, -(10**400), "pi/1" + "0" * 400, "-pi/1" + "0" * 400):
+        with pytest.raises(SpecError, match=message):
+            parse_angle(bad)
+    with pytest.raises(SpecError):
+        parse_angle("pi/1" + "0" * 5000)
+    # the largest finite denominator still divides
+    assert parse_angle(f"pi/{int(np.finfo(float).max)}") == np.pi / np.finfo(float).max
+
+
 def test_motion_from_spec_kinds():
     rot = motion_from_spec(
         {"kind": "rotation", "point": [0, 0, 0], "dir": [0, 0, 1], "angle": "pi/2"}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -283,10 +285,12 @@ def test_second_motion_rejects_collinear_destination():
 
 def test_three_reflections_rejects_overflowing_chords():
     # congruent triples 2e307 apart: the bisector's chord length overflows,
-    # and Plane used to store a zero normal, leaving A unmoved
+    # and Plane used to store a zero normal, leaving A unmoved; the walk runs
+    # on floats, which overflow silently, so no warning is emitted
     src = PointTriple((1e307, 0, 0), (1e307, 1, 0), (1e307, 0, 1))
     dst = ((-1e307, 0, 0), (-1e307, 1, 0), (-1e307, 0, 1))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^plane normal must have a nonzero, finite length$"):
             three_reflections(TriplePair(src, dst))
 

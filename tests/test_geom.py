@@ -1,6 +1,9 @@
 import ast
 import dataclasses
+import math
 import pathlib
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
-from trimirror.geom import _canonical_sign, _cross, _norm
+from trimirror.geom import _bisector, _canonical_sign, _cross, _norm, _reflect, _triangle
 
 from oracle import plane_bytes, zero_component_vectors
 
@@ -134,18 +137,21 @@ def test_plane_and_line_reject_overflowing_lengths():
 
 def test_line_rejects_non_finite_foot():
     # p . d overflows for a point near the largest double, inf * 0.0 is NaN,
-    # and the foot used to be stored as (-inf, -inf, nan)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            with pytest.raises(ValueError, match="^vector components must be finite$"):
-                Line3((1.7e308, 1.7e308, 0.0), (1.0, 1.0, 0.0))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # and the foot used to be stored as (-inf, -inf, nan); p . d is formed on
+    # floats, which overflow silently, so the refusal comes with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^vector components must be finite$"):
+            Line3((1.7e308, 1.7e308, 0.0), (1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="^vector components must be finite$"):
             Line3((1.7e308, 1.7e308, 1.7e308), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="^vector components must be finite$"):
+            Line3(np.array((1.7e308, 1.7e308, 0.0)), np.array((1.0, 1.0, 0.0)))
 
 
 def test_plane_and_line_bytes_match_reference_up_to_the_overflow_edge():
-    # the constructors as written before the overflow check, with numpy's norm
+    # the constructors as written before the overflow check, with numpy's norm;
+    # the line's p . d is summed on floats, left to right
     rng = np.random.default_rng(12)
     vectors = [np.array([1.3e154, 0.0, 0.0]), np.array([-7e153, 7e153, 7e153])]
     vectors += list(rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-6.0, 153.0, size=(2000, 1)))
@@ -160,7 +166,8 @@ def test_plane_and_line_bytes_match_reference_up_to_the_overflow_edge():
         line = Line3(point, v)
         d = sign * (v / length) + 0.0
         assert line.direction.tobytes() == d.tobytes()
-        assert line.point.tobytes() == (point - (point @ d) * d + 0.0).tobytes()
+        k = _float_dot(point.tolist(), d.tolist())
+        assert line.point.tobytes() == (point - k * d + 0.0).tobytes()
 
 
 def test_bisector_plane_basic():
@@ -394,10 +401,24 @@ def test_public_entry_points_reject_bad_points(name, bad, message):
             call(points)
 
 
+def _float_dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _float_plane_bytes(n, offset) -> bytes:
+    """Plane(n, offset)'s bytes for floats n whose length sqrt(n . n) is summed on floats."""
+    length = math.sqrt(_float_dot(n, n))
+    sign = _canonical_sign([x / length for x in n])
+    normal = np.array([sign * (x / length) + 0.0 for x in n])
+    return normal.tobytes() + np.float64(sign * (offset / length) + 0.0).tobytes()
+
+
 def test_point_functions_match_reference_formulas_bit_for_bit():
     # The formulas as written before validation moved in front of private
-    # kernels, with numpy's cross and norm (pinned equal to _cross and _norm
-    # below); the construct path's planes are built from these functions.
+    # kernels, with every dot product and length summed on floats left to
+    # right, as the kernels form them; the construct path's planes are built
+    # from these kernels.  numpy's 3-element dot may fuse or reorder its sums
+    # on some builds, so it is not the reference.
     rng = np.random.default_rng(10)
     tol = Tolerance()
     verdicts = set()
@@ -409,22 +430,139 @@ def test_point_functions_match_reference_formulas_bit_for_bit():
             c = a + rng.uniform(-2.0, 2.0) * (b - a) + near * rng.normal(size=3)
         if rng.uniform() < 0.3:
             b = a + near * rng.normal(size=3)
-        ab, ac, bc = b - a, c - a, c - b
-        n = np.cross(ab, ac)
-        thin = np.linalg.norm(n) <= 2.0 * tol.eps_len * max(np.linalg.norm(e) for e in (ab, ac, bc))
+        ab, ac, bc = (b - a).tolist(), (c - a).tolist(), (c - b).tolist()
+        n = np.cross(ab, ac).tolist()  # pinned equal to _cross below
+        size = [math.sqrt(_float_dot(e, e)) for e in (n, ab, ac, bc)]
+        thin = size[0] <= 2.0 * tol.eps_len * max(size[1:])
         assert collinear(a, b, c, tol) == thin
-        same = np.linalg.norm(a - b) <= tol.eps_len
+        same = size[1] <= tol.eps_len
         assert points_coincide(a, b, tol) == same
         verdicts.add((bool(thin), bool(same)))
         if not same:
-            want = Plane(ab, float(ab @ (0.5 * (a + b))))
-            assert plane_bytes(perpendicular_bisector_plane(a, b, tol)) == plane_bytes(want)
+            want = _float_plane_bytes(ab, _float_dot(ab, (0.5 * (a + b)).tolist()))
+            assert plane_bytes(perpendicular_bisector_plane(a, b, tol)) == want
         if not thin:
-            plane = Plane(n, float(n @ a))
-            assert plane_bytes(plane_through_points(a, b, c, tol)) == plane_bytes(plane)
-            image = c - 2.0 * (float(plane.normal @ c) - plane.offset) * plane.normal
+            plane = plane_through_points(a, b, c, tol)
+            assert plane_bytes(plane) == _float_plane_bytes(n, _float_dot(n, a.tolist()))
+            distance = _float_dot(plane.normal.tolist(), c.tolist()) - plane.offset
+            image = c - 2.0 * distance * plane.normal
             assert reflect_point(plane, c).tobytes() == image.tobytes()
     assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+# Error bounds of the float kernels against the same float inputs evaluated
+# exactly in fractions.  r = eps / 2 is the unit roundoff, and gamma(k) =
+# k r / (1 - k r) bounds k roundings in a row (Higham, Accuracy and Stability
+# of Numerical Algorithms, 3.1): a sum of p products, each of q rounded
+# factors, summed left to right, misses by at most gamma(q + p) times the sum
+# of the terms' magnitudes.  Square roots are taken exactly enough, to 2**-200
+# relative, far inside every bound.
+_R = Fraction(np.finfo(float).eps) / 2
+
+
+def _gamma(k: int) -> Fraction:
+    return k * _R / (1 - k * _R)
+
+
+def _root(square: Fraction) -> Fraction:
+    """sqrt(square) to within 2**-200 relative."""
+    p, q = square.numerator, square.denominator
+    return Fraction(math.isqrt((p * q) << 400), q << 200)
+
+
+# A length fl(sqrt(fl(x0^2 + x1^2 + x2^2))) of rounded differences x misses the
+# exact length of the differences by at most this fraction of it: each term
+# carries the difference's rounding twice, its product once and its sums at
+# most twice, gamma(5) in all; the square root halves that (|sqrt(1 + t) - 1| <=
+# |t| / (2 - |t|)) and adds one rounding.  About 3.5 r = 1.75 eps.
+_LENGTH = (1 + _gamma(5) / (2 - _gamma(5))) * (1 + _R) - 1
+
+
+def _kernel_points(rng) -> list:
+    """Seeded float point triples from 1e-3 to 1e6 across, shifted as far from
+    the origin, a third of them thin, with zero components among them."""
+    out = []
+    for i in range(600):
+        scale = 10.0 ** rng.uniform(-3.0, 6.0)
+        pts = rng.normal(size=(3, 3)) * scale + rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
+        if i % 3 == 0:
+            pts[2] = pts[0] + rng.uniform(-2.0, 2.0) * (pts[1] - pts[0])
+            pts[2] += 10.0 ** rng.uniform(-12.0, -4.0) * scale * rng.normal(size=3)
+        out.append([p.tolist() for p in pts])
+    zeros = zero_component_vectors(rng)
+    out += [[u.tolist(), v.tolist(), w.tolist()] for u, v, w in zip(zeros, zeros[5:], zeros[11:])]
+    return out
+
+
+def test_triangle_kernel_matches_exact_reference():
+    # n_i = u_j v_k - u_k v_j of the rounded differences u = b - a, v = c - a:
+    # three roundings per product and one for the difference, gamma(4) times
+    # |U_j V_k| + |U_k V_j| with U, V the exact differences.  Each edge is a
+    # length (_LENGTH).  The doubled area is the length of the float n, which
+    # misses |N| by n's miss plus _LENGTH |n|, both bounded in the 1-norm.
+    for a, b, c in _kernel_points(np.random.default_rng(70)):
+        n, (area, edges) = _triangle(a, b, c)
+        fa, fb, fc = (list(map(Fraction, p)) for p in (a, b, c))
+        u, v, w = ([q - p for p, q in zip(s, t)] for s, t in ((fa, fb), (fa, fc), (fb, fc)))
+        misses = []
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            exact = u[j] * v[k] - u[k] * v[j]
+            misses.append(_gamma(4) * (abs(u[j] * v[k]) + abs(u[k] * v[j])))
+            assert abs(Fraction(n[i]) - exact) <= misses[-1], (a, b, c, i)
+        for got, e in zip(edges, (u, v, w)):
+            exact = _root(sum(x * x for x in e))
+            assert abs(Fraction(got) - exact) <= _LENGTH * exact, (a, b, c)
+        exact = _root(sum(x * x for x in (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                                           u[0] * v[1] - u[1] * v[0])))
+        slack = sum(misses) + _LENGTH * sum(abs(Fraction(x)) for x in n)
+        assert abs(Fraction(area) - exact) <= slack, (a, b, c)
+
+
+def test_bisector_kernel_matches_exact_reference():
+    # The chord x = b - a rounds once per component and its length L misses
+    # |X| by _LENGTH |X|, so each normal component x_i / L misses X_i / |X| by
+    # at most (1 + r)^2 / (1 - _LENGTH) - 1 of it.  The offset is
+    # fl(x . m) / L with m = (a + b) / 2 rounded once per component: the dot's
+    # three terms carry three roundings each and their sums at most two,
+    # gamma(5) sum |X_i M_i|, and the division by L adds the same relative miss
+    # as a normal component.  Canonical sign flips and + 0.0 are exact.
+    tol = Tolerance(1e-300, 1e-300)
+    spread = (1 + _R) / (1 - _LENGTH)
+    for pts in _kernel_points(np.random.default_rng(71)):
+        for a, b in ((pts[0], pts[1]), (pts[0], pts[2]), (pts[1], pts[2])):
+            plane = _bisector(a, b, tol)
+            fa, fb = list(map(Fraction, a)), list(map(Fraction, b))
+            x = [q - p for p, q in zip(fa, fb)]
+            m = [(p + q) / 2 for p, q in zip(fa, fb)]
+            length = _root(sum(t * t for t in x))
+            normal, offset = [xi / length for xi in x], sum(s * t for s, t in zip(x, m)) / length
+            got = [Fraction(g) for g in plane.normal.tolist()]
+            sign = 1 if sum(g * e for g, e in zip(got, normal)) > 0 else -1
+            for g, want in zip(got, normal):
+                assert abs(g - sign * want) <= (spread * (1 + _R) - 1) * abs(want), (a, b)
+            dot_miss = _gamma(5) * sum(abs(s * t) for s, t in zip(x, m))
+            slack = dot_miss / length * spread + (spread - 1) * abs(offset)
+            assert abs(Fraction(plane.offset) - sign * offset) <= slack, (a, b)
+
+
+def test_reflect_kernel_matches_exact_reference():
+    # p - k n with k = 2 (fl(n . p) - offset) for the plane's stored floats n
+    # and offset: the dot misses by gamma(3) sum |n_j p_j| and the difference
+    # D = n . p - offset rounds once, so k misses K = 2 D by dk = 2 (gamma(3)
+    # sum |n_j p_j| (1 + r) + r |D|); k n_i rounds once more, and so does
+    # p_i - k n_i, r |R_i| of the exact image R.
+    rng = np.random.default_rng(72)
+    for pts in _kernel_points(rng):
+        plane = Plane(rng.normal(size=3), float(rng.normal()) * 10.0 ** rng.uniform(-3.0, 6.0))
+        n, offset = [Fraction(x) for x in plane.normal.tolist()], Fraction(plane.offset)
+        for p in pts:
+            got, fp = _reflect(plane, p), list(map(Fraction, p))
+            d = sum(s * t for s, t in zip(n, fp)) - offset
+            dk = 2 * (_gamma(3) * sum(abs(s * t) for s, t in zip(n, fp)) * (1 + _R) + _R * abs(d))
+            for g, ni, pi in zip(got, n, fp):
+                want = pi - 2 * d * ni
+                slack = (1 + _R) * abs(ni) * (dk + _R * (2 * abs(d) + dk)) + _R * abs(want)
+                assert abs(Fraction(g) - want) <= slack, (p, plane.normal, plane.offset)
 
 
 def _arrays(value) -> list:

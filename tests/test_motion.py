@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,8 @@ from trimirror import (
 )
 from trimirror.example import make_f, make_g, make_h
 from trimirror.geom import Line3, coplanar
-from trimirror.motion import _fixed_point, _reflection_parts, _rodrigues, _rotation_parts
+from trimirror.motion import _compose, _fixed_point, _fold, _reflection_parts, _rodrigues
+from trimirror.motion import _rotation_parts
 
 import oracle
 
@@ -222,9 +224,56 @@ def test_reflection_parts_match_numpy_reference_bit_for_bit():
     for n in normals:
         for offset in (0.0, -0.0, 1.0, -2.5, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
             plane = Plane(n, offset)
-            got, want = _reflection_parts(plane), oracle.numpy_reflection_parts(plane)
+            got = [np.array(part) for part in _reflection_parts(plane)]
+            want = oracle.numpy_reflection_parts(plane)
             assert got[0].tobytes() == want[0].tobytes(), (n, offset)
             assert got[1].tobytes() == want[1].tobytes(), (n, offset)
+
+
+def test_fold_step_matches_exact_reference():
+    # One fold step is _compose of the plane's _reflection_parts and the fold
+    # so far, bit for bit; both are pinned against the same floats evaluated
+    # exactly in fractions, with r = eps / 2 and gamma(k) = k r / (1 - k r) for
+    # k roundings in a row.  _reflection_parts: -2 x y rounds once (0.0 - v is
+    # exact), r of it; 1 - 2 x^2 rounds x^2 and the difference, r (2 x^2 + |F|)
+    # (1 + r); the shift 2 offset x rounds once.  _compose: an entry of m l
+    # sums three products left to right, gamma(3) times the sum of their
+    # magnitudes; a shift entry adds u_i to three such products, gamma(4).
+    r = Fraction(np.finfo(float).eps) / 2
+
+    def gamma(k):
+        return k * r / (1 - k * r)
+
+    rng = np.random.default_rng(63)
+    normals = oracle.zero_component_vectors(rng) + list(rng.normal(size=(300, 3)))
+    fold = _fold(())
+    for i, normal in enumerate(normals):
+        plane = Plane(normal, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0))
+        flip, shift = _reflection_parts(plane)
+        n, offset = [Fraction(x) for x in plane.normal.tolist()], Fraction(plane.offset)
+        for row in range(3):
+            for col in range(3):
+                exact = (row == col) - 2 * n[row] * n[col]
+                slack = r * abs(exact)
+                if row == col:
+                    slack = r * (2 * n[row] ** 2 + abs(exact)) * (1 + r)
+                assert abs(Fraction(flip[row][col]) - exact) <= slack, (normal, row, col)
+            exact = 2 * offset * n[row]
+            assert abs(Fraction(shift[row]) - exact) <= r * abs(exact), (normal, row)
+        step = _fold((plane,), fold)
+        assert step == _compose(flip, shift, *fold), normal
+        m, u = [[Fraction(x) for x in row] for row in flip], [Fraction(x) for x in shift]
+        l, t = [[Fraction(x) for x in row] for row in fold[0]], [Fraction(x) for x in fold[1]]
+        for row in range(3):
+            for col in range(3):
+                terms = [m[row][k] * l[k][col] for k in range(3)]
+                slack = gamma(3) * sum(map(abs, terms))
+                assert abs(Fraction(step[0][row][col]) - sum(terms)) <= slack, (i, row, col)
+            terms = [m[row][k] * t[k] for k in range(3)] + [u[row]]
+            slack = gamma(4) * sum(map(abs, terms))
+            assert abs(Fraction(step[1][row]) - sum(terms)) <= slack, (i, row)
+        # fold on from this step, or start again from the identity's parts
+        fold = step if i % 7 else _fold(())
 
 
 def test_seq_to_affine_axis_aligned():
@@ -449,11 +498,12 @@ def test_library_constructors_check_the_shift_they_compute():
         seq_to_affine(ReflectionSequence((Plane((1, 0, 0), 1e308), Plane((1, 0, 0), -1e308))))
     # p . d is past the largest double, so the turn's shift is not finite, at
     # any angle; the float split overflows without a warning.  Line3 refuses
-    # the same axis point and direction
-    for angle in (1e-3, 1.0, np.pi):
-        with pytest.raises(ValueError, match=message):
-            rotation_about_axis((1.7e308, 1.7e308, 0.0), (1.0, 1.0, 0.0), angle)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the same axis point and direction.  then composes on floats: no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for angle in (1e-3, 1.0, np.pi):
+            with pytest.raises(ValueError, match=message):
+                rotation_about_axis((1.7e308, 1.7e308, 0.0), (1.0, 1.0, 0.0), angle)
         with pytest.raises(ValueError, match=message):
             then(translation((1e308, 0.0, 0.0)), translation((1e308, 0.0, 0.0)))
 
