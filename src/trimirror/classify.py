@@ -43,9 +43,9 @@ import numpy as np
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
 from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
-from .geom import _finite, _frozen, _line, _plane, _unit
+from .geom import _floats, _finite, _line, _plane, _unit, _vector
 from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _EYE, _as_affine
-from .motion import _fixed_point, _fold, _isometry, _reflection_parts, _rodrigues, _split
+from .motion import _det, _fixed_point, _fold, _isometry, _reflection_parts, _rodrigues, _split
 
 # Validation slack for reconstruct(): parameter records are expected to come
 # from the classifiers, so only outright inconsistencies are rejected.
@@ -75,9 +75,9 @@ class _Record:
 
     NAME is the class's name in JSON documents.  The constructor refuses an
     axis that is not a Line3 and a mirror that is not a Plane, whose unit
-    direction _motion() trusts; it copies, checks and freezes the _VECTORS
-    fields.  _motion() checks the fields against the class's invariants and
-    builds the motion they describe.
+    direction _motion() trusts; it checks each _VECTORS field and stores it
+    as a read-only array.  _motion() checks the fields against the class's
+    invariants and builds the motion they describe.
     """
 
     NAME = ""
@@ -88,14 +88,15 @@ class _Record:
             if hasattr(self, name) and not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}")
         for name in self._VECTORS:
-            object.__setattr__(self, name, _frozen(as_vec3(getattr(self, name))))
+            object.__setattr__(self, name, _vector(_floats(getattr(self, name))))
 
 
 def _record(cls, **fields):
-    """cls(**fields) for arrays classify has just made: checked and frozen, not copied."""
+    """cls(**fields) for floats classify has just computed: checked, each vector one array."""
     record = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(record, name, _frozen(_finite(value)) if name in cls._VECTORS else value)
+    for name in cls._VECTORS:
+        fields[name] = _vector(_finite(fields[name]))
+    record.__dict__.update(fields)
     return record
 
 
@@ -113,8 +114,9 @@ class Translation(_Record):
     NAME, _VECTORS = "translation", ("v",)
 
     def _motion(self) -> AffineIsometry:
-        _require(math.hypot(*self.v.tolist()) > 0.0, "translation vector must be nonzero")
-        return _isometry(_EYE.copy(), self.v.copy())
+        v = self.v.tolist()
+        _require(math.hypot(*v) > 0.0, "translation vector must be nonzero")
+        return _isometry(_EYE, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +129,7 @@ class Rotation(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require_turn(self.angle, "rotation")
-        axis = self.axis
-        return _isometry(*_rodrigues(axis.point.tolist(), axis.direction.tolist(), self.angle))
+        return _isometry(*_rodrigues(*self.axis._floats, self.angle))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +146,11 @@ class Screw(_Record):
         slide = self.slide.tolist()  # measured on floats: numpy's dot warns past 1.3e154
         slide_len = math.hypot(*slide)
         _require(slide_len > 0.0, "screw slide must be nonzero")
-        drift = math.hypot(*_cross3(slide, self.axis.direction.tolist()))
+        p, d = self.axis._floats
+        drift = math.hypot(*_cross3(slide, d))
         _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
-        turn, shift = _rodrigues(self.axis.point.tolist(), self.axis.direction.tolist(), self.angle)
-        return _isometry(turn, shift + self.slide)
+        turn, (x, y, z) = _rodrigues(p, d, self.angle)
+        return _isometry(turn, [x + slide[0], y + slide[1], z + slide[2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +171,13 @@ class GlideReflection(_Record):
     NAME, _VECTORS = "glide_reflection", ("slide",)
 
     def _motion(self) -> AffineIsometry:
-        slide_len = math.hypot(*self.slide.tolist())
+        slide = self.slide.tolist()
+        slide_len = math.hypot(*slide)
         _require(slide_len > 0.0, "glide slide must be nonzero")
         drift = abs(float(self.slide.dot(self.mirror.normal)))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
-        flip, shift = map(np.array, _reflection_parts(self.mirror))
-        return _isometry(flip, shift + self.slide)
+        flip, (x, y, z) = _reflection_parts(self.mirror)
+        return _isometry(flip, [x + slide[0], y + slide[1], z + slide[2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +186,8 @@ class Inversion(_Record):
     NAME, _VECTORS = "inversion", ("center",)
 
     def _motion(self) -> AffineIsometry:
-        return _isometry(-_EYE, 2.0 * self.center)
+        flip = [[-x for x in row] for row in _EYE]  # -I, with -0.0 off the diagonal
+        return _isometry(flip, [2.0 * x for x in self.center.tolist()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,12 +204,12 @@ class RotaryReflection(_Record):
     def _motion(self) -> AffineIsometry:
         _require(math.isfinite(self.angle), "rotary angle must be finite")
         _require(0.0 < abs(self.angle) < np.pi, "rotary angle must avoid 0 and pi")
-        miss = abs(self.mirror.signed_distance(self.center))  # a far center's |x| only when needed
-        on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*self.center.tolist())
+        miss, center = abs(self.mirror.signed_distance(self.center)), self.center.tolist()
+        on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
         flip, flip_shift = map(np.array, _reflection_parts(self.mirror))
-        turn, turn_shift = _rodrigues(self.center.tolist(), self.mirror.normal.tolist(), self.angle)
-        return _isometry(turn.dot(flip), turn.dot(flip_shift) + turn_shift)
+        turn, turn_shift = map(np.array, _rodrigues(center, self.mirror._n, self.angle))
+        return _isometry(turn.dot(flip).tolist(), (turn.dot(flip_shift) + turn_shift).tolist())
 
 
 MotionClass = Union[
@@ -257,7 +261,7 @@ def rotation_from_plane_pair(
         ) from exc
     rows = _fold((alpha, beta))[0]
     cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
-    angle = _angle_about(_skew_vector(rows), cos, axis.direction.tolist())
+    angle = _angle_about(_skew_vector(rows), cos, axis._floats[1])
     return Rotation(axis=axis, angle=angle)
 
 
@@ -286,7 +290,7 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, fl
         widest = max(x * x + d * d + g * g, b * b + y * y + h * h, c * c + f * f + z * z)
         if math.sqrt(widest) <= tol.eps_len:
             return kind, None, 0.0
-    proper = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) > 0.0
+    proper = _det(linear) > 0.0
     skew = _skew_vector(linear)
     if not proper:  # negation is exact, so r = -linear has skew vector -skew
         a, b, c, d, e, f, g, h, i = -a, -b, -c, -d, -e, -f, -g, -h, -i
@@ -334,7 +338,7 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
     c = as_vec3(c)
     if not points_coincide(apply(m, c), c, tol):
         raise NotAFixedPoint("the supplied point is moved by the motion")
-    kind, direction, angle = _linear_kernel(_as_affine(m).linear.tolist(), tol)
+    kind, direction, angle = _linear_kernel(_as_affine(m)._parts[0], tol)
     if kind is Identity:
         return Identity()
     if kind is Inversion:
@@ -372,35 +376,33 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     component of u along the fixed axis or mirror survives as slide, while
     the perpendicular component relocates the axis, mirror, or center.
     """
-    m = _as_affine(m)
-    u = m.translation
-    kind, direction, angle = _linear_kernel(m.linear.tolist(), tol)
+    linear, u = _as_affine(m)._parts
+    kind, direction, angle = _linear_kernel(linear, tol)
 
     if kind is Identity:
-        if math.hypot(*u.tolist()) <= tol.eps_len:  # without overflow
+        if math.hypot(*u) <= tol.eps_len:  # without overflow
             return Identity()
-        return _record(Translation, v=u.copy())
+        return _record(Translation, v=u)
 
     if kind is Inversion:
-        return _record(Inversion, center=0.5 * u)
+        return _record(Inversion, center=[0.5 * x for x in u])
 
     length = math.sqrt(_dot3(direction, direction))  # once for the split and the axis or mirror
     d = [x / length for x in direction]
-    u = u.tolist()
     n, v = _split(u, d)
     if kind is Rotation:
         axis = _line(_fixed_point(v, d, angle), d)
         if math.sqrt(_dot3(n, n)) <= tol.eps_len:
             return Rotation(axis=axis, angle=angle)
-        return _record(Screw, axis=axis, angle=angle, slide=np.array(n))
+        return _record(Screw, axis=axis, angle=angle, slide=n)
 
     mirror = _plane(direction, length, 0.5 * _dot3(direction, n))
     if kind is RotaryReflection:
-        center = np.array(_fixed_point(u, d, angle))
+        center = _fixed_point(u, d, angle)
         return _record(RotaryReflection, mirror=mirror, center=center, angle=angle)
     if math.sqrt(_dot3(v, v)) <= tol.eps_len:
         return Reflection(mirror=mirror)
-    return _record(GlideReflection, mirror=mirror, slide=np.array(v))
+    return _record(GlideReflection, mirror=mirror, slide=v)
 
 
 def reconstruct(record: MotionClass) -> AffineIsometry:

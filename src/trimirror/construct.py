@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
-from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, as_vec3, _finite, _frozen
+from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _floats, _finite, _vector
 from .geom import _bisector, _measured_plane, _plane_through, _reflect, _thin, _triangle
 from .motion import ReflectionSequence, _fold, _sequence
 
@@ -32,14 +32,15 @@ class TriplePair:
         dst = tuple(self.dst)
         if len(dst) != 3:
             raise ValueError("dst must hold exactly three points")
-        object.__setattr__(self, "dst", tuple(_frozen(as_vec3(p)) for p in dst))
+        floats = [_floats(p) for p in dst]
+        self.__dict__.update(dst=tuple(map(_vector, floats)), _floats=floats)
 
 
 def _measured(triple) -> tuple[list[float], tuple, tuple]:
     """First point, normal and measurement of a triple, as floats; a PointTriple's are kept."""
     if isinstance(triple, PointTriple):
-        return triple.a.tolist(), triple._normal, triple._measure
-    a, b, c = (as_vec3(p).tolist() for p in triple)
+        return triple._floats[0], triple._normal, triple._measure
+    a, b, c = (_floats(p) for p in triple)
     return (a, *_triangle(a, b, c))
 
 
@@ -68,7 +69,7 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     Raises DegenerateSource if the source triple fails the collinearity check
     at this tolerance, NotCongruent if the distance pattern does not match.
     """
-    a, b, c, a2, b2, c2 = (p.tolist() for p in (*pair.src.points(), *pair.dst))
+    (a, b, c), (a2, b2, c2) = pair.src._floats, pair._floats
     n, measure = pair.src._normal, pair.src._measure
     if _thin(measure, tol):
         raise DegenerateSource("source triple is collinear at this tolerance")

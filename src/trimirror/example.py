@@ -25,8 +25,8 @@ from .geom import (
     intersect_planes,
     perpendicular_bisector_plane,
     _finite,
-    _frozen,
     _norm,
+    _vector,
 )
 from .motion import (
     AffineIsometry,
@@ -39,8 +39,8 @@ from .motion import (
 
 # Orbit anchor for the axis construction; C is the shared fixed point of the
 # rotation part.
-ANCHOR = _frozen(np.array([1.0, 2.0, -2.0]))
-CENTER = _frozen(np.zeros(3))
+ANCHOR = _vector((1.0, 2.0, -2.0))
+CENTER = _vector((0.0, 0.0, 0.0))
 
 # Default orbit length for figure-style tabulation.
 DEFAULT_ITERATES = 12

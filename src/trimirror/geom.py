@@ -9,14 +9,16 @@ Public functions and constructors validate their arguments once, then run a
 private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`, the
 triangle kernel `_triangle`, its verdict `_thin` and the plane `_measured_plane`
 it fixes, the plane kernel `_plane`, the line kernel `_line`) on the checked
-points' Python floats (`as_vec3(x).tolist()`), with dots and lengths written out:
-no numpy call per 3-vector.  `Plane()` and `Line3()` coerce their input, then
-run the kernel that library code calls on floats it has just computed.
+floats of `_floats`, with dots and lengths written out.  Values keep the floats
+they were built from (`Plane._n`, `Line3._floats`, `PointTriple._floats`) for the
+kernels, and `_vector` makes each stored array from them in one step, read-only
+from birth: it cannot be made writable again.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -34,9 +36,16 @@ _SIGN_EPS = 1e-12
 def as_vec3(value) -> Vec3:
     """Coerce to a fresh finite float64 vector of shape (3,)."""
     v = np.array(value, dtype=float)
+    _floats(v)  # the shape and finiteness checks
+    return v
+
+
+def _floats(value) -> list[float]:
+    """as_vec3(value)'s checked floats, read without copying a float array first."""
+    v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected 3 components, got shape {v.shape}")
-    return _finite(v)
+    return _finite(v.tolist())
 
 
 def _finite(v):
@@ -46,6 +55,19 @@ def _finite(v):
     return v
 
 
+_pack3, _pack9 = struct.Struct("3d").pack, struct.Struct("9d").pack
+
+
+def _vector(floats) -> Vec3:
+    """Three floats as a float64 array, read-only from birth: its buffer is immutable bytes."""
+    return np.frombuffer(_pack3(*floats))
+
+
+def _matrix(rows) -> np.ndarray:
+    """_vector's 3x3 twin for three rows of floats."""
+    return np.ndarray((3, 3), float, _pack9(*rows[0], *rows[1], *rows[2]))
+
+
 def vec3(x: float, y: float, z: float) -> Vec3:
     """Build a finite 3-vector (points and directions use the same type)."""
     return as_vec3((x, y, z))
@@ -53,12 +75,6 @@ def vec3(x: float, y: float, z: float) -> Vec3:
 
 def midpoint(a, b) -> Vec3:
     return 0.5 * (as_vec3(a) + as_vec3(b))
-
-
-def _frozen(v: Vec3) -> Vec3:
-    """Make v read-only in place; callers pass an array they have just built."""
-    v.setflags(write=False)
-    return v
 
 
 def _cross(a: Vec3, b: Vec3) -> Vec3:
@@ -138,7 +154,7 @@ class Plane:
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
-        return _dot3(self.normal.tolist(), as_vec3(point).tolist()) - self.offset
+        return _dot3(self._n, _floats(point)) - self.offset
 
 
 def _plane(n, length: float, offset, plane: Plane | None = None) -> Plane:
@@ -153,9 +169,8 @@ def _plane(n, length: float, offset, plane: Plane | None = None) -> Plane:
     x, y, z = n[0] / length, n[1] / length, n[2] / length
     s = _canonical_sign((x, y, z))
     # adding 0.0 clears negative zeros left over from sign flips
-    n = np.array((s * x + 0.0, s * y + 0.0, s * z + 0.0))
-    object.__setattr__(plane, "normal", _frozen(n))
-    object.__setattr__(plane, "offset", s * d + 0.0)
+    n = (s * x + 0.0, s * y + 0.0, s * z + 0.0)
+    plane.__dict__.update(normal=_vector(n), _n=n, offset=s * d + 0.0)  # past frozen setattr
     return plane
 
 
@@ -172,7 +187,7 @@ class Line3:
 
     def __post_init__(self) -> None:
         d = _unit(self.direction, "line direction").tolist()
-        _line(as_vec3(self.point).tolist(), d, self)
+        _line(_floats(self.point), d, self)
 
     def distance_to(self, point) -> float:
         w = as_vec3(point) - self.point
@@ -183,12 +198,11 @@ def _line(p, d, line: Line3 | None = None) -> Line3:
     """Line3(p, d) for three floats p and unit floats d; Line3() passes itself in."""
     line = object.__new__(Line3) if line is None else line
     s = _canonical_sign(d)
-    x, y, z = s * d[0] + 0.0, s * d[1] + 0.0, s * d[2] + 0.0
+    x, y, z = d = s * d[0] + 0.0, s * d[1] + 0.0, s * d[2] + 0.0
     px, py, pz = p
     k = px * x + py * y + pz * z  # inf, silently, near the largest double: the foot is refused
     foot = _finite((px - k * x + 0.0, py - k * y + 0.0, pz - k * z + 0.0))
-    object.__setattr__(line, "point", _frozen(np.array(foot)))
-    object.__setattr__(line, "direction", _frozen(np.array((x, y, z))))
+    line.__dict__.update(point=_vector(foot), direction=_vector(d), _floats=(foot, d))
     return line
 
 
@@ -202,15 +216,12 @@ class PointTriple:
     tol: InitVar[Tolerance | None] = None
 
     def __post_init__(self, tol: Tolerance | None) -> None:
-        a, b, c = as_vec3(self.a), as_vec3(self.b), as_vec3(self.c)
-        n, measure = _triangle(a.tolist(), b.tolist(), c.tolist())
+        floats = a, b, c = _floats(self.a), _floats(self.b), _floats(self.c)
+        n, measure = _triangle(a, b, c)
         if _thin(measure, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
-        object.__setattr__(self, "a", _frozen(a))
-        object.__setattr__(self, "b", _frozen(b))
-        object.__setattr__(self, "c", _frozen(c))
-        object.__setattr__(self, "_measure", measure)  # construct re-tests it at its tol
-        object.__setattr__(self, "_normal", n)
+        self.__dict__.update(a=_vector(a), b=_vector(b), c=_vector(c), _floats=floats,
+                             _measure=measure, _normal=n)  # construct re-tests _measure at its tol
 
     def points(self) -> tuple[Vec3, Vec3, Vec3]:
         return self.a, self.b, self.c
@@ -218,18 +229,18 @@ class PointTriple:
 
 def reflect_point(plane: Plane, point) -> Vec3:
     """Mirror image of `point` in `plane`."""
-    return np.array(_reflect(plane, as_vec3(point).tolist()))
+    return np.array(_reflect(plane, _floats(point)))
 
 
 def _reflect(plane: Plane, p) -> list[float]:
     """p - 2 (n . p - offset) n for the floats p; unchecked, so it may overflow."""
-    n0, n1, n2 = n = plane.normal.tolist()
+    n0, n1, n2 = n = plane._n
     k = 2.0 * (_dot3(n, p) - plane.offset)
     return [p[0] - k * n0, p[1] - k * n1, p[2] - k * n2]
 
 
 def points_coincide(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _coincide(as_vec3(a).tolist(), as_vec3(b).tolist(), tol)
+    return _coincide(_floats(a), _floats(b), tol)
 
 
 def _coincide(a, b, tol: Tolerance) -> bool:
@@ -244,7 +255,7 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
     edge, which keeps the verdict stable under uniform rescaling of the
     points and agrees with PointTriple's construction check.
     """
-    return _thin(_triangle(as_vec3(a).tolist(), as_vec3(b).tolist(), as_vec3(c).tolist())[1], tol)
+    return _thin(_triangle(_floats(a), _floats(b), _floats(c))[1], tol)
 
 
 def _triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]]]:
@@ -280,7 +291,7 @@ def perpendicular_bisector_plane(a, b, tol: Tolerance = DEFAULT_TOL) -> Plane:
     Raises CoincidentPoints when a and b agree within tol, since every plane
     through them would qualify.
     """
-    plane = _bisector(as_vec3(a).tolist(), as_vec3(b).tolist(), tol)
+    plane = _bisector(_floats(a), _floats(b), tol)
     if plane is None:
         raise CoincidentPoints("bisector plane needs two distinct points")
     return plane
@@ -297,7 +308,7 @@ def _bisector(a, b, tol: Tolerance) -> Plane | None:
 
 def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
     """The unique plane through three noncollinear points."""
-    return _plane_through(as_vec3(a).tolist(), as_vec3(b).tolist(), as_vec3(c).tolist(), tol)
+    return _plane_through(_floats(a), _floats(b), _floats(c), tol)
 
 
 def _plane_through(a, b, c, tol: Tolerance) -> Plane:
@@ -337,4 +348,4 @@ def lines_equal(a: Line3, b: Line3, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two lines describe the same point set, orientation aside."""
     if _norm(_cross(a.direction, b.direction)) > tol.eps_angle:
         return False
-    return _coincide(a.point.tolist(), b.point.tolist(), tol)
+    return _coincide(a._floats[0], b._floats[0], tol)

@@ -3,8 +3,9 @@
 AffineIsometry is the closed form x -> L x + t with orthogonal L; ReflectionSequence
 is an ordered list of mirror planes applied left to right.  `apply` accepts either,
 `seq_to_affine` converts, and `then` composes affine motions in reading order (first,
-then second).  `AffineIsometry()` copies its parts and runs the validator `_isometry`,
-which library code calls directly on the arrays it has just made.  A sequence folds
+then second).  The validator `_isometry` takes float rows and floats, which the motion
+keeps as `_parts` for `then`, `orientation` and classify; `AffineIsometry()` converts its
+parts once, and library code passes the floats it has just computed.  A sequence folds
 its planes on floats when built (`_fold`, by `then`'s product `_compose`); `_sequence`
 skips the plane check and may be handed that fold, as its prefix's fold continued.
 """
@@ -18,8 +19,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _dot3, _finite, _frozen, _norm
-from .geom import reflect_point, _unit
+from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _floats, _dot3, _finite, _matrix
+from .geom import _norm, _vector, reflect_point, _unit
 
 # Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
 # given, up to _ORTHO_FIX it is silently re-orthonormalized, beyond that the
@@ -27,11 +28,8 @@ from .geom import reflect_point, _unit
 _ORTHO_PASS = 1e-10
 _ORTHO_FIX = 1e-6
 
-PROBE_POINTS = tuple(
-    _frozen(np.array(p, dtype=float))
-    for p in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-)
-_EYE = _frozen(np.array(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows of floats, as _isometry takes
+PROBE_POINTS = tuple(map(_vector, ((0.0, 0.0, 0.0),) + _EYE))
 
 
 class OrientationParity(enum.IntEnum):
@@ -52,6 +50,12 @@ def _mgs(m: np.ndarray) -> np.ndarray:
     return q
 
 
+def _det(rows) -> float:
+    """Determinant of three rows of floats, written out along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+
+
 @dataclass(frozen=True, eq=False)
 class AffineIsometry:
     """Rigid motion x -> linear @ x + translation.
@@ -65,29 +69,28 @@ class AffineIsometry:
     translation: Vec3
 
     def __post_init__(self) -> None:
-        _isometry(np.array(self.linear, dtype=float), self.translation, self)
+        l = np.asarray(self.linear, dtype=float)
+        _isometry(l.tolist() if l.shape == (3, 3) else None, self.translation, self)
 
 
-def _isometry(l: np.ndarray, t, m: AffineIsometry | None = None) -> AffineIsometry:
-    """AffineIsometry(l, t) for fresh float arrays; AffineIsometry() passes itself
-    in with its raw translation, coerced after the linear part has passed."""
-    cols = l.T.tolist()  # a finite sum proves every entry finite; numpy decides on overflow
-    if l.shape != (3, 3) or not (math.isfinite(sum(map(sum, cols))) or np.isfinite(l).all()):
+def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
+    """AffineIsometry(rows, t) for float rows (None if not 3x3) and floats t, kept as _parts;
+    AffineIsometry() passes itself in with its raw translation, coerced after the rows pass."""
+    finite = rows is not None and math.isfinite(sum(map(sum, rows)))  # proves every entry finite
+    if not (finite or rows and all(math.isfinite(x) for r in rows for x in r)):  # on overflow
         raise ValueError("linear part must be a finite 3x3 matrix")
-    m, t = (object.__new__(AffineIsometry), _finite(t)) if m is None else (m, as_vec3(t))
-    (a, d, g), (b, e, h), (c, f, i) = cols  # L^T L - I as _dot3 sums, squares first
+    m, t = (object.__new__(AffineIsometry), _finite(t)) if m is None else (m, _floats(t))
+    (a, b, c), (d, e, f), (g, h, i) = rows  # L^T L - I by columns as _dot3 sums, squares first
     residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
                    abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
                    abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
     if residual > _ORTHO_FIX:
         raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
     if residual > _ORTHO_PASS:
-        l = _mgs(l)
-        (a, d, g), (b, e, h), (c, f, i) = l.T.tolist()
-    if abs(abs(a * (e * i - h * f) + d * (h * c - b * i) + g * (b * f - e * c)) - 1.0) > 1e-10:
+        rows = _mgs(np.array(rows)).tolist()
+    if abs(abs(_det(rows)) - 1.0) > 1e-10:
         raise ValueError("linear part must have determinant +1 or -1")
-    object.__setattr__(m, "linear", _frozen(l))
-    object.__setattr__(m, "translation", _frozen(t))
+    m.__dict__.update(linear=_matrix(rows), translation=_vector(t), _parts=(rows, t))
     return m
 
 
@@ -114,9 +117,7 @@ def _sequence(planes: tuple, parts=None, seq=None, dst=None) -> ReflectionSequen
     """ReflectionSequence(planes) for Planes, folded unless `parts` is their fold already;
     `dst` is a (triple, measurement) that construct.second_motion may reuse."""
     seq = object.__new__(ReflectionSequence) if seq is None else seq
-    object.__setattr__(seq, "planes", planes)
-    object.__setattr__(seq, "_parts", _fold(planes) if parts is None else parts)
-    object.__setattr__(seq, "_dst", dst)
+    seq.__dict__.update(planes=planes, _parts=_fold(planes) if parts is None else parts, _dst=dst)
     return seq
 
 
@@ -124,16 +125,16 @@ Motion = Union[AffineIsometry, ReflectionSequence]
 
 
 def identity() -> AffineIsometry:
-    return _isometry(_EYE.copy(), np.zeros(3))
+    return _isometry(_EYE, (0.0, 0.0, 0.0))
 
 
 def translation(v) -> AffineIsometry:
-    return _isometry(_EYE.copy(), as_vec3(v))
+    return _isometry(_EYE, _floats(v))
 
 
 def _reflection_parts(plane: Plane) -> tuple[list[list[float]], list[float]]:
     """I - 2 n n^T as rows of floats and 2 offset n of the reflection in `plane`, unvalidated."""
-    x, y, z = plane.normal.tolist()
+    x, y, z = plane._n
     k = 2.0 * plane.offset
     # 0.0 - ... as in I - 2 n n^T: a bare -2.0 * (x * y) would give -0.0 for a zero product
     xy, xz, yz = 0.0 - 2.0 * (x * y), 0.0 - 2.0 * (x * z), 0.0 - 2.0 * (y * z)
@@ -143,16 +144,16 @@ def _reflection_parts(plane: Plane) -> tuple[list[list[float]], list[float]]:
 
 def plane_reflection(plane: Plane) -> AffineIsometry:
     """The reflection in `plane` as an affine map."""
-    return _isometry(*map(np.array, _reflection_parts(plane)))
+    return _isometry(*_reflection_parts(plane))
 
 
-def _rotation_parts(point, direction, angle: float) -> tuple[np.ndarray, Vec3]:
+def _rotation_parts(point, direction, angle: float) -> tuple[list[list[float]], list[float]]:
     """Linear part and translation of rotation_about_axis, checked but not validated."""
     d = _unit(direction, "rotation axis direction").tolist()
     angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    return _rodrigues(as_vec3(point).tolist(), d, angle)
+    return _rodrigues(_floats(point), d, angle)
 
 
 def _split(u, d) -> tuple[list[float], list[float]]:
@@ -162,7 +163,7 @@ def _split(u, d) -> tuple[list[float], list[float]]:
     return n, [u[0] - n[0], u[1] - n[1], u[2] - n[2]]
 
 
-def _rodrigues(p, d, angle: float) -> tuple[np.ndarray, Vec3]:
+def _rodrigues(p, d, angle: float) -> tuple[list[list[float]], list[float]]:
     """Rodrigues' formula for the point p, unit direction d and finite angle, all floats.
 
     For v across d, (I - R) v = 2 h (h v - k d x v) and (I - R) d x v = 2 h (h d x v + k v),
@@ -178,9 +179,9 @@ def _rodrigues(p, d, angle: float) -> tuple[np.ndarray, Vec3]:
         [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)],
     ]
     (v0, v1, v2), h, k = _split(p, d)[1], math.sin(0.5 * angle), math.cos(0.5 * angle)
-    return np.array(r), np.array((2.0 * h * (h * v0 - k * (y * v2 - z * v1)) + 0.0,
-                                  2.0 * h * (h * v1 - k * (z * v0 - x * v2)) + 0.0,
-                                  2.0 * h * (h * v2 - k * (x * v1 - y * v0)) + 0.0))
+    return r, [2.0 * h * (h * v0 - k * (y * v2 - z * v1)) + 0.0,
+               2.0 * h * (h * v1 - k * (z * v0 - x * v2)) + 0.0,
+               2.0 * h * (h * v2 - k * (x * v1 - y * v0)) + 0.0]
 
 
 def _fixed_point(w, d, angle: float) -> list[float]:
@@ -232,13 +233,12 @@ def _compose(m, u, l, t) -> tuple[list[list[float]], list[float]]:
 
 def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
     """Composite motion that applies `first`, then `second`."""
-    return _isometry(*map(np.array, _compose(second.linear.tolist(), second.translation.tolist(),
-                                             first.linear.tolist(), first.translation.tolist())))
+    return _isometry(*_compose(*second._parts, *first._parts))
 
 
 def _fold(planes: tuple, parts=None) -> tuple[list[list[float]], list[float]]:
     """The planes folded on floats as `then` would, from the identity or on from `parts`."""
-    linear, shift = (_EYE.tolist(), [0.0, 0.0, 0.0]) if parts is None else parts
+    linear, shift = (_EYE, (0.0, 0.0, 0.0)) if parts is None else parts
     for plane in planes:
         linear, shift = _compose(*_reflection_parts(plane), linear, shift)
     return linear, shift
@@ -247,7 +247,7 @@ def _fold(planes: tuple, parts=None) -> tuple[list[list[float]], list[float]]:
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
     """The planes' motion: products of reflections in unit normals drift from
     orthogonality far below _ORTHO_PASS, so _fold's parts pass as they are."""
-    return _isometry(*map(np.array, seq._parts))
+    return _isometry(*seq._parts)
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:
@@ -260,7 +260,7 @@ def orientation(motion: Motion) -> OrientationParity:
     """PROPER for direct motions, IMPROPER for reflections of space."""
     if isinstance(motion, ReflectionSequence):
         return OrientationParity.PROPER if len(motion) % 2 == 0 else OrientationParity.IMPROPER
-    return OrientationParity(round(float(np.linalg.det(motion.linear))))
+    return OrientationParity(1 if _det(motion._parts[0]) > 0.0 else -1)
 
 
 def iso_equal(a: Motion, b: Motion, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -728,10 +729,13 @@ def test_seam_round_trips_raise_nothing_unexpected():
 
 
 def test_round_trip_kernels_keep_every_check():
-    # reconstruct and classify build their arrays without copying them, and
-    # still refuse one that overflowed, with as_vec3's message
+    # reconstruct and classify build their arrays from floats they have just
+    # computed, and still refuse one that overflowed, with as_vec3's message;
+    # the Inversion rebuild doubles its center on floats, which overflow
+    # silently, so no warning is emitted
     message = "^vector components must be finite$"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             reconstruct(Inversion(center=(1e308, 0.0, 0.0)))
     # classify splits the translation on floats, which overflow without a

@@ -688,17 +688,32 @@ def test_dot_matches_matmul_bit_for_bit():
         assert got == b"".join((x @ y).tobytes() for x, y in pairs), name
 
 
-def test_library_builds_no_motion_or_identity_matrix_through_the_public_constructors():
-    # AffineIsometry(...) copies and re-checks its parts and np.eye(3) builds a
-    # fresh matrix each call; library code calls motion._isometry on the arrays
-    # it has just made and copies motion._EYE.  cli.py and example.py build
-    # their motions from external input, so they are not scanned.
+def _library_calls():
+    """(file name, line, callee, call source) of every call in the library's
+    geometry modules; cli.py and example.py build their values from external
+    input, so they are not scanned."""
     root = pathlib.Path(trimirror.__file__).parent
     for name in ("geom.py", "motion.py", "classify.py", "construct.py"):
         tree = ast.parse((root / name).read_text(encoding="utf-8"))
-        calls = [(n.lineno, ast.unparse(n.func)) for n in ast.walk(tree) if isinstance(n, ast.Call)]
-        sites = [c for c in calls if c[1] in ("AffineIsometry", "np.eye", "numpy.eye")]
-        assert not sites, f"{name} calls {sites}"
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                yield name, n.lineno, ast.unparse(n.func), ast.unparse(n)
+
+
+def test_library_builds_no_motion_or_identity_matrix_through_the_public_constructors():
+    # AffineIsometry(...) converts and re-checks its parts and np.eye(3) builds
+    # a fresh matrix each call; library code calls motion._isometry on the float
+    # rows and floats it has just computed and passes the rows motion._EYE.
+    sites = [c[:3] for c in _library_calls() if c[2] in ("AffineIsometry", "np.eye", "numpy.eye")]
+    assert not sites, f"calls {sites}"
+
+
+def test_library_builds_no_array_to_freeze_it_afterwards():
+    # every stored array is built once from floats in hand, read-only from birth
+    # (geom._vector and geom._matrix): no array is made only to be frozen in
+    # place, as _frozen(np.array(...)) did, which setflags(write=True) undoes
+    sites = [c[:2] + (c[3],) for c in _library_calls() if c[2] == "_frozen" or "setflags" in c[2]]
+    assert not sites, f"calls {sites}"
 
 
 def test_library_source_has_no_matmul_operator():

@@ -402,7 +402,7 @@ def test_turn_shift_matches_exact_reference():
     # about eps |p| whatever the angle, 6e11 eps |h| |p| here.
     eps = np.finfo(float).eps
     for p, d, angle in _turn_cases(np.random.default_rng(61)):
-        shift = _rodrigues(p, d, angle)[1].tolist()
+        shift = _rodrigues(p, d, angle)[1]
         h, k = Fraction(math.sin(0.5 * angle)), Fraction(math.cos(0.5 * angle))
         v, (d0, d1, d2) = _exact_across(p, d)
         cross = (d1 * v[2] - d2 * v[1], d2 * v[0] - d0 * v[2], d0 * v[1] - d1 * v[0])
@@ -421,7 +421,7 @@ def test_turn_shift_inverts_to_its_axis_point():
     # worst miss here is 2.3 eps |p|; with p - R p it reached 3e11 eps |p|.
     eps = np.finfo(float).eps
     for p, d, angle in _turn_cases(np.random.default_rng(61)):
-        x = _fixed_point(_rodrigues(p, d, angle)[1].tolist(), d, angle)
+        x = _fixed_point(_rodrigues(p, d, angle)[1], d, angle)
         v = _exact_across(p, d)[0]
         miss = math.sqrt(sum(float(Fraction(g) - y) ** 2 for g, y in zip(x, v)))
         assert miss <= 17.0 * eps * math.hypot(*p), (p, d, angle)
