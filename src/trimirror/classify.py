@@ -27,7 +27,9 @@ lies on the mirror up to rounding, which `reconstruct` allows (_CENTER_SLACK).
 The kernel and `classify` run on Python floats up to the record, whose
 fields each become one array.  The eight record classes are the one table of
 classes: each carries its JSON name (NAME) and its own rebuild (_motion), so
-`reconstruct` and the CLI's encoder need no per-class branches.
+`reconstruct` and the CLI's encoder need no per-class branches.  The rebuilds
+run on floats too: the rotary one composes its turn after its flip with
+`motion._compose`, and the glide measures its drift with `_dot3`.
 `rotation_from_plane_pair` stays public for cross-checking the kernel on
 mirror pairs; the library, the worked example included, does not call it.
 """
@@ -35,17 +37,19 @@ mirror pairs; the library, the worked example included, does not call it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
-from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, intersect_planes
+from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
 from .geom import _floats, _finite, _line, _plane, _unit, _vector
 from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _EYE, _as_affine
-from .motion import _det, _fixed_point, _fold, _isometry, _reflection_parts, _rodrigues, _split
+from .motion import _compose, _det, _fixed_point, _fold, _isometry, _reflection_parts, _rodrigues
+from .motion import _split
 
 # Validation slack for reconstruct(): parameter records are expected to come
 # from the classifiers, so only outright inconsistencies are rejected.
@@ -57,7 +61,7 @@ _PARAM_EPS = 1e-9
 # _fixed_point's d x v term (exact along d, and |cot||v| / 2 <= |x|), 3 r |x| from
 # k = u . d and 13 r |x| from the rest of the offset (d . k d) / 2, |d|^2 - 1 included,
 # and 3 r |x| from signed_distance's dot product: at most 24 r |x| in all.
-_CENTER_SLACK = 12.0 * float(np.finfo(float).eps)
+_CENTER_SLACK = 12.0 * sys.float_info.epsilon
 
 
 def _require(condition: bool, message: str) -> None:
@@ -67,7 +71,7 @@ def _require(condition: bool, message: str) -> None:
 
 def _require_turn(angle: float, name: str) -> None:
     _require(math.isfinite(angle), f"{name} angle must be finite")
-    _require(0.0 < abs(angle) <= np.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
+    _require(0.0 < abs(angle) <= math.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
 
 
 class _Record:
@@ -143,7 +147,7 @@ class Screw(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require_turn(self.angle, "screw")
-        slide = self.slide.tolist()  # measured on floats: numpy's dot warns past 1.3e154
+        slide = self.slide.tolist()  # measured by hypot, which does not overflow past 1.3e154
         slide_len = math.hypot(*slide)
         _require(slide_len > 0.0, "screw slide must be nonzero")
         p, d = self.axis._floats
@@ -174,7 +178,7 @@ class GlideReflection(_Record):
         slide = self.slide.tolist()
         slide_len = math.hypot(*slide)
         _require(slide_len > 0.0, "glide slide must be nonzero")
-        drift = abs(float(self.slide.dot(self.mirror.normal)))
+        drift = abs(_dot3(slide, self.mirror._n))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
         flip, (x, y, z) = _reflection_parts(self.mirror)
         return _isometry(flip, [x + slide[0], y + slide[1], z + slide[2]])
@@ -203,13 +207,12 @@ class RotaryReflection(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require(math.isfinite(self.angle), "rotary angle must be finite")
-        _require(0.0 < abs(self.angle) < np.pi, "rotary angle must avoid 0 and pi")
+        _require(0.0 < abs(self.angle) < math.pi, "rotary angle must avoid 0 and pi")
         miss, center = abs(self.mirror.signed_distance(self.center)), self.center.tolist()
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
-        flip, flip_shift = map(np.array, _reflection_parts(self.mirror))
-        turn, turn_shift = map(np.array, _rodrigues(center, self.mirror._n, self.angle))
-        return _isometry(turn.dot(flip).tolist(), (turn.dot(flip_shift) + turn_shift).tolist())
+        turn = _rodrigues(center, self.mirror._n, self.angle)
+        return _isometry(*_compose(*turn, *_reflection_parts(self.mirror)))  # flip, then turn
 
 
 MotionClass = Union[
@@ -335,7 +338,7 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
     within eps_angle of zero give Identity, rotary angles within eps_angle of
     zero or pi give Reflection or Inversion.
     """
-    c = as_vec3(c)
+    c = _floats(c)
     if not points_coincide(apply(m, c), c, tol):
         raise NotAFixedPoint("the supplied point is moved by the motion")
     kind, direction, angle = _linear_kernel(_as_affine(m)._parts[0], tol)
@@ -345,7 +348,7 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
         return Inversion(center=c)
     if kind is Rotation:
         return Rotation(axis=Line3(c, direction), angle=angle)
-    mirror = Plane(direction, float(c.dot(direction)))
+    mirror = Plane(direction, _dot3(c, direction))
     if kind is Reflection:
         return Reflection(mirror=mirror)
     return RotaryReflection(mirror=mirror, center=c, angle=angle)
@@ -357,14 +360,14 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
     The splitter may be a Line3 (n parallel to it), a Plane (n along the
     normal), or a bare direction vector.
     """
-    u = as_vec3(u)
+    u = _floats(u)
     if isinstance(splitter, Line3):
-        d = splitter.direction
+        d = splitter._floats[1]
     elif isinstance(splitter, Plane):
-        d = splitter.normal
+        d = splitter._n
     else:
         d = _unit(splitter, "splitter direction")
-    n, v = _split(u.tolist(), d.tolist())
+    n, v = _split(u, d)
     return np.array(n), np.array(v)
 
 

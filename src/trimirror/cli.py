@@ -30,7 +30,7 @@ from .classify import MotionClass, classify
 from .construct import TriplePair, second_motion, three_reflections
 from .errors import CollinearPoints, GeometryError
 from .example import DEFAULT_ITERATES, analyze, iterate
-from .geom import DEFAULT_TOL, Line3, Plane, PointTriple, Tolerance, _norm, as_vec3
+from .geom import DEFAULT_TOL, Line3, Plane, PointTriple, Tolerance, as_vec3, points_coincide
 from .motion import (
     AffineIsometry,
     apply,
@@ -202,17 +202,14 @@ def cmd_triples(args) -> int:
     second = second_motion(first, pair.dst, tol)
     first_motion = seq_to_affine(first)
     partner = seq_to_affine(second)
-    residuals = []
-    for source_point, target in zip(src.points(), pair.dst):
-        residuals.append(_norm(apply(first_motion, source_point) - target))
-        residuals.append(_norm(apply(partner, source_point) - target))
+    carries = [(m, s, t) for s, t in zip(src.points(), pair.dst) for m in (first_motion, partner)]
     _emit(
         {
             "mirrors": [_json(p) for p in first.planes],
             "fourth_mirror": _json(second.planes[3]),
             "first_class": class_to_json(classify(first_motion, tol)),
             "second_class": class_to_json(classify(partner, tol)),
-            "self_check": bool(max(residuals) <= tol.eps_len),
+            "self_check": all(points_coincide(apply(m, s), t, tol) for m, s, t in carries),
         }
     )
     return 0
@@ -234,8 +231,7 @@ def cmd_iterate(args) -> int:
     start = _parse_start(args.start)
     if args.count < 0:
         raise SpecError("count must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing point is refused, silently
-        points = iterate(motion, start, args.count)
+    points = iterate(motion, start, args.count)
     if args.format == "json":
         _emit({"points": [_json(p) for p in points]})
         return 0

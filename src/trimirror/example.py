@@ -10,6 +10,7 @@ the library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,7 @@ from .geom import (
     as_vec3,
     intersect_planes,
     perpendicular_bisector_plane,
-    _finite,
-    _norm,
+    _dot3,
     _vector,
 )
 from .motion import (
@@ -76,7 +76,7 @@ def iterate(m: Motion, start, count: int) -> list[Vec3]:
         raise ValueError("iterate count must be nonnegative")
     points = [as_vec3(start)]
     for _ in range(int(count)):
-        points.append(_finite(apply(m, points[-1])))
+        points.append(apply(m, points[-1]))
     return points
 
 
@@ -98,8 +98,8 @@ class ExampleReport:
 
     def residual_dot_n(self) -> float:
         """Normalized perpendicularity certificate for residual against the axis."""
-        scale = _norm(self.residual) * _norm(self.n_direction)
-        return abs(float(self.residual.dot(self.n_direction))) / scale
+        r, n = self.residual.tolist(), self.n_direction.tolist()
+        return abs(_dot3(r, n)) / (math.sqrt(_dot3(r, r)) * math.sqrt(_dot3(n, n)))
 
 
 def _z_scaled(v: Vec3) -> Vec3:

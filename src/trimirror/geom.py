@@ -9,10 +9,13 @@ Public functions and constructors validate their arguments once, then run a
 private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`, the
 triangle kernel `_triangle`, its verdict `_thin` and the plane `_measured_plane`
 it fixes, the plane kernel `_plane`, the line kernel `_line`) on the checked
-floats of `_floats`, with dots and lengths written out.  Values keep the floats
-they were built from (`Plane._n`, `Line3._floats`, `PointTriple._floats`) for the
-kernels, and `_vector` makes each stored array from them in one step, read-only
-from birth: it cannot be made writable again.
+floats of `_floats`.  Every dot, cross product and length in the module is
+written out on Python floats (`_dot3`, `_cross3`, `math.sqrt`), `_unit` and the
+predicates included, and `intersect_planes` places its point by a closed form
+rather than a linear solve; numpy only reads input and holds stored values.
+Values keep the floats they were built from (`Plane._n`, `Line3._floats`,
+`PointTriple._floats`) for the kernels, and `_vector` makes each stored array
+from them in one step, read-only from birth: it cannot be made writable again.
 """
 
 from __future__ import annotations
@@ -77,12 +80,6 @@ def midpoint(a, b) -> Vec3:
     return 0.5 * (as_vec3(a) + as_vec3(b))
 
 
-def _cross(a: Vec3, b: Vec3) -> Vec3:
-    """Cross product of two 3-vectors, bit for bit equal to np.cross but
-    without its axis handling, which dominates its cost on 3-vectors."""
-    return np.array(_cross3(a.tolist(), b.tolist()))
-
-
 def _cross3(a, b) -> tuple[float, float, float]:
     """Cross product of two 3-sequences of Python floats."""
     a0, a1, a2 = a
@@ -95,18 +92,13 @@ def _dot3(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _norm(v: Vec3) -> float:
-    """Length of a 1-D vector by np.linalg.norm's own formula, sqrt(x.dot(x)), sans dispatch."""
-    return math.sqrt(v.dot(v))
-
-
-def _unit(value, name: str) -> Vec3:
-    """value checked and scaled to length 1; ValueError when its length is tiny or overflows."""
-    v = as_vec3(value)
-    length = _norm(v)
+def _unit(value, name: str) -> tuple[float, float, float]:
+    """value's checked floats scaled to length 1; ValueError if its length is tiny or overflows."""
+    x, y, z = v = _floats(value)
+    length = math.sqrt(_dot3(v, v))  # inf, silently, past about 1.3e154
     if not _SIGN_EPS < length < math.inf:
         raise ValueError(f"{name} must have a nonzero, finite length")
-    return v / length
+    return x / length, y / length, z / length
 
 
 def _canonical_sign(v) -> float:
@@ -148,9 +140,9 @@ class Plane:
     offset: float
 
     def __post_init__(self) -> None:
-        n = as_vec3(self.normal)
-        length = _norm(n)  # a raw normal must clear the floor; kernels have judged theirs
-        _plane(n.tolist(), length if length > _SIGN_EPS else 0.0, self.offset, self)
+        n = _floats(self.normal)
+        length = math.sqrt(_dot3(n, n))  # a raw normal must clear the floor; kernels judged theirs
+        _plane(n, length if length > _SIGN_EPS else 0.0, self.offset, self)
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
@@ -186,12 +178,12 @@ class Line3:
     direction: Vec3
 
     def __post_init__(self) -> None:
-        d = _unit(self.direction, "line direction").tolist()
-        _line(_floats(self.point), d, self)
+        _line(_floats(self.point), _unit(self.direction, "line direction"), self)
 
     def distance_to(self, point) -> float:
-        w = as_vec3(point) - self.point
-        return _norm(w - w.dot(self.direction) * self.direction)
+        (x, y, z), ((p0, p1, p2), d) = _floats(point), self._floats
+        c = _cross3((x - p0, y - p1, z - p2), d)  # |w x d| = |w| sin for the unit d
+        return math.sqrt(_dot3(c, c))
 
 
 def _line(p, d, line: Line3 | None = None) -> Line3:
@@ -228,8 +220,8 @@ class PointTriple:
 
 
 def reflect_point(plane: Plane, point) -> Vec3:
-    """Mirror image of `point` in `plane`."""
-    return np.array(_reflect(plane, _floats(point)))
+    """Mirror image of `point` in `plane`; ValueError if it overflows."""
+    return np.array(_finite(_reflect(plane, _floats(point))))
 
 
 def _reflect(plane: Plane, p) -> list[float]:
@@ -274,11 +266,10 @@ def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
 
 def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the tetrahedron abcd is flat within tolerance."""
-    a, b, c, d = (as_vec3(p) for p in (a, b, c, d))
-    spread = abs(float(_cross(b - a, c - a).dot(d - a)))
-    pts = (a, b, c, d)
-    widest = max(_norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
-    return spread <= 6.0 * tol.eps_len * widest * widest
+    p = [_floats(x) for x in (a, b, c, d)]
+    edges = [[x - y for x, y in zip(p[j], p[i])] for i in range(4) for j in range(i + 1, 4)]
+    spread = abs(_dot3(_cross3(edges[0], edges[1]), edges[2]))  # (b - a) x (c - a) . (d - a)
+    return spread <= 6.0 * tol.eps_len * max(_dot3(e, e) for e in edges)  # the widest squared
 
 
 def point_on_plane(point, plane: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -328,24 +319,27 @@ def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
     The returned line's direction is the (canonicalized) cross product of the
     two normals; its stored point is the point of the line nearest the origin.
     """
-    direction = _cross(p.normal, q.normal)
-    if (length := _norm(direction)) <= tol.eps_angle:
+    d = _cross3(p._n, q._n)
+    if (length := math.sqrt(square := _dot3(d, d))) <= tol.eps_angle:
         raise ParallelPlanes("planes are parallel within tolerance")
-    system = np.vstack((p.normal, q.normal, direction))
-    rhs = np.array([p.offset, q.offset, 0.0])
-    return _line(np.linalg.solve(system, rhs).tolist(), (direction / length).tolist())
+    # x = (o1 n2 x d + o2 d x n1) / |d|^2 meets both planes and the plane d . x = 0
+    (u0, u1, u2), (v0, v1, v2), o1, o2 = _cross3(q._n, d), _cross3(d, p._n), p.offset, q.offset
+    x = ((o1 * u0 + o2 * v0) / square, (o1 * u1 + o2 * v1) / square, (o1 * u2 + o2 * v2) / square)
+    return _line(x, (d[0] / length, d[1] / length, d[2] / length))
 
 
 def planes_equal(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two planes describe the same point set, orientation aside."""
-    if _norm(_cross(p.normal, q.normal)) > tol.eps_angle:
+    c = _cross3(p._n, q._n)
+    if math.sqrt(_dot3(c, c)) > tol.eps_angle:
         return False
-    s = 1.0 if float(p.normal.dot(q.normal)) >= 0.0 else -1.0
+    s = 1.0 if _dot3(p._n, q._n) >= 0.0 else -1.0
     return abs(p.offset - s * q.offset) <= tol.eps_len
 
 
 def lines_equal(a: Line3, b: Line3, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two lines describe the same point set, orientation aside."""
-    if _norm(_cross(a.direction, b.direction)) > tol.eps_angle:
+    c = _cross3(a._floats[1], b._floats[1])
+    if math.sqrt(_dot3(c, c)) > tol.eps_angle:
         return False
     return _coincide(a._floats[0], b._floats[0], tol)

@@ -4,10 +4,12 @@ AffineIsometry is the closed form x -> L x + t with orthogonal L; ReflectionSequ
 is an ordered list of mirror planes applied left to right.  `apply` accepts either,
 `seq_to_affine` converts, and `then` composes affine motions in reading order (first,
 then second).  The validator `_isometry` takes float rows and floats, which the motion
-keeps as `_parts` for `then`, `orientation` and classify; `AffineIsometry()` converts its
-parts once, and library code passes the floats it has just computed.  A sequence folds
-its planes on floats when built (`_fold`, by `then`'s product `_compose`); `_sequence`
-skips the plane check and may be handed that fold, as its prefix's fold continued.
+keeps as `_parts` for `then`, `apply`, `orientation` and classify; `AffineIsometry()`
+converts its parts once, and library code passes the floats it has just computed.  Its
+repair `_mgs` runs on the float rows too.  A sequence folds its planes on floats when
+built (`_fold`, by `then`'s product `_compose`); `_sequence` skips the plane check and
+may be handed that fold, as its prefix's fold continued.  `apply` maps a point on
+floats and refuses an image past the float range.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, as_vec3, _floats, _dot3, _finite, _matrix
-from .geom import _norm, _vector, reflect_point, _unit
+from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3, _finite
+from .geom import _matrix, _reflect, _vector, _unit
 
 # Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
 # given, up to _ORTHO_FIX it is silently re-orthonormalized, beyond that the
@@ -37,17 +39,18 @@ class OrientationParity(enum.IntEnum):
     IMPROPER = -1
 
 
-def _mgs(m: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize the columns of m by modified Gram-Schmidt."""
-    q = m.copy()
+def _mgs(rows) -> list[list[float]]:
+    """Re-orthonormalize the columns of three float rows by modified Gram-Schmidt."""
+    q = [list(column) for column in zip(*rows)]
     for j in range(3):
         for k in range(j):
-            q[:, j] -= q[:, k].dot(q[:, j]) * q[:, k]
-        length = _norm(q[:, j])
+            s = _dot3(q[k], q[j])
+            q[j] = [x - s * y for x, y in zip(q[j], q[k])]
+        length = math.sqrt(_dot3(q[j], q[j]))
         if length <= 1e-12:
             raise ValueError("linear part is numerically singular")
-        q[:, j] /= length
-    return q
+        q[j] = [x / length for x in q[j]]
+    return [list(row) for row in zip(*q)]
 
 
 def _det(rows) -> float:
@@ -87,7 +90,7 @@ def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
     if residual > _ORTHO_FIX:
         raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
     if residual > _ORTHO_PASS:
-        rows = _mgs(np.array(rows)).tolist()
+        rows = _mgs(rows)
     if abs(abs(_det(rows)) - 1.0) > 1e-10:
         raise ValueError("linear part must have determinant +1 or -1")
     m.__dict__.update(linear=_matrix(rows), translation=_vector(t), _parts=(rows, t))
@@ -149,7 +152,7 @@ def plane_reflection(plane: Plane) -> AffineIsometry:
 
 def _rotation_parts(point, direction, angle: float) -> tuple[list[list[float]], list[float]]:
     """Linear part and translation of rotation_about_axis, checked but not validated."""
-    d = _unit(direction, "rotation axis direction").tolist()
+    d = _unit(direction, "rotation axis direction")
     angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
@@ -210,13 +213,16 @@ def rotation_about_line(axis, angle: float) -> AffineIsometry:
 
 
 def apply(motion: Motion, point) -> Vec3:
-    """Image of `point` under the motion (planes of a sequence in order)."""
+    """Image of `point` under the motion (planes of a sequence in order); ValueError on overflow."""
+    p = _floats(point)
     if isinstance(motion, AffineIsometry):
-        return motion.linear.dot(as_vec3(point)) + motion.translation
-    p = as_vec3(point)
-    for plane in motion.planes:
-        p = reflect_point(plane, p)
-    return p
+        ((a, b, c), (d, e, f), (g, h, i)), (t0, t1, t2) = motion._parts
+        x, y, z = p
+        p = [a * x + b * y + c * z + t0, d * x + e * y + f * z + t1, g * x + h * y + i * z + t2]
+    else:
+        for plane in motion.planes:
+            p = _reflect(plane, p)  # a non-finite step stays non-finite
+    return np.array(_finite(p))
 
 
 def _compose(m, u, l, t) -> tuple[list[list[float]], list[float]]:
@@ -265,7 +271,4 @@ def orientation(motion: Motion) -> OrientationParity:
 
 def iso_equal(a: Motion, b: Motion, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two motions agree as maps, tested on a non-coplanar probe frame."""
-    return all(
-        _norm(apply(a, p) - apply(b, p)) <= tol.eps_len
-        for p in PROBE_POINTS
-    )
+    return all(points_coincide(apply(a, p), apply(b, p), tol) for p in PROBE_POINTS)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -78,13 +79,12 @@ from trimirror import (
     plane_through_points,
     points_coincide,
     reflect_point,
-    rotation_about_axis,
     seq_to_affine,
     then,
     translation,
 )
 
-from trimirror.motion import _mgs
+from trimirror.motion import _rodrigues
 
 TOL = Tolerance()
 
@@ -373,9 +373,9 @@ def numpy_linear_kernel(linear: np.ndarray, tol: Tolerance = TOL):
 
 
 def numpy_rotation_parts(point, direction, angle: float):
-    """Linear part and translation of the rotation, as I + sin K + (1 - cos) K^2."""
+    """Linear part and translation of the rotation about the unit direction, as
+    I + sin K + (1 - cos) K^2."""
     d = np.array(direction, dtype=float)
-    d = d / np.linalg.norm(d)
     k = np.array([[0.0, -d[2], d[1]], [d[2], 0.0, -d[0]], [-d[1], d[0], 0.0]])
     r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
     p = np.array(point, dtype=float)
@@ -400,6 +400,19 @@ def zero_component_vectors(rng: np.random.Generator) -> list[np.ndarray]:
     return out
 
 
+def _numpy_mgs(m: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt on the columns of m, as the library ran it on numpy arrays."""
+    q = m.copy()
+    for j in range(3):
+        for k in range(j):
+            q[:, j] -= q[:, k].dot(q[:, j]) * q[:, k]
+        length = float(np.linalg.norm(q[:, j]))
+        if length <= 1e-12:
+            raise ValueError("linear part is numerically singular")
+        q[:, j] /= length
+    return q
+
+
 def numpy_validate(linear) -> np.ndarray:
     """The linear part AffineIsometry stores, or its ValueError."""
     l = np.array(linear, dtype=float)
@@ -409,7 +422,7 @@ def numpy_validate(linear) -> np.ndarray:
     if residual > 1e-6:
         raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
     if residual > 1e-10:
-        l = _mgs(l)
+        l = _numpy_mgs(l)
     if abs(abs(float(np.linalg.det(l))) - 1.0) > 1e-10:
         raise ValueError("linear part must have determinant +1 or -1")
     return l
@@ -480,6 +493,15 @@ def two_pass_linear_kernel(linear, tol: Tolerance = TOL):
     if abs(abs(angle) - math.pi) <= tol.eps_angle:
         return Inversion, None, 0.0
     return RotaryReflection, direction, angle
+
+
+# ---------------------------------------------------------------- exact arithmetic
+
+
+def exact_root(square: Fraction) -> Fraction:
+    """sqrt(square) to within 2**-200 relative, for references evaluated in fractions."""
+    p, q = square.numerator, square.denominator
+    return Fraction(math.isqrt((p * q) << 400), q << 200)
 
 
 # ---------------------------------------------------------------- generators
@@ -669,6 +691,12 @@ def sequence_of(rng: np.random.Generator, count: int) -> ReflectionSequence:
     return ReflectionSequence(tuple(random_plane(rng) for _ in range(count)))
 
 
+def _turn(point, unit, angle: float) -> AffineIsometry:
+    """The turn about the record's own unit direction, which rotation_about_axis
+    would normalize again."""
+    return AffineIsometry(*_rodrigues(point.tolist(), unit.tolist(), angle))
+
+
 def record_motion(record) -> AffineIsometry:
     """Affine form of a record, built independently of reconstruct()."""
     if isinstance(record, Identity):
@@ -676,9 +704,9 @@ def record_motion(record) -> AffineIsometry:
     if isinstance(record, Translation):
         return translation(record.v)
     if isinstance(record, Rotation):
-        return rotation_about_axis(record.axis.point, record.axis.direction, record.angle)
+        return _turn(record.axis.point, record.axis.direction, record.angle)
     if isinstance(record, Screw):
-        turn = rotation_about_axis(record.axis.point, record.axis.direction, record.angle)
+        turn = _turn(record.axis.point, record.axis.direction, record.angle)
         return then(turn, translation(record.slide))
     if isinstance(record, Reflection):
         return plane_reflection(record.mirror)
@@ -687,6 +715,6 @@ def record_motion(record) -> AffineIsometry:
     if isinstance(record, Inversion):
         return AffineIsometry(-np.eye(3), 2.0 * np.asarray(record.center))
     if isinstance(record, RotaryReflection):
-        turn = rotation_about_axis(record.center, record.mirror.normal, record.angle)
+        turn = _turn(record.center, record.mirror.normal, record.angle)
         return then(plane_reflection(record.mirror), turn)
     raise TypeError(f"unsupported record {record!r}")

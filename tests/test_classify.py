@@ -43,6 +43,7 @@ from trimirror.errors import (
     ParallelDistinctMirrors,
 )
 from trimirror.classify import _CENTER_SLACK, _fixed_point, _linear_kernel, _split
+from trimirror.motion import _reflection_parts, _rodrigues
 from trimirror.example import make_f, make_g, make_h, make_k
 
 import oracle
@@ -228,9 +229,10 @@ def test_split_translation_rejects_zero_direction():
 
 
 def test_split_translation_rejects_overflowing_direction():
-    # the squared length overflows in numpy (with its warning), and the unit
-    # direction would come out as (0, 0, 0), splitting nothing off
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the squared length overflows, silently on floats, and the unit direction
+    # would come out as (0, 0, 0), splitting nothing off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^splitter direction must have a nonzero, finite"):
             split_translation((1.0, 2.0, 3.0), (1e200, 0.0, 0.0))
 
@@ -657,6 +659,46 @@ def test_far_rotary_centers_round_trip():
                 x = record.center.tolist()
                 miss = sum(n * Fraction(c) for n, c in zip(normal, x)) - offset
                 assert abs(float(miss)) <= _CENTER_SLACK * math.hypot(*x), (angle, u)
+
+
+def test_rotary_rebuild_matches_exact_reference():
+    # reconstruct composes a rotary record's turn after its flip with
+    # motion._compose, on the float rows and shifts of _rodrigues and
+    # _reflection_parts.  Against the same float factors multiplied exactly in
+    # fractions, with r = eps / 2 and gamma(k) = k r / (1 - k r): an entry of
+    # the linear part sums three products left to right, gamma(3) times the sum
+    # of their magnitudes; a shift entry adds the turn's shift to three
+    # products, gamma(4) (test_fold_step_matches_exact_reference).  The records
+    # are classify's, with angles from 1e-7 to pi and translations from 1e-3 to
+    # 1e6 long, so far centers are among them.
+    r = Fraction(np.finfo(float).eps) / 2
+
+    def gamma(k):
+        return k * r / (1 - k * r)
+
+    rng = np.random.default_rng(76)
+    rebuilt = 0
+    for _ in range(400):
+        d = oracle.random_unit(rng)
+        angle = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-7.0, math.log10(3.0))
+        mirror = plane_reflection(Plane(d, 0.0))
+        linear = then(mirror, rotation_about_axis((0, 0, 0), d, angle)).linear
+        scale = 10.0 ** rng.uniform(-3.0, 6.0)
+        record = classify(AffineIsometry(linear, rng.normal(size=3) * scale))
+        if not isinstance(record, RotaryReflection):
+            continue
+        rows, shift = reconstruct(record)._parts
+        turn = _rodrigues(record.center.tolist(), record.mirror._n, record.angle)
+        (m, u), (l, t) = [([[Fraction(x) for x in row] for row in rs], [Fraction(x) for x in ts])
+                          for rs, ts in (turn, _reflection_parts(record.mirror))]
+        for i in range(3):
+            for j in range(3):
+                terms = [m[i][k] * l[k][j] for k in range(3)]
+                assert abs(Fraction(rows[i][j]) - sum(terms)) <= gamma(3) * sum(map(abs, terms))
+            terms = [m[i][k] * t[k] for k in range(3)] + [u[i]]
+            assert abs(Fraction(shift[i]) - sum(terms)) <= gamma(4) * sum(map(abs, terms)), record
+        rebuilt += 1
+    assert rebuilt > 300
 
 
 def test_near_translation_turns_round_trip():

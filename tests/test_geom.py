@@ -39,9 +39,9 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
-from trimirror.geom import _bisector, _canonical_sign, _cross, _norm, _reflect, _triangle
+from trimirror.geom import _bisector, _canonical_sign, _reflect, _triangle, _unit
 
-from oracle import plane_bytes, zero_component_vectors
+from oracle import exact_root, plane_bytes, zero_component_vectors
 
 # Orbit points of the worked example, in closed radical form.
 A_EX = vec3(1.0, 2.0, -2.0)
@@ -125,12 +125,12 @@ def test_small_well_shaped_triangles_fix_a_plane():
 
 
 def test_plane_and_line_reject_overflowing_lengths():
-    # the squared length overflows in numpy (with its warning), and the unit
-    # normal or direction would come out as (0, 0, 0)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the squared length overflows, silently on floats, and the unit normal or
+    # direction would come out as (0, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^plane normal must have a nonzero, finite length$"):
             Plane((1e155, 0.0, 0.0), 1.0)
-    with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(ValueError, match="^line direction must have a nonzero, finite"):
             Line3((0.0, 0.0, 0.0), (1e200, 0.0, -1e200))
 
@@ -150,15 +150,15 @@ def test_line_rejects_non_finite_foot():
 
 
 def test_plane_and_line_bytes_match_reference_up_to_the_overflow_edge():
-    # the constructors as written before the overflow check, with numpy's norm;
-    # the line's p . d is summed on floats, left to right
+    # the constructors as written before the overflow check, every length and
+    # the line's p . d summed on floats, left to right
     rng = np.random.default_rng(12)
     vectors = [np.array([1.3e154, 0.0, 0.0]), np.array([-7e153, 7e153, 7e153])]
     vectors += list(rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-6.0, 153.0, size=(2000, 1)))
     vectors += zero_component_vectors(rng)
     for v in vectors:
         offset, point = float(rng.normal()) * 1e3, rng.normal(size=3) * 1e3
-        length = np.linalg.norm(v)
+        length = math.sqrt(_float_dot(v.tolist(), v.tolist()))
         sign = _canonical_sign(v / length)
         plane = Plane(v, offset)
         assert plane.normal.tobytes() == (sign * v / length + 0.0).tobytes()
@@ -456,18 +456,12 @@ def test_point_functions_match_reference_formulas_bit_for_bit():
 # of Numerical Algorithms, 3.1): a sum of p products, each of q rounded
 # factors, summed left to right, misses by at most gamma(q + p) times the sum
 # of the terms' magnitudes.  Square roots are taken exactly enough, to 2**-200
-# relative, far inside every bound.
+# relative (oracle.exact_root), far inside every bound.
 _R = Fraction(np.finfo(float).eps) / 2
 
 
 def _gamma(k: int) -> Fraction:
     return k * _R / (1 - k * _R)
-
-
-def _root(square: Fraction) -> Fraction:
-    """sqrt(square) to within 2**-200 relative."""
-    p, q = square.numerator, square.denominator
-    return Fraction(math.isqrt((p * q) << 400), q << 200)
 
 
 # A length fl(sqrt(fl(x0^2 + x1^2 + x2^2))) of rounded differences x misses the
@@ -510,9 +504,9 @@ def test_triangle_kernel_matches_exact_reference():
             misses.append(_gamma(4) * (abs(u[j] * v[k]) + abs(u[k] * v[j])))
             assert abs(Fraction(n[i]) - exact) <= misses[-1], (a, b, c, i)
         for got, e in zip(edges, (u, v, w)):
-            exact = _root(sum(x * x for x in e))
+            exact = exact_root(sum(x * x for x in e))
             assert abs(Fraction(got) - exact) <= _LENGTH * exact, (a, b, c)
-        exact = _root(sum(x * x for x in (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+        exact = exact_root(sum(x * x for x in (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
                                            u[0] * v[1] - u[1] * v[0])))
         slack = sum(misses) + _LENGTH * sum(abs(Fraction(x)) for x in n)
         assert abs(Fraction(area) - exact) <= slack, (a, b, c)
@@ -534,7 +528,7 @@ def test_bisector_kernel_matches_exact_reference():
             fa, fb = list(map(Fraction, a)), list(map(Fraction, b))
             x = [q - p for p, q in zip(fa, fb)]
             m = [(p + q) / 2 for p, q in zip(fa, fb)]
-            length = _root(sum(t * t for t in x))
+            length = exact_root(sum(t * t for t in x))
             normal, offset = [xi / length for xi in x], sum(s * t for s, t in zip(x, m)) / length
             got = [Fraction(g) for g in plane.normal.tolist()]
             sign = 1 if sum(g * e for g, e in zip(got, normal)) > 0 else -1
@@ -563,6 +557,72 @@ def test_reflect_kernel_matches_exact_reference():
                 want = pi - 2 * d * ni
                 slack = (1 + _R) * abs(ni) * (dk + _R * (2 * abs(d) + dk)) + _R * abs(want)
                 assert abs(Fraction(g) - want) <= slack, (p, plane.normal, plane.offset)
+
+
+def test_unit_matches_exact_reference():
+    # _unit divides each float component by the length, which misses the exact
+    # length by at most _LENGTH of it (a bound that also covers rounded
+    # differences, which _unit's input does not have), and the division rounds
+    # once: each component misses x_i / |x| by (1 + r) / (1 - _LENGTH) - 1 of it.
+    # Lengths run from 1e-11 to 1e150, inside the floor and the overflow edge.
+    # The worst miss here is 1.13 eps of its component.
+    rng = np.random.default_rng(74)
+    scales = 10.0 ** rng.uniform(-11.0, 150.0, size=(2000, 1))
+    vectors = list(rng.normal(size=(2000, 3)) * scales) + zero_component_vectors(rng)
+    spread = (1 + _R) / (1 - _LENGTH) - 1
+    for v in vectors:
+        got, x = _unit(v, "v"), [Fraction(c) for c in v.tolist()]
+        length = exact_root(sum(c * c for c in x))
+        for g, c in zip(got, x):
+            assert abs(Fraction(g) - c / length) <= spread * abs(c) / length, v
+
+
+def _exact_line(p: Plane, q: Plane):
+    """The exact direction D = n1 x n2 of the planes' stored floats, and the point
+    x = (o1 n2 x D + o2 D x n1) / |D|^2, which meets both planes and D . x = 0."""
+    n1, n2 = [Fraction(c) for c in p._n], [Fraction(c) for c in q._n]
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+    d = cross(n1, n2)
+    square, o1, o2 = sum(c * c for c in d), Fraction(p.offset), Fraction(q.offset)
+    return d, [(o1 * a + o2 * b) / square for a, b in zip(cross(n2, d), cross(d, n1))]
+
+
+def test_intersect_planes_matches_exact_reference():
+    # To first order in r, for unit normals and the exact D of their floats:
+    # each float d_i = n1_j n2_k - n1_k n2_j misses by gamma(2), so |d - D| <=
+    # sqrt 3 gamma(2), 3.5 r.  Its part across D tilts the plane d . x = 0 that
+    # picks the point off the line, which slides along it by 3.5 r |X| / |D|;
+    # its part along D rescales d, which the point's formula ignores.  n2 x d
+    # and d x n1 round the same way, 3.5 r |D| each, weighted |o_i| / |D|^2;
+    # o1 u_i + o2 v_i rounds twice, 2 r (|o1| + |o2|) / |D|; |d|^2 and the
+    # division 4 r |X|, and _line's foot 2 r |X|.  As |o_i| = |n_i . X| <= |X|
+    # and |D| <= 1, the point misses X by 20.5 r |X| / |D| = 10.25 eps |X| / |D|.
+    # The direction misses D / |D| by 3.5 r / |D| and its normalization by
+    # 3.5 r: 3.5 eps / |D|.  The dihedral angles run from 3e-9 to 1 rad; the
+    # worst misses here are 1.29 eps |X| / |D| and 0.65 eps / |D|.
+    rng = np.random.default_rng(75)
+    eps, tol = np.finfo(float).eps, Tolerance(1e-300, 1e-300)
+    for i in range(1500):
+        n1 = rng.normal(size=3)
+        across = np.cross(n1, rng.normal(size=3))
+        angle = 10.0 ** rng.uniform(math.log10(3e-9), 0.0)
+        across *= np.linalg.norm(n1) / np.linalg.norm(across)
+        n2 = math.cos(angle) * n1 + math.sin(angle) * across
+        offsets = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        if i % 5 == 0:  # nearly equal offsets: |X| far below |o| / |D|, where the bound is tightest
+            offsets[1] = offsets[0] * (1.0 + float(rng.normal()) * 10.0 ** rng.uniform(-12.0, -3.0))
+        p, q = Plane(n1, float(offsets[0])), Plane(n2 * rng.uniform(0.5, 2.0), float(offsets[1]))
+        line = intersect_planes(p, q, tol)
+        d, x = _exact_line(p, q)
+        size, point = exact_root(sum(c * c for c in d)), exact_root(sum(c * c for c in x))
+        miss = exact_root(sum((Fraction(g) - c) ** 2 for g, c in zip(line.point.tolist(), x)))
+        assert miss <= Fraction(10.25 * eps) * point / size, (p, q)
+        sign = 1 if sum(Fraction(g) * c for g, c in zip(line.direction.tolist(), d)) > 0 else -1
+        misses = (Fraction(g) - sign * c / size for g, c in zip(line.direction.tolist(), d))
+        assert exact_root(sum(m * m for m in misses)) <= Fraction(3.5 * eps) / size, (p, q)
 
 
 def _arrays(value) -> list:
@@ -636,58 +696,6 @@ def test_stored_fields_are_read_only():
         line.direction[1] = 1.0
 
 
-def test_cross_matches_numpy_bit_for_bit():
-    rng = np.random.default_rng(8)
-    n = 20000
-    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 2, 1))
-    a = rng.normal(size=(n, 3)) * scales[:, 0]
-    b = rng.normal(size=(n, 3)) * scales[:, 1]
-    a[::37, 1] = 0.0
-    b[::53, 2] = -0.0
-    got = np.array([_cross(x, y) for x, y in zip(a, b)])
-    assert got.tobytes() == np.cross(a, b).tobytes()
-
-
-def test_norm_matches_numpy_bit_for_bit():
-    rng = np.random.default_rng(9)
-    n = 20001
-    v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 1))
-    v[0] = 0.0
-    v[::41, 2] = -0.0
-    got = np.array([_norm(x) for x in v])
-    assert got.tobytes() == np.array([np.linalg.norm(x) for x in v]).tobytes()
-    # strided column views, as _mgs passes them
-    columns = [q[:, j] for q in v.reshape(-1, 3, 3) for j in range(3)]
-    got = np.array([_norm(c) for c in columns])
-    assert got.tobytes() == np.array([np.linalg.norm(c) for c in columns]).tobytes()
-
-
-def test_dot_matches_matmul_bit_for_bit():
-    # the library calls ndarray.dot, which skips the matmul dispatch of `@`;
-    # both reach the same BLAS kernels, so the bytes must agree on every build
-    rng = np.random.default_rng(10)
-    n = 20000
-    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 2, 1, 1))
-    m = rng.normal(size=(n, 2, 3, 3)) * scales
-    m[::29, 0, 1, 2] = 0.0
-    m[::31, 1, 0, :] = -0.0
-    m[::43, 0, :, 1] = -0.0
-    v, w = m[:, 0, 0], m[:, 1, 2]  # rows of the matrices, zero and -0.0 entries included
-    cases = {
-        "vector.vector": [(x, y) for x, y in zip(v, w)],
-        "matrix.matrix": [(f, g) for f, g in m],
-        "matrix.vector": [(f, y) for (f, _), y in zip(m, w)],
-        "vector.matrix": [(x, g) for x, (_, g) in zip(v, m)],
-        "column.column": [(f[:, j], g[:, j]) for f, g in m[:3000] for j in range(3)],
-        "transposed": [(f.T, g) for f, g in m[:5000]] + [(f, g.T) for f, g in m[5000:10000]],
-        "transposed.vector": [(f.T, f[:, 1]) for f, _ in m[:5000]],
-    }
-    cases["vector.vector"] += [(x, y) for x in zero_component_vectors(rng) for y in v[:50]]
-    for name, pairs in cases.items():
-        got = b"".join(x.dot(y).tobytes() for x, y in pairs)
-        assert got == b"".join((x @ y).tobytes() for x, y in pairs), name
-
-
 def _library_calls():
     """(file name, line, callee, call source) of every call in the library's
     geometry modules; cli.py and example.py build their values from external
@@ -717,8 +725,25 @@ def test_library_builds_no_array_to_freeze_it_afterwards():
 
 
 def test_library_source_has_no_matmul_operator():
-    # `@` costs a matmul dispatch on every 3-vector; the library uses ndarray.dot
+    # `@` costs a matmul dispatch on every 3-vector; the library forms its
+    # products on floats (motion._compose and the written-out kernels)
     for path in sorted(pathlib.Path(trimirror.__file__).parent.glob("*.py")):
         nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         sites = [n.lineno for n in nodes if isinstance(getattr(n, "op", None), ast.MatMult)]
         assert not sites, f"{path.name} uses the @ operator on lines {sites}"
+
+
+def test_library_source_leaves_vector_arithmetic_to_the_float_kernels():
+    # every dot, cross product, length, solve and 3x3 product runs on Python
+    # floats (geom._dot3 and _cross3, motion._compose), so no output depends on
+    # numpy's build and no overflow needs numpy's warnings silenced; numpy only
+    # reads input arrays, builds stored ones and does elementwise arithmetic
+    banned = ("np.linalg", "np.cross", "np.vstack", "np.errstate", "np.finfo")
+    for path in sorted(pathlib.Path(trimirror.__file__).parent.glob("*.py")):
+        sites = []
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "dot":
+                sites.append((n.lineno, ast.unparse(n.func)))
+            elif isinstance(n, ast.Attribute) and ast.unparse(n).replace("numpy.", "np.") in banned:
+                sites.append((n.lineno, ast.unparse(n)))
+        assert not sites, f"{path.name} uses numpy's vector arithmetic at {sites}"

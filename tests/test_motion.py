@@ -19,6 +19,7 @@ from trimirror import (
     iso_equal,
     orientation,
     plane_reflection,
+    reflect_point,
     rotation_about_axis,
     rotation_about_line,
     second_motion,
@@ -29,8 +30,8 @@ from trimirror import (
     vec3,
 )
 from trimirror.example import make_f, make_g, make_h
-from trimirror.geom import Line3, coplanar
-from trimirror.motion import _compose, _fixed_point, _fold, _reflection_parts, _rodrigues
+from trimirror.geom import Line3, coplanar, _unit
+from trimirror.motion import _compose, _fixed_point, _fold, _mgs, _reflection_parts, _rodrigues
 from trimirror.motion import _rotation_parts
 
 import oracle
@@ -69,6 +70,22 @@ def test_apply_single_plane():
     seq = ReflectionSequence((Plane((1, 0, 0), 1.0),))
     assert np.allclose(apply(seq, (0, 2, 3)), (2, 2, 3))
     assert orientation(seq) is OrientationParity.IMPROPER
+
+
+def test_apply_and_reflect_point_refuse_an_image_beyond_the_float_range():
+    # the image is formed on floats, which overflow silently: it is refused as
+    # as_vec3 refuses inf, where it used to come back as [inf, 0, 0]
+    mirror = Plane((1.0, 0.0, 0.0), 1.7e308)
+    calls = [
+        lambda: apply(translation((1.7e308, 0.0, 0.0)), (1.7e308, 0.0, 0.0)),
+        lambda: apply(ReflectionSequence((mirror, Plane((0, 1, 0), 0.0))), (-1.7e308, 0.0, 0.0)),
+        lambda: reflect_point(mirror, (-1.7e308, 0.0, 0.0)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="^vector components must be finite$"):
+                call()
 
 
 def test_linear_part_of_screw_maps_orbit_points():
@@ -343,9 +360,10 @@ def test_rotation_rejects_bad_input():
     message = "^rotation axis direction must have a nonzero, finite length$"
     with pytest.raises(ValueError, match=message):
         rotation_about_axis((0, 0, 0), (0, 0, 0), 1.0)
-    # the squared length overflows in numpy (with its warning), and the unit
-    # axis would come out as (0, 0, 0): a silent identity
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the squared length overflows, silently on floats, and the unit axis would
+    # come out as (0, 0, 0): a silent identity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             rotation_about_axis((0.0, 0.0, 0.0), (1e200, 0.0, 0.0), 1.0)
     for angle in (np.nan, np.inf, -np.inf):
@@ -354,8 +372,9 @@ def test_rotation_rejects_bad_input():
 
 
 def test_rotation_parts_match_numpy_reference():
-    # Rodrigues' formula written out on floats against the matrix form; the
-    # sums run in another order, so entries may differ by a few ulps
+    # Rodrigues' formula written out on floats against the matrix form, both for
+    # the library's unit direction; the sums run in another order, so entries
+    # may differ by a few ulps
     rng = np.random.default_rng(60)
     eps = np.finfo(float).eps
     angles = [0.0, 1e-10, -1e-7, np.pi, -(np.pi - 1e-10), 1e-300]
@@ -364,7 +383,8 @@ def test_rotation_parts_match_numpy_reference():
         point = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
         direction = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0)
         linear, shift = _rotation_parts(point, direction, angle)
-        want_linear, want_shift = oracle.numpy_rotation_parts(point, direction, angle)
+        unit = _unit(direction, "rotation axis direction")
+        want_linear, want_shift = oracle.numpy_rotation_parts(point, unit, angle)
         assert np.max(np.abs(linear - want_linear)) <= 4.0 * eps, angle
         assert np.max(np.abs(shift - want_shift)) <= 8.0 * eps * np.linalg.norm(point), angle
 
@@ -509,11 +529,14 @@ def test_library_constructors_check_the_shift_they_compute():
 
 
 def _verdict(validate, linear):
+    """("rejected", message), ("accepted", bytes) or ("repaired", stored matrix)."""
     try:
         stored = validate(linear)
     except ValueError as exc:
         return "rejected", str(exc)
-    return ("accepted" if stored.tobytes() == linear.tobytes() else "repaired"), stored.tobytes()
+    if stored.tobytes() == linear.tobytes():
+        return "accepted", stored.tobytes()
+    return "repaired", stored
 
 
 def test_validator_verdicts_match_numpy_reference():
@@ -532,10 +555,17 @@ def test_validator_verdicts_match_numpy_reference():
             for drift in ladder:
                 cases.append(turn @ np.diag([np.sqrt(1.0 + drift), 1.0, 1.0]))
                 cases.append(turn @ (np.eye(3) + 0.5 * drift * shear))
+    # the float re-orthonormalization sums its dots in another order than numpy's,
+    # so a repaired matrix may differ by rounding (test_mgs_matches_exact_reference):
+    # by at most 1 eps here
     seen = set()
     for linear in cases:
         got = _verdict(lambda l: AffineIsometry(l, np.zeros(3)).linear, linear)
-        assert got == _verdict(oracle.numpy_validate, linear), linear
+        want = _verdict(oracle.numpy_validate, linear)
+        if got[0] == want[0] == "repaired":
+            assert np.max(np.abs(got[1] - want[1])) <= 4.0 * np.finfo(float).eps, linear
+        else:
+            assert got == want, linear
         seen.add(got[1] if got[0] == "rejected" else got[0])
     assert seen == {
         "accepted",
@@ -544,6 +574,41 @@ def test_validator_verdicts_match_numpy_reference():
         "linear part is not orthogonal (residual 1.001e-06)",
         "linear part is not orthogonal (residual 1.000e-05)",
     }
+
+
+def test_mgs_matches_exact_reference():
+    # _mgs against Gram-Schmidt of the same float columns a_j evaluated exactly
+    # in fractions, for drift in _isometry's repair range, 1e-10 to 1e-6.  With
+    # r = eps / 2 and to first order (|a_j| = 1 and each projection coefficient
+    # S at most 1e-6, so S times a miss is negligible): normalizing a vector
+    # rounds its length by 2.5 r and each quotient by r, 3.5 r, and carries a
+    # miss of the vector across it.  Column 0 misses by 3.5 r.  A coefficient
+    # q_k . w carries q_k's miss and rounds by 3 r; w - s q_k adds r: column 1
+    # misses by 3.5 + 3 + 1 = 7.5 r before and 11 r after normalizing.  Column
+    # 2 takes 7.5 r from q_0, then 11 + 7.5 + 3 r for its q_1 coefficient and
+    # r for the difference, 30 r before and 33.5 r after normalizing.  The worst
+    # miss here is 1.01 eps, in column 0.
+    rng = np.random.default_rng(64)
+    eps = np.finfo(float).eps
+    bounds = (1.75 * eps, 5.5 * eps, 16.75 * eps)
+    shear = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for _ in range(300):
+        r = rotation_about_axis((0, 0, 0), rng.normal(size=3), float(rng.uniform(-3, 3))).linear
+        drift = 10.0 ** rng.uniform(-10.0, -6.0)
+        stretch = np.diag([np.sqrt(1.0 + drift), 1.0, 1.0])
+        bend = stretch if rng.uniform() < 0.5 else np.eye(3) + drift * shear
+        rows = (float(rng.choice((-1.0, 1.0))) * r @ bend).tolist()
+        got = np.array(_mgs(rows))
+        exact = []
+        for a in (list(map(Fraction, column)) for column in zip(*rows)):
+            for q in exact:
+                s = sum(x * y for x, y in zip(q, a))
+                a = [x - s * y for x, y in zip(a, q)]
+            length = oracle.exact_root(sum(x * x for x in a))
+            exact.append([x / length for x in a])
+        for j, (column, bound) in enumerate(zip(exact, bounds)):
+            miss = oracle.exact_root(sum((Fraction(g) - x) ** 2 for g, x in zip(got[:, j], column)))
+            assert miss <= bound * (1.0 + 1e-5), (rows, j)
 
 
 def test_translation_composes_additively():
