@@ -319,11 +319,16 @@ def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
     The returned line's direction is the (canonicalized) cross product of the
     two normals; its stored point is the point of the line nearest the origin.
     """
-    d = _cross3(p._n, q._n)
-    if (length := math.sqrt(square := _dot3(d, d))) <= tol.eps_angle:
+    d, m = _cross3(p._n, q._n), 1.0
+    if (square := _dot3(d, d)) < 2.0 ** -1022 and any(d):  # subnormal: measure d / m instead,
+        m = max(map(abs, d))  # m its largest part, so |d| = m |d / m| and x divides by m |d / m|^2
+        d = (d[0] / m, d[1] / m, d[2] / m)
+        square = _dot3(d, d)
+    if m * (length := math.sqrt(square)) <= tol.eps_angle:
         raise ParallelPlanes("planes are parallel within tolerance")
     # x = (o1 n2 x d + o2 d x n1) / |d|^2 meets both planes and the plane d . x = 0
     (u0, u1, u2), (v0, v1, v2), o1, o2 = _cross3(q._n, d), _cross3(d, p._n), p.offset, q.offset
+    square *= m
     x = ((o1 * u0 + o2 * v0) / square, (o1 * u1 + o2 * v1) / square, (o1 * u2 + o2 * v2) / square)
     return _line(x, (d[0] / length, d[1] / length, d[2] / length))
 

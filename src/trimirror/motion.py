@@ -1,15 +1,12 @@
 """Rigid motions of 3-space in two interchangeable representations.
 
-AffineIsometry is the closed form x -> L x + t with orthogonal L; ReflectionSequence
-is an ordered list of mirror planes applied left to right.  `apply` accepts either,
-`seq_to_affine` converts, and `then` composes affine motions in reading order (first,
-then second).  The validator `_isometry` takes float rows and floats, which the motion
-keeps as `_parts` for `then`, `apply`, `orientation` and classify; `AffineIsometry()`
-converts its parts once, and library code passes the floats it has just computed.  Its
-repair `_mgs` runs on the float rows too.  A sequence folds its planes on floats when
-built (`_fold`, by `then`'s product `_compose`); `_sequence` skips the plane check and
-may be handed that fold, as its prefix's fold continued.  `apply` maps a point on
-floats and refuses an image past the float range.
+AffineIsometry is x -> L x + t with orthogonal L; ReflectionSequence is an ordered list of
+mirror planes applied left to right.  `apply` accepts either, `seq_to_affine` converts, and
+`then` composes affine motions in reading order (first, then second) by the 3x3 product
+`_compose`.  The validator `_isometry` takes float rows and floats, kept as the motion's
+`_parts` for `then`, `apply`, `orientation` and classify; its repair `_mgs` runs on them too.
+A sequence folds its planes when built (`_fold`), reflecting the fold so far in each plane,
+not multiplying by its matrix; `_sequence` may be handed that fold, continued from a prefix.
 """
 
 from __future__ import annotations
@@ -79,12 +76,12 @@ class AffineIsometry:
 def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
     """AffineIsometry(rows, t) for float rows (None if not 3x3) and floats t, kept as _parts;
     AffineIsometry() passes itself in with its raw translation, coerced after the rows pass."""
-    finite = rows is not None and math.isfinite(sum(map(sum, rows)))  # proves every entry finite
-    if not (finite or rows and all(math.isfinite(x) for r in rows for x in r)):  # on overflow
+    (a, b, c), (d, e, f), (g, h, i) = rows or ((math.nan,) * 3,) * 3  # read once; None: not 3x3
+    if not (math.isfinite(a + b + c + d + e + f + g + h + i)  # proves every entry finite
+            or all(map(math.isfinite, (a, b, c, d, e, f, g, h, i)))):  # on overflow
         raise ValueError("linear part must be a finite 3x3 matrix")
     m, t = (object.__new__(AffineIsometry), _finite(t)) if m is None else (m, _floats(t))
-    (a, b, c), (d, e, f), (g, h, i) = rows  # L^T L - I by columns as _dot3 sums, squares first
-    residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+    residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),  # L^T L - I
                    abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
                    abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
     if residual > _ORTHO_FIX:
@@ -243,16 +240,24 @@ def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
 
 
 def _fold(planes: tuple, parts=None) -> tuple[list[list[float]], list[float]]:
-    """The planes folded on floats as `then` would, from the identity or on from `parts`."""
-    linear, shift = (_EYE, (0.0, 0.0, 0.0)) if parts is None else parts
+    """The planes folded on floats from the identity or on from `parts`, by reflecting the fold."""
+    ((a, b, c), (d, e, f), (g, h, i)), (t0, t1, t2) = parts or (_EYE, (0.0, 0.0, 0.0))
     for plane in planes:
-        linear, shift = _compose(*_reflection_parts(plane), linear, shift)
-    return linear, shift
+        x, y, z = plane._n
+        u = 2.0 * (x * a + y * d + z * g)  # twice n . each column
+        v = 2.0 * (x * b + y * e + z * h)
+        w = 2.0 * (x * c + y * f + z * i)
+        a, b, c = a - x * u, b - x * v, c - x * w
+        d, e, f = d - y * u, e - y * v, f - y * w
+        g, h, i = g - z * u, h - z * v, i - z * w
+        k = 2.0 * (x * t0 + y * t1 + z * t2 - plane.offset)  # t moves as _reflect moves a point
+        t0, t1, t2 = t0 - k * x, t1 - k * y, t2 - k * z
+    return [[a, b, c], [d, e, f], [g, h, i]], [t0, t1, t2]
 
 
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
-    """The planes' motion: products of reflections in unit normals drift from
-    orthogonality far below _ORTHO_PASS, so _fold's parts pass as they are."""
+    """The planes' motion: a fold of k reflections in unit normals drifts from orthogonality
+    by under 33 k eps, far below _ORTHO_PASS, so _isometry passes _fold's parts as they are."""
     return _isometry(*seq._parts)
 
 

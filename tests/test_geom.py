@@ -625,6 +625,36 @@ def test_intersect_planes_matches_exact_reference():
         assert exact_root(sum(m * m for m in misses)) <= Fraction(3.5 * eps) / size, (p, q)
 
 
+def test_intersect_planes_measures_a_direction_whose_square_is_subnormal():
+    # Below |d|^2 = 2^-1022, d is scaled by its largest component m first.  Here
+    # n1 is an axis, so d = n1 x n2 is exact, and to first order in r: d / m rounds
+    # once; |d / m|^2 three times and its root once more, 2.5 r in the length; the
+    # division once, so |direction| is 1 within 3.5 r = 1.75 eps.  The crosses of
+    # d / m round three times each (d / m counted), sqrt 2 gamma(3) |D / m| in norm;
+    # o1 u + o2 v twice more, 2 r; m |d / m|^2 and the division 7 r, and _line's
+    # foot 2 r, of |X| <= (|o1| + |o2|) / |D|: 15.25 r (|o1| + |o2|) / |D|, 7.625 eps.
+    # Unscaled, |d|^2 = 1e-320 kept 4 digits: the direction came out 1.0000056 long.
+    rng = np.random.default_rng(76)
+    eps, tol = np.finfo(float).eps, Tolerance(1e-300, 1e-300)
+    cases = [(Plane((1.0, 0.0, 0.0), 1.0), Plane((1.0, 1e-160, 0.0), 3.0))]
+    for _ in range(300):
+        axis, tiny = np.zeros(3), rng.normal(size=3) * 10.0 ** rng.uniform(-290.0, -155.0)
+        axis[i := int(rng.integers(0, 3))], tiny[i] = rng.choice((-1.0, 1.0)), 0.0
+        offsets = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        cases.append((Plane(axis, float(offsets[0])), Plane(axis + tiny, float(offsets[1]))))
+    for p, q in cases:
+        line = intersect_planes(p, q, tol)
+        d, x = _exact_line(p, q)
+        size, point = exact_root(sum(c * c for c in d)), exact_root(sum(c * c for c in x))
+        assert size * size < Fraction(2.0 ** -1022) and size > 0, (p, q)
+        length = exact_root(sum(Fraction(g) ** 2 for g in line.direction.tolist()))
+        assert abs(length - 1) <= Fraction(1.75 * eps), (p, q)
+        miss = exact_root(sum((Fraction(g) - c) ** 2 for g, c in zip(line.point.tolist(), x)))
+        assert miss <= Fraction(10.25 * eps) * point / size, (p, q)  # the bound of the test above
+        offsets = abs(Fraction(p.offset)) + abs(Fraction(q.offset))
+        assert miss <= Fraction(7.625 * eps) * offsets / size, (p, q)
+
+
 def _arrays(value) -> list:
     """The ndarrays in a value: itself, in a tuple, or in a record's fields."""
     if isinstance(value, np.ndarray):

@@ -30,8 +30,8 @@ from trimirror import (
     vec3,
 )
 from trimirror.example import make_f, make_g, make_h
-from trimirror.geom import Line3, coplanar, _unit
-from trimirror.motion import _compose, _fixed_point, _fold, _mgs, _reflection_parts, _rodrigues
+from trimirror.geom import Line3, coplanar, _reflect, _unit
+from trimirror.motion import _ORTHO_PASS, _fixed_point, _fold, _mgs, _reflection_parts, _rodrigues
 from trimirror.motion import _rotation_parts
 
 import oracle
@@ -158,31 +158,48 @@ def _then_fold(seq):
     return out
 
 
-def test_seq_to_affine_matches_then_fold_bit_for_bit():
+def _assert_within_fold_bound(seq):
+    """seq_to_affine(seq) and _then_fold(seq) agree within bounds derived from
+    their steps' rounding: 12 k eps in each entry of L, and 40 k S eps between
+    the shifts, for k planes whose offsets' sizes sum to S.
+
+    Both miss the exact product of the reflections of the stored floats; a step's
+    error passes through the later reflections, of norm 1 + O(eps).  Per step and
+    per column of L, in the 2-norm, to first order in r = eps / 2 and for unit
+    columns and normals: the fold step misses by gamma(5) (1 + 2 |n|^2), 15 r
+    (test_fold_step_matches_exact_reference); a then step by gamma(3) |R|_F for
+    _compose, 3 sqrt 3 r, plus (2 + sqrt 3) r for _reflection_parts' rounding of R,
+    8.93 r: together 23.93 r, under 12 eps.  The shift, by the same counts, misses
+    by gamma(6) (3 |t| + 2 |o|) and by gamma(4) (sqrt 3 |t| + 2 |o|) + (2 + sqrt 3) r
+    |t| + 2 r |o|: 28.66 r |t| + 22 r |o|, and |t| <= 2 S before any step.
+    """
+    eps, k = np.finfo(float).eps, len(seq)
+    got, want = seq_to_affine(seq), _then_fold(seq)
+    assert float(np.abs(got.linear - want.linear).max()) <= 12.0 * k * eps, seq
+    size = sum(abs(p.offset) for p in seq.planes)
+    assert float(np.linalg.norm(got.translation - want.translation)) <= 40.0 * k * size * eps, seq
+
+
+def test_seq_to_affine_matches_then_fold_within_the_step_bound():
+    # seq_to_affine reflects the fold in each plane, where then multiplies
+    # matrices: the two agree within the bound derived from both steps' rounding
     rng = np.random.default_rng(24)
     empty = seq_to_affine(ReflectionSequence(()))
     assert empty.linear.tobytes() == identity().linear.tobytes()
     assert empty.translation.tobytes() == identity().translation.tobytes()
-    got, want = [], []
     for _ in range(1500):
         offsets = rng.choice((-1.0, 1.0), size=5) * 10.0 ** rng.uniform(-6.0, 6.0, size=5)
         k = int(rng.integers(0, 6))
-        seq = ReflectionSequence(tuple(Plane(rng.normal(size=3), d) for d in offsets[:k]))
-        for out, fold in ((got, seq_to_affine), (want, _then_fold)):
-            motion = fold(seq)
-            out.append(motion.linear.tobytes() + motion.translation.tobytes())
-    # axis-aligned and other zero-component normals, through the origin or
-    # not: their zero products and shifts carry signed zeros
+        _assert_within_fold_bound(
+            ReflectionSequence(tuple(Plane(rng.normal(size=3), d) for d in offsets[:k])))
+    # axis-aligned and other zero-component normals, through the origin or not
     aligned = [Plane(n, d) for n in oracle.zero_component_vectors(rng) for d in (0.0, 1.5, -1.5)]
     for _ in range(600):
         picks = rng.integers(0, len(aligned), size=int(rng.integers(1, 6)))
-        seq = ReflectionSequence(tuple(aligned[i] for i in picks))
-        for out, fold in ((got, seq_to_affine), (want, _then_fold)):
-            motion = fold(seq)
-            out.append(motion.linear.tobytes() + motion.translation.tobytes())
+        _assert_within_fold_bound(ReflectionSequence(tuple(aligned[i] for i in picks)))
     # second_motion's sequence continues its prefix's fold: converted after
-    # the prefix, or alone, it matches the fold of all four planes; so does
-    # the extension of a public sequence, empty or not
+    # the prefix, or alone, it matches a fresh fold of all four planes bit for
+    # bit; so does the extension of a public sequence, empty or not
     walk = np.random.default_rng(25)
     for _ in range(300):
         src = walk.uniform(-3.0, 3.0, (3, 3)) * 10.0 ** walk.uniform(-3.0, 3.0)
@@ -193,11 +210,39 @@ def test_seq_to_affine_matches_then_fold_bit_for_bit():
         for prefix in (three_reflections, *public):
             first, only = prefix(pair), prefix(pair)
             second, alone = second_motion(first, pair.dst), second_motion(only, pair.dst)
-            for seq in (first, second, alone):
-                for out, fold in ((got, seq_to_affine), (want, _then_fold)):
-                    motion = fold(seq)
-                    out.append(motion.linear.tobytes() + motion.translation.tobytes())
-    assert got == want
+            fresh = seq_to_affine(ReflectionSequence(second.planes))
+            for seq in (second, alone):
+                motion = seq_to_affine(seq)
+                assert motion.linear.tobytes() == fresh.linear.tobytes()
+                assert motion.translation.tobytes() == fresh.translation.tobytes()
+            for seq in (first, second):
+                _assert_within_fold_bound(seq)
+
+
+def test_folds_stay_orthogonal_far_below_the_repair_threshold():
+    # seq_to_affine validates _fold's parts without repair: their drift from
+    # orthogonality must stay far below _ORTHO_PASS.  To first order in r =
+    # eps / 2: a stored normal is unit within 7 r (|v|^2 rounds 3 times, its
+    # root and each division once more), so R^T R - I = 4 (|n|^2 - 1) n n^T is
+    # within 28 r, 14 eps, per reflection; the fold step moves each column by
+    # 15 r (see _assert_within_fold_bound), so F^T F - I gains 30 r, 15 eps,
+    # per plane; the residual's own sums round 4 times, 4 eps in all.  That is
+    # (29 k + 4) eps for k planes, within 33 eps per plane.
+    rng = np.random.default_rng(26)
+    eps = np.finfo(float).eps
+    normals = oracle.zero_component_vectors(rng) + list(rng.normal(size=(200, 3)))
+    for _ in range(2000):
+        k = int(rng.integers(1, 9))
+        offsets = rng.choice((-1.0, 1.0), size=k) * 10.0 ** rng.uniform(-6.0, 6.0, size=k)
+        picks = rng.integers(0, len(normals), size=k)
+        seq = ReflectionSequence(tuple(Plane(normals[i], d) for i, d in zip(picks, offsets)))
+        (a, b, c), (d, e, f), (g, h, i) = seq._parts[0]
+        residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+                       abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+                       abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
+        assert residual <= 33.0 * k * eps, seq
+        assert seq_to_affine(seq)._parts[0] is seq._parts[0]  # not repaired: _mgs makes new rows
+    assert 33.0 * 8 * eps < _ORTHO_PASS
 
 
 def test_reused_fold_gives_read_only_arrays():
@@ -248,14 +293,18 @@ def test_reflection_parts_match_numpy_reference_bit_for_bit():
 
 
 def test_fold_step_matches_exact_reference():
-    # One fold step is _compose of the plane's _reflection_parts and the fold
-    # so far, bit for bit; both are pinned against the same floats evaluated
-    # exactly in fractions, with r = eps / 2 and gamma(k) = k r / (1 - k r) for
-    # k roundings in a row.  _reflection_parts: -2 x y rounds once (0.0 - v is
+    # One fold step reflects the fold so far, L and t, in the plane.  It and
+    # _reflection_parts are pinned against the same floats evaluated exactly
+    # in fractions, with r = eps / 2 and gamma(k) = k r / (1 - k r) for k
+    # roundings in a row.  _reflection_parts: -2 x y rounds once (0.0 - v is
     # exact), r of it; 1 - 2 x^2 rounds x^2 and the difference, r (2 x^2 + |F|)
-    # (1 + r); the shift 2 offset x rounds once.  _compose: an entry of m l
-    # sums three products left to right, gamma(3) times the sum of their
-    # magnitudes; a shift entry adds u_i to three such products, gamma(4).
+    # (1 + r); the shift 2 offset x rounds once.  The step: an entry of L loses
+    # n_i 2 (n . column j).  Each product of the dot rounds at most 3 times in
+    # it (its product and two sums), once more times n_i and once in the
+    # difference: gamma(5) of the four terms' magnitudes.  The shift loses
+    # n_i 2 (n . t - offset): gamma(6) for the products of n . t (3, then the
+    # offset's difference, then times n_i and the last difference), and the
+    # step is _reflect's, bit for bit.
     r = Fraction(np.finfo(float).eps) / 2
 
     def gamma(k):
@@ -278,19 +327,31 @@ def test_fold_step_matches_exact_reference():
             exact = 2 * offset * n[row]
             assert abs(Fraction(shift[row]) - exact) <= r * abs(exact), (normal, row)
         step = _fold((plane,), fold)
-        assert step == _compose(flip, shift, *fold), normal
-        m, u = [[Fraction(x) for x in row] for row in flip], [Fraction(x) for x in shift]
+        assert step[1] == _reflect(plane, fold[1]), normal
         l, t = [[Fraction(x) for x in row] for row in fold[0]], [Fraction(x) for x in fold[1]]
         for row in range(3):
             for col in range(3):
-                terms = [m[row][k] * l[k][col] for k in range(3)]
-                slack = gamma(3) * sum(map(abs, terms))
+                terms = [l[row][col]] + [-2 * n[row] * n[k] * l[k][col] for k in range(3)]
+                slack = gamma(5) * sum(map(abs, terms))
                 assert abs(Fraction(step[0][row][col]) - sum(terms)) <= slack, (i, row, col)
-            terms = [m[row][k] * t[k] for k in range(3)] + [u[row]]
-            slack = gamma(4) * sum(map(abs, terms))
+            terms = [t[row], 2 * n[row] * offset] + [-2 * n[row] * n[k] * t[k] for k in range(3)]
+            slack = gamma(6) * sum(map(abs, terms))
             assert abs(Fraction(step[1][row]) - sum(terms)) <= slack, (i, row)
         # fold on from this step, or start again from the identity's parts
         fold = step if i % 7 else _fold(())
+
+
+def test_one_plane_fold_is_its_reflection_bit_for_bit():
+    # A fold starts from the identity's values with no product: on them the
+    # step gives _reflection_parts' bytes, with zero shift components +0.0
+    rng = np.random.default_rng(64)
+    normals = oracle.zero_component_vectors(rng) + list(rng.normal(size=(2000, 3)))
+    for n in normals:
+        for offset in (0.0, 1.5, -2.5, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
+            plane = Plane(n, offset)
+            (flip, shift), (linear, moved) = _reflection_parts(plane), _fold((plane,))
+            assert np.array(linear).tobytes() == np.array(flip).tobytes(), (n, offset)
+            assert np.array(moved).tobytes() == np.array([x + 0.0 for x in shift]).tobytes()
 
 
 def test_seq_to_affine_axis_aligned():
