@@ -24,12 +24,13 @@ across the axis, or for the center all of t.  The rotary L = R (I - 2 d d^T)
 sends d to -d, which halves w's component along d, as x does: the center
 lies on the mirror up to rounding, which `reconstruct` allows (_CENTER_SLACK).
 
-The kernel and `classify` run on Python floats up to the record, whose
-fields each become one array.  The eight record classes are the one table of
-classes: each carries its JSON name (NAME) and its own rebuild (_motion), so
-`reconstruct` and the CLI's encoder need no per-class branches.  The rebuilds
-run on floats too: the rotary one composes its turn after its flip with
-`motion._compose`, and the glide measures its drift with `_dot3`.
+The kernel and `classify` run on Python floats up to the record, which keeps
+its vectors as floats (_v, _slide, _center), arrays only once read.  The eight
+record classes are the one table of classes: each carries its JSON name (NAME)
+and its own rebuild (_motion), so `reconstruct` and the CLI's encoder need no
+per-class branches.  The rebuilds run on those floats too: the rotary one
+composes its turn after its flip with `motion._compose`, and the glide
+measures its drift with `_dot3`.
 `rotation_from_plane_pair` stays public for cross-checking the kernel on
 mirror pairs; the library, the worked example included, does not call it.
 """
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
 from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
-from .geom import _floats, _finite, _line, _plane, _unit, _vector
+from .geom import _Array, _floats, _finite, _line, _plane, _unit, _vector
 from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _EYE, _as_affine
 from .motion import _compose, _det, _fixed_point, _fold, _isometry, _reflection_parts, _rodrigues
 from .motion import _split
@@ -79,9 +80,9 @@ class _Record:
 
     NAME is the class's name in JSON documents.  The constructor refuses an
     axis that is not a Line3 and a mirror that is not a Plane, whose unit
-    direction _motion() trusts; it checks each _VECTORS field and stores it
-    as a read-only array.  _motion() checks the fields against the class's
-    invariants and builds the motion they describe.
+    direction _motion() trusts; it checks each _VECTORS field and keeps its
+    floats, _slide for slide, whose array is built on first read.  _motion()
+    checks the fields against the class's invariants and builds their motion.
     """
 
     NAME = ""
@@ -92,14 +93,14 @@ class _Record:
             if hasattr(self, name) and not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}")
         for name in self._VECTORS:
-            object.__setattr__(self, name, _vector(_floats(getattr(self, name))))
+            self.__dict__["_" + name] = _floats(self.__dict__.pop(name))
 
 
 def _record(cls, **fields):
-    """cls(**fields) for floats classify has just computed: checked, each vector one array."""
+    """cls(**fields) for floats classify has just computed: checked, each vector's floats kept."""
     record = object.__new__(cls)
     for name in cls._VECTORS:
-        fields[name] = _vector(_finite(fields[name]))
+        fields["_" + name] = _finite(fields.pop(name))
     record.__dict__.update(fields)
     return record
 
@@ -114,13 +115,12 @@ class Identity(_Record):
 
 @dataclass(frozen=True, eq=False)
 class Translation(_Record):
-    v: Vec3
+    v: Vec3 = _Array(lambda r: _vector(r._v))
     NAME, _VECTORS = "translation", ("v",)
 
     def _motion(self) -> AffineIsometry:
-        v = self.v.tolist()
-        _require(math.hypot(*v) > 0.0, "translation vector must be nonzero")
-        return _isometry(_EYE, v)
+        _require(math.hypot(*self._v) > 0.0, "translation vector must be nonzero")
+        return _isometry(_EYE, self._v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +142,12 @@ class Screw(_Record):
 
     axis: Line3
     angle: float
-    slide: Vec3
+    slide: Vec3 = _Array(lambda r: _vector(r._slide))
     NAME, _VECTORS = "screw", ("slide",)
 
     def _motion(self) -> AffineIsometry:
         _require_turn(self.angle, "screw")
-        slide = self.slide.tolist()  # measured by hypot, which does not overflow past 1.3e154
+        slide = self._slide  # measured by hypot, which does not overflow past 1.3e154
         slide_len = math.hypot(*slide)
         _require(slide_len > 0.0, "screw slide must be nonzero")
         p, d = self.axis._floats
@@ -171,11 +171,11 @@ class GlideReflection(_Record):
     """Reflection in `mirror` combined with the in-plane translation `slide`."""
 
     mirror: Plane
-    slide: Vec3
+    slide: Vec3 = _Array(lambda r: _vector(r._slide))
     NAME, _VECTORS = "glide_reflection", ("slide",)
 
     def _motion(self) -> AffineIsometry:
-        slide = self.slide.tolist()
+        slide = self._slide
         slide_len = math.hypot(*slide)
         _require(slide_len > 0.0, "glide slide must be nonzero")
         drift = abs(_dot3(slide, self.mirror._n))
@@ -186,12 +186,12 @@ class GlideReflection(_Record):
 
 @dataclass(frozen=True, eq=False)
 class Inversion(_Record):
-    center: Vec3
+    center: Vec3 = _Array(lambda r: _vector(r._center))
     NAME, _VECTORS = "inversion", ("center",)
 
     def _motion(self) -> AffineIsometry:
         flip = [[-x for x in row] for row in _EYE]  # -I, with -0.0 off the diagonal
-        return _isometry(flip, [2.0 * x for x in self.center.tolist()])
+        return _isometry(flip, [2.0 * x for x in self._center])
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,18 +201,19 @@ class RotaryReflection(_Record):
     is right-handed about the mirror's canonical normal."""
 
     mirror: Plane
-    center: Vec3
+    center: Vec3 = _Array(lambda r: _vector(r._center))
     angle: float
     NAME, _VECTORS = "rotary_reflection", ("center",)
 
     def _motion(self) -> AffineIsometry:
         _require(math.isfinite(self.angle), "rotary angle must be finite")
         _require(0.0 < abs(self.angle) < math.pi, "rotary angle must avoid 0 and pi")
-        miss, center = abs(self.mirror.signed_distance(self.center)), self.center.tolist()
+        mirror, center = self.mirror, self._center
+        miss = abs(_dot3(mirror._n, center) - mirror.offset)  # its signed distance, on floats
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
-        turn = _rodrigues(center, self.mirror._n, self.angle)
-        return _isometry(*_compose(*turn, *_reflection_parts(self.mirror)))  # flip, then turn
+        turn = _rodrigues(center, mirror._n, self.angle)
+        return _isometry(*_compose(*turn, *_reflection_parts(mirror)))  # flip, then turn
 
 
 MotionClass = Union[

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
-from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _floats, _finite, _vector
+from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _finite, _vector
 from .geom import _bisector, _measured_plane, _plane_through, _reflect, _thin, _triangle
 from .motion import ReflectionSequence, _fold, _sequence
 
@@ -24,16 +24,15 @@ class TriplePair:
     """A source PointTriple and the three points it should be carried onto."""
 
     src: PointTriple
-    dst: tuple[Vec3, Vec3, Vec3]
+    dst: tuple[Vec3, Vec3, Vec3] = _Array(lambda pair: tuple(map(_vector, pair._floats)))
 
     def __post_init__(self) -> None:
         if not isinstance(self.src, PointTriple):
             raise ValueError("src must be a PointTriple")
-        dst = tuple(self.dst)
+        dst = tuple(self.__dict__.pop("dst"))
         if len(dst) != 3:
             raise ValueError("dst must hold exactly three points")
-        floats = [_floats(p) for p in dst]
-        self.__dict__.update(dst=tuple(map(_vector, floats)), _floats=floats)
+        self.__dict__["_floats"] = [_floats(p) for p in dst]
 
 
 def _measured(triple) -> tuple[list[float], tuple, tuple]:
@@ -94,7 +93,7 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     c_stage = _finite(_reflect(beta, _finite(_reflect(alpha, c))))
     gamma = _bisector(c_stage, c2, tol) or _measured_plane(*dst_triangle, tol)
 
-    return _sequence((alpha, beta, gamma), dst=(pair.dst, dst_triangle))  # for second_motion
+    return _sequence((alpha, beta, gamma), dst=(pair, dst_triangle))  # for second_motion
 
 
 def second_motion(
@@ -107,6 +106,6 @@ def second_motion(
     reversing the handedness of everything off that plane.  `dst` may be a
     PointTriple or any three noncollinear points.
     """
-    kept = seq._dst  # three_reflections' measurement of its pair's dst, or None
-    closing = _measured_plane(*(kept[1] if kept and kept[0] is dst else _measured(dst)), tol)
+    kept = seq._dst  # three_reflections' pair and measurement of its dst, or None
+    closing = _measured_plane(*(kept[1] if kept and kept[0].dst is dst else _measured(dst)), tol)
     return _sequence(seq.planes + (closing,), _fold((closing,), seq._parts))

@@ -12,10 +12,11 @@ it fixes, the plane kernel `_plane`, the line kernel `_line`) on the checked
 floats of `_floats`.  Every dot, cross product and length in the module is
 written out on Python floats (`_dot3`, `_cross3`, `math.sqrt`), `_unit` and the
 predicates included, and `intersect_planes` places its point by a closed form
-rather than a linear solve; numpy only reads input and holds stored values.
+rather than a linear solve; numpy only reads input and builds what callers read.
 Values keep the floats they were built from (`Plane._n`, `Line3._floats`,
-`PointTriple._floats`) for the kernels, and `_vector` makes each stored array
-from them in one step, read-only from birth: it cannot be made writable again.
+`PointTriple._floats`) for the kernels and hold no array: `_Array` makes a
+field's array with `_vector` when a caller first reads it, in one step and
+read-only from birth (it cannot be made writable again), and keeps it.
 """
 
 from __future__ import annotations
@@ -69,6 +70,24 @@ def _vector(floats) -> Vec3:
 def _matrix(rows) -> np.ndarray:
     """_vector's 3x3 twin for three rows of floats."""
     return np.ndarray((3, 3), float, _pack9(*rows[0], *rows[1], *rows[2]))
+
+
+class _Array:
+    """An array field that build(value) makes from the value's kept floats on first read,
+    into the value's __dict__, where later reads find it first; read on the class, it raises
+    AttributeError, so the dataclass field it stands in for has no default."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, value, owner=None):
+        if value is None:
+            raise AttributeError(self.name)
+        array = value.__dict__[self.name] = self.build(value)
+        return array
 
 
 def vec3(x: float, y: float, z: float) -> Vec3:
@@ -136,11 +155,11 @@ class Plane:
     fields up to floating-point noise.
     """
 
-    normal: Vec3
+    normal: Vec3 = _Array(lambda p: _vector(p._n))
     offset: float
 
     def __post_init__(self) -> None:
-        n = _floats(self.normal)
+        n = _floats(self.__dict__.pop("normal"))
         length = math.sqrt(_dot3(n, n))  # a raw normal must clear the floor; kernels judged theirs
         _plane(n, length if length > _SIGN_EPS else 0.0, self.offset, self)
 
@@ -162,7 +181,7 @@ def _plane(n, length: float, offset, plane: Plane | None = None) -> Plane:
     s = _canonical_sign((x, y, z))
     # adding 0.0 clears negative zeros left over from sign flips
     n = (s * x + 0.0, s * y + 0.0, s * z + 0.0)
-    plane.__dict__.update(normal=_vector(n), _n=n, offset=s * d + 0.0)  # past frozen setattr
+    plane.__dict__.update(_n=n, offset=s * d + 0.0)  # past frozen setattr
     return plane
 
 
@@ -174,11 +193,12 @@ class Line3:
     of the perpendicular from the origin, so two equal lines agree fieldwise.
     """
 
-    point: Vec3
-    direction: Vec3
+    point: Vec3 = _Array(lambda line: _vector(line._floats[0]))
+    direction: Vec3 = _Array(lambda line: _vector(line._floats[1]))
 
     def __post_init__(self) -> None:
-        _line(_floats(self.point), _unit(self.direction, "line direction"), self)
+        raw = self.__dict__
+        _line(_floats(raw.pop("point")), _unit(raw.pop("direction"), "line direction"), self)
 
     def distance_to(self, point) -> float:
         (x, y, z), ((p0, p1, p2), d) = _floats(point), self._floats
@@ -194,7 +214,7 @@ def _line(p, d, line: Line3 | None = None) -> Line3:
     px, py, pz = p
     k = px * x + py * y + pz * z  # inf, silently, near the largest double: the foot is refused
     foot = _finite((px - k * x + 0.0, py - k * y + 0.0, pz - k * z + 0.0))
-    line.__dict__.update(point=_vector(foot), direction=_vector(d), _floats=(foot, d))
+    line.__dict__["_floats"] = foot, d
     return line
 
 
@@ -202,18 +222,18 @@ def _line(p, d, line: Line3 | None = None) -> Line3:
 class PointTriple:
     """Three noncollinear points; the degenerate case is rejected at construction."""
 
-    a: Vec3
-    b: Vec3
-    c: Vec3
+    a: Vec3 = _Array(lambda t: _vector(t._floats[0]))
+    b: Vec3 = _Array(lambda t: _vector(t._floats[1]))
+    c: Vec3 = _Array(lambda t: _vector(t._floats[2]))
     tol: InitVar[Tolerance | None] = None
 
     def __post_init__(self, tol: Tolerance | None) -> None:
-        floats = a, b, c = _floats(self.a), _floats(self.b), _floats(self.c)
+        raw = self.__dict__
+        floats = a, b, c = _floats(raw.pop("a")), _floats(raw.pop("b")), _floats(raw.pop("c"))
         n, measure = _triangle(a, b, c)
         if _thin(measure, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
-        self.__dict__.update(a=_vector(a), b=_vector(b), c=_vector(c), _floats=floats,
-                             _measure=measure, _normal=n)  # construct re-tests _measure at its tol
+        raw.update(_floats=floats, _measure=measure, _normal=n)  # construct re-tests it at its tol
 
     def points(self) -> tuple[Vec3, Vec3, Vec3]:
         return self.a, self.b, self.c
@@ -335,8 +355,7 @@ def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
 
 def planes_equal(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two planes describe the same point set, orientation aside."""
-    c = _cross3(p._n, q._n)
-    if math.sqrt(_dot3(c, c)) > tol.eps_angle:
+    if math.hypot(*_cross3(p._n, q._n)) > tol.eps_angle:  # hypot: no underflow near 1e-154
         return False
     s = 1.0 if _dot3(p._n, q._n) >= 0.0 else -1.0
     return abs(p.offset - s * q.offset) <= tol.eps_len
@@ -344,7 +363,6 @@ def planes_equal(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def lines_equal(a: Line3, b: Line3, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether two lines describe the same point set, orientation aside."""
-    c = _cross3(a._floats[1], b._floats[1])
-    if math.sqrt(_dot3(c, c)) > tol.eps_angle:
+    if math.hypot(*_cross3(a._floats[1], b._floats[1])) > tol.eps_angle:
         return False
     return _coincide(a._floats[0], b._floats[0], tol)

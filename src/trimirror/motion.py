@@ -5,6 +5,7 @@ mirror planes applied left to right.  `apply` accepts either, `seq_to_affine` co
 `then` composes affine motions in reading order (first, then second) by the 3x3 product
 `_compose`.  The validator `_isometry` takes float rows and floats, kept as the motion's
 `_parts` for `then`, `apply`, `orientation` and classify; its repair `_mgs` runs on them too.
+`linear` and `translation` are built from `_parts` when a caller first reads them.
 A sequence folds its planes when built (`_fold`), reflecting the fold so far in each plane,
 not multiplying by its matrix; `_sequence` may be handed that fold, continued from a prefix.
 """
@@ -19,7 +20,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3, _finite
-from .geom import _matrix, _reflect, _vector, _unit
+from .geom import _Array, _matrix, _reflect, _vector, _unit
 
 # Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
 # given, up to _ORTHO_FIX it is silently re-orthonormalized, beyond that the
@@ -65,12 +66,13 @@ class AffineIsometry:
     raises ValueError.
     """
 
-    linear: np.ndarray
-    translation: Vec3
+    linear: np.ndarray = _Array(lambda m: _matrix(m._parts[0]))
+    translation: Vec3 = _Array(lambda m: _vector(m._parts[1]))
 
     def __post_init__(self) -> None:
-        l = np.asarray(self.linear, dtype=float)
-        _isometry(l.tolist() if l.shape == (3, 3) else None, self.translation, self)
+        raw = self.__dict__
+        l = np.asarray(raw.pop("linear"), dtype=float)
+        _isometry(l.tolist() if l.shape == (3, 3) else None, raw.pop("translation"), self)
 
 
 def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
@@ -90,7 +92,7 @@ def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
         rows = _mgs(rows)
     if abs(abs(_det(rows)) - 1.0) > 1e-10:
         raise ValueError("linear part must have determinant +1 or -1")
-    m.__dict__.update(linear=_matrix(rows), translation=_vector(t), _parts=(rows, t))
+    m.__dict__["_parts"] = rows, t
     return m
 
 
@@ -115,7 +117,7 @@ class ReflectionSequence:
 
 def _sequence(planes: tuple, parts=None, seq=None, dst=None) -> ReflectionSequence:
     """ReflectionSequence(planes) for Planes, folded unless `parts` is their fold already;
-    `dst` is a (triple, measurement) that construct.second_motion may reuse."""
+    `dst` is a (TriplePair, measurement of its dst) that construct.second_motion may reuse."""
     seq = object.__new__(ReflectionSequence) if seq is None else seq
     seq.__dict__.update(planes=planes, _parts=_fold(planes) if parts is None else parts, _dst=dst)
     return seq
@@ -206,7 +208,7 @@ def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:
 
 def rotation_about_line(axis, angle: float) -> AffineIsometry:
     """Rotation about a Line3; the sense follows the line's canonical direction."""
-    return rotation_about_axis(axis.point, axis.direction, angle)
+    return rotation_about_axis(*axis._floats, angle)
 
 
 def apply(motion: Motion, point) -> Vec3:

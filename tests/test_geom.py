@@ -655,6 +655,27 @@ def test_intersect_planes_measures_a_direction_whose_square_is_subnormal():
         assert miss <= Fraction(7.625 * eps) * offsets / size, (p, q)
 
 
+def test_planes_and_lines_equal_measure_a_tiny_angle_without_underflow():
+    # |n1 x n2| = 1e-170 squares to 0.0, so an angle test on the square root of
+    # the squared length read these directions as parallel at any eps_angle
+    eps, tol = np.finfo(float).eps, Tolerance(1e-300, 1e-300)
+    p, q = Plane((1, 0, 0), 1.0), Plane((1, 1e-170, 0), 1.0)
+    assert not planes_equal(p, q, tol) and planes_equal(p, q)
+    got = rotation_from_plane_pair(p, q, tol)  # was Identity()
+    assert isinstance(got, Rotation) and abs(got.angle - 2e-170) <= 4 * eps * 2e-170
+    assert got.axis.direction.tolist() == [0.0, 0.0, 1.0]
+    assert np.allclose(got.axis.point, (1.0, 0.0, 0.0), rtol=0.0, atol=4 * eps)
+    a, b = Line3((0, 0, 0), (1, 0, 0)), Line3((0, 0, 0), (1, 1e-170, 0))
+    assert not lines_equal(a, b, tol) and lines_equal(a, b)
+    # the verdict turns at eps_angle on either side of the angle, as at unit scale
+    c = Line3((0, 0, 0), (1, 1e-160, 0))
+    assert not lines_equal(a, c, Tolerance(1e-300, 1e-161))
+    assert lines_equal(a, c, Tolerance(1e-300, 1e-159))
+    r = Plane((1, 1e-160, 0), 1.0)
+    assert not planes_equal(p, r, Tolerance(1e-300, 1e-161))
+    assert planes_equal(p, r, Tolerance(1e-300, 1e-159))
+
+
 def _arrays(value) -> list:
     """The ndarrays in a value: itself, in a tuple, or in a record's fields."""
     if isinstance(value, np.ndarray):
