@@ -209,7 +209,7 @@ class RotaryReflection(_Record):
         _require(math.isfinite(self.angle), "rotary angle must be finite")
         _require(0.0 < abs(self.angle) < math.pi, "rotary angle must avoid 0 and pi")
         mirror, center = self.mirror, self._center
-        miss = abs(_dot3(mirror._n, center) - mirror.offset)  # its signed distance, on floats
+        miss = abs(mirror.signed_distance(center))
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
         turn = _rodrigues(center, mirror._n, self.angle)

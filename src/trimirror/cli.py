@@ -146,23 +146,19 @@ def _load_json(path: str):
 
 
 def _json(value):
-    """JSON of a field value from kept floats: a Plane or Line3 as an object, a vector as a list."""
+    """JSON form of a field value: a Plane or Line3 as an object, an array as a flat float list."""
     if isinstance(value, Plane):
-        return {"normal": list(value._n), "offset": float(value.offset)}
+        return {"normal": _json(value.normal), "offset": float(value.offset)}
     if isinstance(value, Line3):
-        return {"point": list(value._floats[0]), "dir": list(value._floats[1])}
+        return {"point": _json(value.point), "dir": _json(value.direction)}
     if isinstance(value, np.ndarray):
         return value.ravel().tolist()
-    if isinstance(value, (list, tuple)):
-        return list(value)
     return float(value)
 
 
 def _fields_json(value) -> dict:
-    """The dataclass `value`'s fields through _json, in order; a record's vectors as kept floats."""
-    kept = getattr(value, "_VECTORS", ())
-    return {f.name: _json(getattr(value, f"_{f.name}" if f.name in kept else f.name))
-            for f in dataclasses.fields(value)}
+    """The dataclass `value`'s fields through _json, in declaration order."""
+    return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
 
 
 def class_to_json(record: MotionClass) -> dict:
@@ -193,8 +189,7 @@ def cmd_classify(args) -> int:
 def cmd_compose(args) -> int:
     _tolerance(args)
     motion = motion_from_spec(_load_json(args.input))
-    rows, t = motion._parts
-    _emit({"linear": [x for row in rows for x in row], "translation": list(t)})
+    _emit({"linear": _json(motion.linear), "translation": _json(motion.translation)})
     return 0
 
 

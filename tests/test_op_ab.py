@@ -16,7 +16,7 @@ def test_compare_runs_each_workload_on_two_separately_loaded_trees():
     for workload in op_ab.WORKLOADS:
         cases = list(itertools.islice(getattr(gen, workload.replace("-", "_"))(1), 12))
         for read in (False, True):
-            got = op_ab.compare(libs, cases, workload, passes=2, read=read)
+            got = op_ab.compare(libs, cases, workload, read, passes=2)
             assert got["base_us"] > 0.0 and got["head_us"] > 0.0
             assert got["ratio"] == got["base_us"] / got["head_us"]
 

@@ -1,21 +1,21 @@
 """In-process A/B of each workload's op: a git revision against the working tree.
 
-    python3 tools/op_ab.py --base HEAD [--cases 2000] [--passes 40] [--seed 1] [--read]
-        [--workload classify-mixed] [--workload ...]
+    python3 tools/op_ab.py --base HEAD [--read]
 
 The base side is the revision --base, exported with `git archive` as
 tools/pair_bench.py exports it; the head side is the working tree.  Each
 side's src/trimirror is loaded under its own package name (trimirror_base,
 trimirror_head), so both run in one process on the same perfbench/gen.py
-cases.  The op is the one perfbench/workloads.py times: build the motion,
-classify and reconstruct (classify-mixed, classify-seams), or build the pair,
-three_reflections, second_motion and seq_to_affine of both (construct-triples).
-A refused record counts as done on both sides.  A pass runs one side's op over
-every case; the sides alternate, each going first on every other round, and
-each reports its best pass.  With --read, the op also reads the arrays of the
-motions it returns (linear and translation) inside the timing, as the
-benchmark's output check does after it.  The ratio is base time over head
-time: above 1, the working tree is faster.
+cases: the first CASES of seed SEED of each workload.  The op is the one
+perfbench/workloads.py times: build the motion, classify and reconstruct
+(classify-mixed, classify-seams), or build the pair, three_reflections,
+second_motion and seq_to_affine of both (construct-triples).  A refused
+record counts as done on both sides.  A pass runs one side's op over every
+case; the sides alternate for PASSES rounds, each going first on every other
+round, and each reports its best pass.  With --read, the op also reads the
+arrays of the motions it returns (linear and translation) inside the timing,
+as the benchmark's output check does after it.  The ratio is base time over
+head time: above 1, the working tree is faster.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import tempfile
 import time
 
 WORKLOADS = ("classify-mixed", "classify-seams", "construct-triples")
+CASES, PASSES, SEED = 2000, 40, 1
 
 
 def load(path: str, name: str):
@@ -79,7 +80,7 @@ def one_pass(op, cases) -> float:
     return time.perf_counter() - start
 
 
-def compare(libs: dict, cases: list, workload: str, passes: int, read: bool) -> dict:
+def compare(libs: dict, cases: list, workload: str, read: bool, passes: int = PASSES) -> dict:
     """Best pass per side in us per op, over `passes` alternating rounds, and base / head."""
     ops = {side: make_op(lib, workload, read) for side, lib in libs.items()}
     best = dict.fromkeys(libs, float("inf"))
@@ -93,10 +94,6 @@ def compare(libs: dict, cases: list, workload: str, passes: int, read: bool) -> 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision of the base side")
-    p.add_argument("--workload", action="append", choices=WORKLOADS, help="default: all three")
-    p.add_argument("--cases", type=int, default=2000, help="generated cases per workload")
-    p.add_argument("--passes", type=int, default=40, help="alternating passes per side")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--read", action="store_true", help="read the returned motions' arrays")
     args = p.parse_args(argv)
     gen = load(os.path.join(ROOT, "perfbench", "gen.py"), "perfbench_gen")
@@ -104,12 +101,11 @@ def main(argv=None) -> int:
         sha = pair_bench.export(args.base, scratch)
         libs = {"base": load(os.path.join(scratch, "src", "trimirror"), "trimirror_base"),
                 "head": load(os.path.join(ROOT, "src", "trimirror"), "trimirror_head")}
-        print(f"base {sha[:12]}, head working tree, {args.cases} cases of seed {args.seed}, "
-              f"best of {args.passes} passes, read={args.read}")
-        for workload in args.workload or WORKLOADS:
-            stream = getattr(gen, workload.replace("-", "_"))(args.seed)
-            cases = list(itertools.islice(stream, args.cases))
-            got = compare(libs, cases, workload, args.passes, args.read)
+        print(f"base {sha[:12]}, head working tree, {CASES} cases of seed {SEED}, "
+              f"best of {PASSES} passes, read={args.read}")
+        for workload in WORKLOADS:
+            stream = getattr(gen, workload.replace("-", "_"))(SEED)
+            got = compare(libs, list(itertools.islice(stream, CASES)), workload, args.read)
             print(f"{workload}: base {got['base_us']:.2f} us/op, head {got['head_us']:.2f} us/op,"
                   f" x{got['ratio']:.3f}", flush=True)
     return 0
