@@ -30,7 +30,7 @@ record classes are the one table of classes: each carries its JSON name (NAME)
 and its own rebuild (_motion), so `reconstruct` and the CLI's encoder need no
 per-class branches.  The rebuilds run on those floats too: the rotary one
 composes its turn after its flip with `motion._compose`, and the glide
-measures its drift with `_dot3`.
+measures its drift with `_dot3`.  Each hands its rows to `motion._rigid` as they are.
 `rotation_from_plane_pair` stays public for cross-checking the kernel on
 mirror pairs; the library, the worked example included, does not call it.
 """
@@ -49,7 +49,7 @@ from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
 from .geom import _Array, _floats, _finite, _line, _plane, _unit, _vector
 from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _EYE, _as_affine
-from .motion import _compose, _det, _fixed_point, _fold, _isometry, _reflection_parts, _rodrigues
+from .motion import _compose, _det, _fixed_point, _fold, _reflection_parts, _rigid, _rodrigues
 from .motion import _split
 
 # Validation slack for reconstruct(): parameter records are expected to come
@@ -120,7 +120,7 @@ class Translation(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require(math.hypot(*self._v) > 0.0, "translation vector must be nonzero")
-        return _isometry(_EYE, self._v)
+        return _rigid(_EYE, self._v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,7 @@ class Rotation(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require_turn(self.angle, "rotation")
-        return _isometry(*_rodrigues(*self.axis._floats, self.angle))
+        return _rigid(*_rodrigues(*self.axis._floats, self.angle))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +154,7 @@ class Screw(_Record):
         drift = math.hypot(*_cross3(slide, d))
         _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
         turn, (x, y, z) = _rodrigues(p, d, self.angle)
-        return _isometry(turn, [x + slide[0], y + slide[1], z + slide[2]])
+        return _rigid(turn, [x + slide[0], y + slide[1], z + slide[2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +181,7 @@ class GlideReflection(_Record):
         drift = abs(_dot3(slide, self.mirror._n))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
         flip, (x, y, z) = _reflection_parts(self.mirror)
-        return _isometry(flip, [x + slide[0], y + slide[1], z + slide[2]])
+        return _rigid(flip, [x + slide[0], y + slide[1], z + slide[2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +191,7 @@ class Inversion(_Record):
 
     def _motion(self) -> AffineIsometry:
         flip = [[-x for x in row] for row in _EYE]  # -I, with -0.0 off the diagonal
-        return _isometry(flip, [2.0 * x for x in self._center])
+        return _rigid(flip, [2.0 * x for x in self._center])
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +213,7 @@ class RotaryReflection(_Record):
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
         turn = _rodrigues(center, mirror._n, self.angle)
-        return _isometry(*_compose(*turn, *_reflection_parts(mirror)))  # flip, then turn
+        return _rigid(*_compose(*turn, *_reflection_parts(mirror)))  # flip, then turn
 
 
 MotionClass = Union[

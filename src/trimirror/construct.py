@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
-from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _finite, _vector
+from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _vector
 from .geom import _bisector, _measured_plane, _plane_through, _reflect, _thin, _triangle
 from .motion import ReflectionSequence, _fold, _sequence
 
@@ -65,8 +65,8 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     has exactly three entries and the composite motion is always
     orientation-reversing.
 
-    Raises DegenerateSource if the source triple fails the collinearity check
-    at this tolerance, NotCongruent if the distance pattern does not match.
+    Raises DegenerateSource for a source triple collinear at this tolerance,
+    NotCongruent for unmatched distances, ValueError for an overflowing stage.
     """
     (a, b, c), (a2, b2, c2) = pair.src._floats, pair._floats
     n, measure = pair.src._normal, pair.src._measure
@@ -79,7 +79,7 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     # _bisector is None when the point is already in place
     alpha = _bisector(a, a2, tol) or _measured_plane(a, n, measure, tol)
 
-    b_stage = _finite(_reflect(alpha, b))  # stage images are new: check they are finite
+    b_stage = _reflect(alpha, b)  # if not finite, _bisector's _plane refuses the chord
     beta = _bisector(b_stage, b2, tol)
     if beta is None:
         # B is already in place; reflect in a plane through A' and B'.  When C
@@ -90,7 +90,7 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
         except CollinearPoints:
             beta = _measured_plane(a, n, measure, tol)
 
-    c_stage = _finite(_reflect(beta, _finite(_reflect(alpha, c))))
+    c_stage = _reflect(beta, _reflect(alpha, c))
     gamma = _bisector(c_stage, c2, tol) or _measured_plane(*dst_triangle, tol)
 
     return _sequence((alpha, beta, gamma), dst=(pair, dst_triangle))  # for second_motion

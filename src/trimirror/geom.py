@@ -14,9 +14,9 @@ written out on Python floats (`_dot3`, `_cross3`, `math.sqrt`), `_unit` and the
 predicates included, and `intersect_planes` places its point by a closed form
 rather than a linear solve; numpy only reads input and builds what callers read.
 Values keep the floats they were built from (`Plane._n`, `Line3._floats`,
-`PointTriple._floats`) for the kernels and hold no array: `_Array` makes a
-field's array with `_vector` when a caller first reads it, in one step and
-read-only from birth (it cannot be made writable again), and keeps it.
+`PointTriple._floats`) for the kernels and hold no array: `_Array` builds a
+field's array with `_vector` on first read, in one step and read-only from birth
+(it cannot be made writable again), and keeps it; a copy builds its own.
 """
 
 from __future__ import annotations
@@ -81,7 +81,9 @@ class _Array:
         self.build = build
 
     def __set_name__(self, owner, name: str) -> None:
-        self.name = name
+        self.name = name  # copy and pickle leave the built array out: their copy would be writable
+        owner._BUILT = getattr(owner, "_BUILT", ()) + (name,)
+        owner.__getstate__ = lambda v: {k: x for k, x in vars(v).items() if k not in v._BUILT}
 
     def __get__(self, value, owner=None):
         if value is None:

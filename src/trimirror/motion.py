@@ -3,9 +3,9 @@
 AffineIsometry is x -> L x + t with orthogonal L; ReflectionSequence is an ordered list of
 mirror planes applied left to right.  `apply` accepts either, `seq_to_affine` converts, and
 `then` composes affine motions in reading order (first, then second) by the 3x3 product
-`_compose`.  The validator `_isometry` takes float rows and floats, kept as the motion's
-`_parts` for `then`, `apply`, `orientation` and classify; its repair `_mgs` runs on them too.
-`linear` and `translation` are built from `_parts` when a caller first reads them.
+`_compose`.  AffineIsometry() and `then` validate with `_isometry` (repair: `_mgs`); motions
+built from unit normals or a unit axis are orthogonal by construction and skip it.  `_rigid`
+keeps either's float rows and finite shift as `_parts`, for the kernels; arrays on first read.
 A sequence folds its planes when built (`_fold`), reflecting the fold so far in each plane,
 not multiplying by its matrix; `_sequence` may be handed that fold, continued from a prefix.
 """
@@ -27,6 +27,7 @@ from .geom import _Array, _matrix, _reflect, _vector, _unit
 # matrix is rejected as not an isometry.
 _ORTHO_PASS = 1e-10
 _ORTHO_FIX = 1e-6
+_FOLD_LIMIT = int(((1e-10 - 5.0 * math.ulp(1.0)) / (1.5 * math.ulp(1.0)) - 4.0) / 29.0)  # 10,352
 
 _EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows of floats, as _isometry takes
 PROBE_POINTS = tuple(map(_vector, ((0.0, 0.0, 0.0),) + _EYE))
@@ -76,13 +77,13 @@ class AffineIsometry:
 
 
 def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
-    """AffineIsometry(rows, t) for float rows (None if not 3x3) and floats t, kept as _parts;
+    """AffineIsometry(rows, t) for float rows (None if not 3x3) and floats t, validated in full;
     AffineIsometry() passes itself in with its raw translation, coerced after the rows pass."""
     (a, b, c), (d, e, f), (g, h, i) = rows or ((math.nan,) * 3,) * 3  # read once; None: not 3x3
     if not (math.isfinite(a + b + c + d + e + f + g + h + i)  # proves every entry finite
             or all(map(math.isfinite, (a, b, c, d, e, f, g, h, i)))):  # on overflow
         raise ValueError("linear part must be a finite 3x3 matrix")
-    m, t = (object.__new__(AffineIsometry), _finite(t)) if m is None else (m, _floats(t))
+    t = t if m is None else _floats(t)
     residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),  # L^T L - I
                    abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
                    abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
@@ -92,7 +93,13 @@ def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
         rows = _mgs(rows)
     if abs(abs(_det(rows)) - 1.0) > 1e-10:
         raise ValueError("linear part must have determinant +1 or -1")
-    m.__dict__["_parts"] = rows, t
+    return _rigid(rows, t, m)
+
+
+def _rigid(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
+    """x -> rows x + t for float rows _isometry would pass as they are; t may overflow: checked."""
+    m = object.__new__(AffineIsometry) if m is None else m
+    m.__dict__["_parts"] = rows, _finite(t)
     return m
 
 
@@ -127,11 +134,11 @@ Motion = Union[AffineIsometry, ReflectionSequence]
 
 
 def identity() -> AffineIsometry:
-    return _isometry(_EYE, (0.0, 0.0, 0.0))
+    return _rigid(_EYE, (0.0, 0.0, 0.0))
 
 
 def translation(v) -> AffineIsometry:
-    return _isometry(_EYE, _floats(v))
+    return _rigid(_EYE, _floats(v))
 
 
 def _reflection_parts(plane: Plane) -> tuple[list[list[float]], list[float]]:
@@ -146,7 +153,7 @@ def _reflection_parts(plane: Plane) -> tuple[list[list[float]], list[float]]:
 
 def plane_reflection(plane: Plane) -> AffineIsometry:
     """The reflection in `plane` as an affine map."""
-    return _isometry(*_reflection_parts(plane))
+    return _rigid(*_reflection_parts(plane))
 
 
 def _rotation_parts(point, direction, angle: float) -> tuple[list[list[float]], list[float]]:
@@ -203,7 +210,7 @@ def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:
     The sense is right-handed about `direction` exactly as given; the
     direction is normalized but never flipped, unlike Line3 canonicalization.
     """
-    return _isometry(*_rotation_parts(point, direction, angle))
+    return _rigid(*_rotation_parts(point, direction, angle))
 
 
 def rotation_about_line(axis, angle: float) -> AffineIsometry:
@@ -258,9 +265,10 @@ def _fold(planes: tuple, parts=None) -> tuple[list[list[float]], list[float]]:
 
 
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
-    """The planes' motion: a fold of k reflections in unit normals drifts from orthogonality
-    by under 33 k eps, far below _ORTHO_PASS, so _isometry passes _fold's parts as they are."""
-    return _isometry(*seq._parts)
+    """The planes' motion.  k unit-normal reflections fold to L^T L - I within (29 k + 4) eps
+    and |det L| - 1 within 3/2 of that plus 5 eps, so up to _FOLD_LIMIT planes _isometry would
+    pass the fold as it is and is skipped; a longer sequence is validated, repaired if need be."""
+    return (_rigid if len(seq.planes) <= _FOLD_LIMIT else _isometry)(*seq._parts)
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:

@@ -761,8 +761,8 @@ def _library_calls():
 
 def test_library_builds_no_motion_or_identity_matrix_through_the_public_constructors():
     # AffineIsometry(...) converts and re-checks its parts and np.eye(3) builds
-    # a fresh matrix each call; library code calls motion._isometry on the float
-    # rows and floats it has just computed and passes the rows motion._EYE.
+    # a fresh matrix each call; library code calls motion._isometry or motion._rigid
+    # on the float rows and floats it has just computed and passes the rows motion._EYE.
     sites = [c[:3] for c in _library_calls() if c[2] in ("AffineIsometry", "np.eye", "numpy.eye")]
     assert not sites, f"calls {sites}"
 

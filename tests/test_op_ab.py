@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import pathlib
+import sys
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("op_ab", _ROOT / "tools" / "op_ab.py")
@@ -35,3 +36,14 @@ def test_read_builds_the_returned_motions_arrays_inside_the_op():
         assert len(built) == 2  # the linear parts of both motions
     finally:
         lib.motion._matrix = original
+
+
+def test_each_side_times_the_benchmarks_own_op_on_its_own_package():
+    before = {name: sys.modules.get(name) for name in ("gen", "trimirror", "trimirror.errors")}
+    lib = op_ab.load(str(_ROOT / "src" / "trimirror"), "trimirror_ab_own")
+    workloads = op_ab.workloads_of(lib)
+    assert op_ab.workloads_of(lib) is workloads  # loaded once per side
+    assert workloads.__file__ == str(_ROOT / "perfbench" / "workloads.py")
+    assert workloads.classify is lib.classify and workloads.seq_to_affine is lib.seq_to_affine
+    assert workloads.InvalidClassParameters is lib.errors.InvalidClassParameters
+    assert {name: sys.modules.get(name) for name in before} == before  # restored

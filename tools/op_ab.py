@@ -7,20 +7,21 @@ tools/pair_bench.py exports it; the head side is the working tree.  Each
 side's src/trimirror is loaded under its own package name (trimirror_base,
 trimirror_head), so both run in one process on the same perfbench/gen.py
 cases: the first CASES of seed SEED of each workload.  The op is the one
-perfbench/workloads.py times: build the motion, classify and reconstruct
-(classify-mixed, classify-seams), or build the pair, three_reflections,
-second_motion and seq_to_affine of both (construct-triples).  A refused
-record counts as done on both sides.  A pass runs one side's op over every
-case; the sides alternate for PASSES rounds, each going first on every other
-round, and each reports its best pass.  With --read, the op also reads the
-arrays of the motions it returns (linear and translation) inside the timing,
-as the benchmark's output check does after it.  The ratio is base time over
-head time: above 1, the working tree is faster.
+perfbench/workloads.py times, from that file itself: it is loaded once per
+side with `trimirror` bound to that side's package, and its op runs with
+spans.Untraced(), as an untraced benchmark run calls it.  A refused record
+counts as done on both sides.  A pass runs one side's op over every case; the
+sides alternate for PASSES rounds, each going first on every other round, and
+each reports its best pass.  With --read, the op also reads the arrays of the
+motions it returns (linear and translation) inside the timing, as the
+benchmark's output check does after it.  The ratio is base time over head
+time: above 1, the working tree is faster.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import itertools
 import os
@@ -46,31 +47,43 @@ def load(path: str, name: str):
 pair_bench = load(os.path.join(os.path.dirname(os.path.abspath(__file__)), "pair_bench.py"),
                   "pair_bench")
 ROOT = pair_bench.ROOT
+spans = load(os.path.join(ROOT, "perfbench", "spans.py"), "perfbench_spans")
+
+
+@functools.cache
+def workloads_of(lib):
+    """perfbench/workloads.py loaded as its own module, with `trimirror` bound to the package lib
+    (and `gen` to a fresh perfbench/gen.py) while it imports; sys.modules is restored after."""
+    perfbench, bound = os.path.join(ROOT, "perfbench"), ("gen", "trimirror", "trimirror.errors")
+    saved = {name: sys.modules.get(name) for name in bound}
+    sys.modules.update({"trimirror": lib, "trimirror.errors": lib.errors})
+    try:
+        sys.modules["gen"] = load(os.path.join(perfbench, "gen.py"), lib.__name__ + "_gen")
+        return load(os.path.join(perfbench, "workloads.py"), lib.__name__ + "_workloads")
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
 
 
 def make_op(lib, workload: str, read: bool):
-    """One case's op on the package `lib`."""
-    refused = lib.errors.InvalidClassParameters
+    """One case's op on the package `lib`: the workload's own op, untraced."""
+    op, tr = workloads_of(lib).make(workload, "").op, spans.Untraced()
+    refused, motion = lib.errors.InvalidClassParameters, lib.AffineIsometry
 
-    def finish(motions):
-        if read:
-            for m in motions:
-                m.linear, m.translation
-
-    def classify_op(case):
-        m = lib.AffineIsometry(case.motion.linear, case.motion.t)
+    def run(case):
         try:
-            finish((lib.reconstruct(lib.classify(m)),))
+            out = op(case, tr, None)
         except refused:  # the known glide refusal near a seam
-            pass
+            return
+        if read:
+            for m in out:
+                if isinstance(m, motion):  # not a class record
+                    m.linear, m.translation
 
-    def construct_op(case):
-        pair = lib.TriplePair(lib.PointTriple(*case.src), tuple(case.dst))
-        first = lib.three_reflections(pair)
-        second = lib.second_motion(first, pair.dst)
-        finish((lib.seq_to_affine(first), lib.seq_to_affine(second)))
-
-    return construct_op if workload == "construct-triples" else classify_op
+    return run
 
 
 def one_pass(op, cases) -> float:
