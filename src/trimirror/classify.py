@@ -310,7 +310,7 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, fl
         axis = (0.5 * (c + g), 0.5 * (f + h), i - cos)
     length = math.sqrt(_dot3(axis, axis))
     direction = [x / length for x in axis] if length != 0.0 else list(axis)
-    sign = _canonical_sign(direction)
+    sign = _canonical_sign(*direction)
     direction = [sign * x for x in direction]
     angle = _angle_about(skew, cos, direction)
     if proper:
@@ -385,7 +385,7 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
 
     if kind is Identity:
         if math.hypot(*u) <= tol.eps_len:  # without overflow
-            return Identity()
+            return _record(Identity)
         return _record(Translation, v=u)
 
     if kind is Inversion:
@@ -397,7 +397,7 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     if kind is Rotation:
         axis = _line(_fixed_point(v, d, angle), d)
         if math.sqrt(_dot3(n, n)) <= tol.eps_len:
-            return Rotation(axis=axis, angle=angle)
+            return _record(Rotation, axis=axis, angle=angle)
         return _record(Screw, axis=axis, angle=angle, slide=n)
 
     mirror = _plane(direction, length, 0.5 * _dot3(direction, n))
@@ -405,7 +405,7 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
         center = _fixed_point(u, d, angle)
         return _record(RotaryReflection, mirror=mirror, center=center, angle=angle)
     if math.sqrt(_dot3(v, v)) <= tol.eps_len:
-        return Reflection(mirror=mirror)
+        return _record(Reflection, mirror=mirror)
     return _record(GlideReflection, mirror=mirror, slide=v)
 
 

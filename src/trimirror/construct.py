@@ -11,28 +11,26 @@ continues its prefix's fold by that one plane.  The walk runs on Python floats, 
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
-from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _vector
+from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _value_class, _vector
 from .geom import _bisector, _measured_plane, _plane_through, _reflect, _thin, _triangle
 from .motion import ReflectionSequence, _fold, _sequence
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class
 class TriplePair:
     """A source PointTriple and the three points it should be carried onto."""
 
     src: PointTriple
     dst: tuple[Vec3, Vec3, Vec3] = _Array(lambda pair: tuple(map(_vector, pair._floats)))
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.src, PointTriple):
+    def __init__(self, src: PointTriple, dst: tuple[Vec3, Vec3, Vec3]) -> None:
+        if not isinstance(src, PointTriple):
             raise ValueError("src must be a PointTriple")
-        dst = tuple(self.__dict__.pop("dst"))
+        dst = tuple(dst)
         if len(dst) != 3:
             raise ValueError("dst must hold exactly three points")
-        self.__dict__["_floats"] = [_floats(p) for p in dst]
+        self.__dict__.update(src=src, _floats=list(map(_floats, dst)))
 
 
 def _measured(triple) -> tuple[list[float], tuple, tuple]:
@@ -52,7 +50,8 @@ def congruent_triples(src, dst, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _congruent(edges: tuple[float, ...], dst_edges: tuple[float, ...], tol: Tolerance) -> bool:
-    return not any(abs(d - d2) > tol.eps_len for d, d2 in zip(edges, dst_edges))
+    (d0, d1, d2), (e0, e1, e2), eps = edges, dst_edges, tol.eps_len  # > keeps NaN congruent
+    return not (abs(d0 - e0) > eps or abs(d1 - e1) > eps or abs(d2 - e2) > eps)
 
 
 def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> ReflectionSequence:

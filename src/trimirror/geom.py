@@ -8,15 +8,18 @@ to loosen or tighten them.
 Public functions and constructors validate their arguments once, then run a
 private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`, the
 triangle kernel `_triangle`, its verdict `_thin` and the plane `_measured_plane`
-it fixes, the plane kernel `_plane`, the line kernel `_line`) on the checked
-floats of `_floats`.  Every dot, cross product and length in the module is
-written out on Python floats (`_dot3`, `_cross3`, `math.sqrt`), `_unit` and the
-predicates included, and `intersect_planes` places its point by a closed form
-rather than a linear solve; numpy only reads input and builds what callers read.
-Values keep the floats they were built from (`Plane._n`, `Line3._floats`,
-`PointTriple._floats`) for the kernels and hold no array: `_Array` builds a
-field's array with `_vector` on first read, in one step and read-only from birth
-(it cannot be made writable again), and keeps it; a copy builds its own.
+it fixes, the plane kernel `_plane`, the line kernel `_line`, the sign
+`_canonical_sign`) on the checked floats of `_floats`, which reads a float64
+(3,) ndarray as it is.  Every dot, cross product and length in the module is
+written out on Python floats (`_dot3`, `_cross3`, `math.sqrt`, or spelt out in
+their operation order), `_unit` and the predicates included, and
+`intersect_planes` places its point by a closed form rather than a linear solve;
+numpy only reads input and builds what callers read.  Each value class
+(`_value_class`) checks its arguments in its own __init__ and stores the floats
+the kernels read (`Plane._n`, `Line3._floats`, `PointTriple._floats`); it holds
+no array: `_Array` builds a field's array with `_vector` on first read, in one
+step and read-only from birth (it cannot be made writable again), and keeps it;
+a copy builds its own.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ Vec3 = np.ndarray
 # canonical sign of a unit vector, and unit vectors shorter than this are
 # rejected as degenerate.
 _SIGN_EPS = 1e-12
+_FLOAT = np.dtype(float)
 
 
 def as_vec3(value) -> Vec3:
@@ -45,11 +49,15 @@ def as_vec3(value) -> Vec3:
 
 
 def _floats(value) -> list[float]:
-    """as_vec3(value)'s checked floats, read without copying a float array first."""
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected 3 components, got shape {v.shape}")
-    return _finite(v.tolist())
+    """as_vec3(value)'s checked floats; a float64 (3,) ndarray is read without np.asarray."""
+    if type(value) is not np.ndarray or value.dtype is not _FLOAT or value.shape != (3,):
+        value = np.asarray(value, dtype=float)
+        if value.shape != (3,):
+            raise ValueError(f"expected 3 components, got shape {value.shape}")
+    x, y, z = v = value.tolist()
+    if not math.isfinite(x * 0.0 + y * 0.0 + z * 0.0):  # as _finite, written out
+        raise ValueError("vector components must be finite")
+    return v
 
 
 def _finite(v):
@@ -70,6 +78,13 @@ def _vector(floats) -> Vec3:
 def _matrix(rows) -> np.ndarray:
     """_vector's 3x3 twin for three rows of floats."""
     return np.ndarray((3, 3), float, _pack9(*rows[0], *rows[1], *rows[2]))
+
+
+def _value_class(cls):
+    """dataclass(frozen=True, eq=False) that keeps cls's own __init__; its return annotation
+    becomes None, as in a generated __init__, where postponed evaluation made it 'None'."""
+    cls.__init__.__annotations__["return"] = None
+    return dataclass(frozen=True, eq=False, init=False)(cls)
 
 
 class _Array:
@@ -122,13 +137,11 @@ def _unit(value, name: str) -> tuple[float, float, float]:
     return x / length, y / length, z / length
 
 
-def _canonical_sign(v) -> float:
-    """Sign that makes the first significant component of v positive; v is any
-    sequence, and a list of Python floats is the cheapest to scan."""
-    for comp in v:
-        if abs(comp) > _SIGN_EPS:
-            return 1.0 if comp > 0.0 else -1.0
-    return 1.0
+def _canonical_sign(x: float, y: float, z: float) -> float:
+    """Sign that makes the first component of (x, y, z) above _SIGN_EPS in magnitude
+    positive, 1.0 if there is none; a NaN component counts as none."""
+    return (1.0 if x > _SIGN_EPS else -1.0 if x < -_SIGN_EPS else
+            1.0 if y > _SIGN_EPS else -1.0 if y < -_SIGN_EPS else -1.0 if z < -_SIGN_EPS else 1.0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +159,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class
 class Plane:
     """Oriented plane { x : normal . x = offset } stored in Hessian normal form.
 
@@ -160,10 +173,10 @@ class Plane:
     normal: Vec3 = _Array(lambda p: _vector(p._n))
     offset: float
 
-    def __post_init__(self) -> None:
-        n = _floats(self.__dict__.pop("normal"))
+    def __init__(self, normal: Vec3, offset: float) -> None:
+        n = _floats(normal)
         length = math.sqrt(_dot3(n, n))  # a raw normal must clear the floor; kernels judged theirs
-        _plane(n, length if length > _SIGN_EPS else 0.0, self.offset, self)
+        _plane(n, length if length > _SIGN_EPS else 0.0, offset, self)
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
@@ -180,14 +193,14 @@ def _plane(n, length: float, offset, plane: Plane | None = None) -> Plane:
     if not math.isfinite(d):
         raise ValueError("plane offset must be finite")
     x, y, z = n[0] / length, n[1] / length, n[2] / length
-    s = _canonical_sign((x, y, z))
+    s = _canonical_sign(x, y, z)
     # adding 0.0 clears negative zeros left over from sign flips
     n = (s * x + 0.0, s * y + 0.0, s * z + 0.0)
     plane.__dict__.update(_n=n, offset=s * d + 0.0)  # past frozen setattr
     return plane
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class
 class Line3:
     """Line through `point` with unit `direction`; canonical for a given point set.
 
@@ -198,9 +211,8 @@ class Line3:
     point: Vec3 = _Array(lambda line: _vector(line._floats[0]))
     direction: Vec3 = _Array(lambda line: _vector(line._floats[1]))
 
-    def __post_init__(self) -> None:
-        raw = self.__dict__
-        _line(_floats(raw.pop("point")), _unit(raw.pop("direction"), "line direction"), self)
+    def __init__(self, point: Vec3, direction: Vec3) -> None:
+        _line(_floats(point), _unit(direction, "line direction"), self)
 
     def distance_to(self, point) -> float:
         (x, y, z), ((p0, p1, p2), d) = _floats(point), self._floats
@@ -211,7 +223,7 @@ class Line3:
 def _line(p, d, line: Line3 | None = None) -> Line3:
     """Line3(p, d) for three floats p and unit floats d; Line3() passes itself in."""
     line = object.__new__(Line3) if line is None else line
-    s = _canonical_sign(d)
+    s = _canonical_sign(*d)
     x, y, z = d = s * d[0] + 0.0, s * d[1] + 0.0, s * d[2] + 0.0
     px, py, pz = p
     k = px * x + py * y + pz * z  # inf, silently, near the largest double: the foot is refused
@@ -220,7 +232,7 @@ def _line(p, d, line: Line3 | None = None) -> Line3:
     return line
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class
 class PointTriple:
     """Three noncollinear points; the degenerate case is rejected at construction."""
 
@@ -229,13 +241,12 @@ class PointTriple:
     c: Vec3 = _Array(lambda t: _vector(t._floats[2]))
     tol: InitVar[Tolerance | None] = None
 
-    def __post_init__(self, tol: Tolerance | None) -> None:
-        raw = self.__dict__
-        floats = a, b, c = _floats(raw.pop("a")), _floats(raw.pop("b")), _floats(raw.pop("c"))
+    def __init__(self, a: Vec3, b: Vec3, c: Vec3, tol: InitVar[Tolerance | None] = None) -> None:
+        floats = a, b, c = _floats(a), _floats(b), _floats(c)
         n, measure = _triangle(a, b, c)
         if _thin(measure, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
-        raw.update(_floats=floats, _measure=measure, _normal=n)  # construct re-tests it at its tol
+        self.__dict__.update(_floats=floats, _measure=measure, _normal=n)  # construct re-tests
 
     def points(self) -> tuple[Vec3, Vec3, Vec3]:
         return self.a, self.b, self.c
@@ -248,8 +259,8 @@ def reflect_point(plane: Plane, point) -> Vec3:
 
 def _reflect(plane: Plane, p) -> list[float]:
     """p - 2 (n . p - offset) n for the floats p; unchecked, so it may overflow."""
-    n0, n1, n2 = n = plane._n
-    k = 2.0 * (_dot3(n, p) - plane.offset)
+    n0, n1, n2 = plane._n
+    k = 2.0 * (n0 * p[0] + n1 * p[1] + n2 * p[2] - plane.offset)  # _dot3, written out
     return [p[0] - k * n0, p[1] - k * n1, p[2] - k * n2]
 
 
@@ -274,11 +285,13 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]]]:
     """n = (b - a) x (c - a) of checked float points, and the doubled area |n| with the edges."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
-    u, v, w = (b0 - a0, b1 - a1, b2 - a2), (c0 - a0, c1 - a1, c2 - a2), (c0 - b0, c1 - b1, c2 - b2)
-    n = _cross3(u, v)
-    edges = (math.sqrt(_dot3(u, u)), math.sqrt(_dot3(v, v)), math.sqrt(_dot3(w, w)))
-    return n, (math.sqrt(_dot3(n, n)), edges)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c  # _cross3 and _dot3, written out
+    u0, u1, u2, v0, v1, v2 = b0 - a0, b1 - a1, b2 - a2, c0 - a0, c1 - a1, c2 - a2
+    w0, w1, w2 = c0 - b0, c1 - b1, c2 - b2
+    n = x, y, z = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    edges = (math.sqrt(u0 * u0 + u1 * u1 + u2 * u2), math.sqrt(v0 * v0 + v1 * v1 + v2 * v2),
+             math.sqrt(w0 * w0 + w1 * w1 + w2 * w2))
+    return n, (math.sqrt(x * x + y * y + z * z), edges)
 
 
 def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
@@ -313,10 +326,11 @@ def perpendicular_bisector_plane(a, b, tol: Tolerance = DEFAULT_TOL) -> Plane:
 def _bisector(a, b, tol: Tolerance) -> Plane | None:
     """Bisector plane of checked float points, None where _coincide(a, b, tol) holds."""
     (a0, a1, a2), (b0, b1, b2) = a, b
-    x = (b0 - a0, b1 - a1, b2 - a2)
-    if (length := math.sqrt(_dot3(x, x))) <= tol.eps_len:
+    x = x0, x1, x2 = b0 - a0, b1 - a1, b2 - a2
+    if (length := math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)) <= tol.eps_len:  # _dot3s written out
         return None
-    return _plane(x, length, _dot3(x, (0.5 * (a0 + b0), 0.5 * (a1 + b1), 0.5 * (a2 + b2))))
+    return _plane(x, length, x0 * (0.5 * (a0 + b0)) + x1 * (0.5 * (a1 + b1))
+                  + x2 * (0.5 * (a2 + b2)))
 
 
 def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:

@@ -6,6 +6,7 @@ mirror planes applied left to right.  `apply` accepts either, `seq_to_affine` co
 `_compose`.  AffineIsometry() and `then` validate with `_isometry` (repair: `_mgs`); motions
 built from unit normals or a unit axis are orthogonal by construction and skip it.  `_rigid`
 keeps either's float rows and finite shift as `_parts`, for the kernels; arrays on first read.
+It checks the shift unless AffineIsometry's own __init__ hands it in, checked by `_floats`.
 A sequence folds its planes when built (`_fold`), reflecting the fold so far in each plane,
 not multiplying by its matrix; `_sequence` may be handed that fold, continued from a prefix.
 """
@@ -14,13 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
 
 from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3, _finite
-from .geom import _Array, _matrix, _reflect, _vector, _unit
+from .geom import _Array, _matrix, _reflect, _value_class, _vector, _unit
 
 # Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
 # given, up to _ORTHO_FIX it is silently re-orthonormalized, beyond that the
@@ -58,7 +58,7 @@ def _det(rows) -> float:
     return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class
 class AffineIsometry:
     """Rigid motion x -> linear @ x + translation.
 
@@ -70,10 +70,9 @@ class AffineIsometry:
     linear: np.ndarray = _Array(lambda m: _matrix(m._parts[0]))
     translation: Vec3 = _Array(lambda m: _vector(m._parts[1]))
 
-    def __post_init__(self) -> None:
-        raw = self.__dict__
-        l = np.asarray(raw.pop("linear"), dtype=float)
-        _isometry(l.tolist() if l.shape == (3, 3) else None, raw.pop("translation"), self)
+    def __init__(self, linear: np.ndarray, translation: Vec3) -> None:
+        l = np.asarray(linear, dtype=float)
+        _isometry(l.tolist() if l.shape == (3, 3) else None, translation, self)
 
 
 def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
@@ -97,20 +96,22 @@ def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
 
 
 def _rigid(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
-    """x -> rows x + t for float rows _isometry would pass as they are; t may overflow: checked."""
-    m = object.__new__(AffineIsometry) if m is None else m
-    m.__dict__["_parts"] = rows, _finite(t)
+    """x -> rows x + t for float rows _isometry would pass as they are; t may overflow: checked,
+    but for AffineIsometry(), which passes itself in with its translation's _floats."""
+    if m is None:
+        m, t = object.__new__(AffineIsometry), _finite(t)
+    m.__dict__["_parts"] = rows, t
     return m
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class
 class ReflectionSequence:
     """Ordered mirror planes; the motion reflects in planes[0] first."""
 
     planes: tuple[Plane, ...]
 
-    def __post_init__(self) -> None:
-        planes = tuple(self.planes)
+    def __init__(self, planes: tuple[Plane, ...]) -> None:
+        planes = tuple(planes)
         if not all(isinstance(p, Plane) for p in planes):
             raise ValueError("reflection sequence entries must be Plane values")
         _sequence(planes, None, self)

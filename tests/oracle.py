@@ -29,6 +29,11 @@ same classes and verdicts, and parameters equal to rounding.  `numpy_reflection_
 2 offset n as numpy computes them; the library's written-out entries must
 match it bit for bit, signed zeros included (`zero_component_vectors`).
 
+`loop_canonical_sign` is the canonical sign as the library scanned it
+before it became one expression on three floats; the library's
+`_canonical_sign(x, y, z)` must give the same sign for every input, NaN
+and infinite components included.
+
 `two_pass_linear_kernel` is the library's float kernel before it became one
 pass over the linear part: it finds the axis, then measures the angle about
 it, on a negated copy of an improper linear part.  Negation is exact, so the
@@ -386,6 +391,14 @@ def numpy_reflection_parts(plane: Plane):
     """The reflection in the plane as numpy computes it: I - 2 n n^T and 2 offset n."""
     n = plane.normal
     return np.eye(3) - 2.0 * (n[:, None] * n), 2.0 * plane.offset * n
+
+
+def loop_canonical_sign(v) -> float:
+    """Sign that makes the first component of v above 1e-12 in magnitude positive, by a scan."""
+    for comp in v:
+        if abs(comp) > 1e-12:
+            return 1.0 if comp > 0.0 else -1.0
+    return 1.0
 
 
 def zero_component_vectors(rng: np.random.Generator) -> list[np.ndarray]:

@@ -39,9 +39,9 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
-from trimirror.geom import _bisector, _canonical_sign, _reflect, _triangle, _unit
+from trimirror.geom import _bisector, _reflect, _triangle, _unit
 
-from oracle import exact_root, plane_bytes, zero_component_vectors
+from oracle import exact_root, loop_canonical_sign, plane_bytes, zero_component_vectors
 
 # Orbit points of the worked example, in closed radical form.
 A_EX = vec3(1.0, 2.0, -2.0)
@@ -159,7 +159,7 @@ def test_plane_and_line_bytes_match_reference_up_to_the_overflow_edge():
     for v in vectors:
         offset, point = float(rng.normal()) * 1e3, rng.normal(size=3) * 1e3
         length = math.sqrt(_float_dot(v.tolist(), v.tolist()))
-        sign = _canonical_sign(v / length)
+        sign = loop_canonical_sign(v / length)
         plane = Plane(v, offset)
         assert plane.normal.tobytes() == (sign * v / length + 0.0).tobytes()
         assert plane.offset == sign * (offset / length) + 0.0
@@ -408,7 +408,7 @@ def _float_dot(u, v) -> float:
 def _float_plane_bytes(n, offset) -> bytes:
     """Plane(n, offset)'s bytes for floats n whose length sqrt(n . n) is summed on floats."""
     length = math.sqrt(_float_dot(n, n))
-    sign = _canonical_sign([x / length for x in n])
+    sign = loop_canonical_sign([x / length for x in n])
     normal = np.array([sign * (x / length) + 0.0 for x in n])
     return normal.tobytes() + np.float64(sign * (offset / length) + 0.0).tobytes()
 
