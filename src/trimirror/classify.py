@@ -80,26 +80,26 @@ class _Record:
 
     NAME is the class's name in JSON documents.  The constructor refuses an
     axis that is not a Line3 and a mirror that is not a Plane, whose unit
-    direction _motion() trusts; it checks each _VECTORS field and keeps its
+    direction _motion() trusts; it checks each _BUILT field and keeps its
     floats, _slide for slide, whose array is built on first read.  _motion()
     checks the fields against the class's invariants and builds their motion.
     """
 
     NAME = ""
-    _VECTORS: tuple[str, ...] = ()
+    _BUILT: tuple[str, ...] = ()  # the vector fields: _Array.__set_name__ adds each
 
     def __post_init__(self) -> None:
         for name, kind in (("axis", Line3), ("mirror", Plane)):
             if hasattr(self, name) and not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}")
-        for name in self._VECTORS:
+        for name in self._BUILT:
             self.__dict__["_" + name] = _floats(self.__dict__.pop(name))
 
 
 def _record(cls, **fields):
     """cls(**fields) for floats classify has just computed: checked, each vector's floats kept."""
     record = object.__new__(cls)
-    for name in cls._VECTORS:
+    for name in cls._BUILT:
         fields["_" + name] = _finite(fields.pop(name))
     record.__dict__.update(fields)
     return record
@@ -116,7 +116,7 @@ class Identity(_Record):
 @dataclass(frozen=True, eq=False)
 class Translation(_Record):
     v: Vec3 = _Array(lambda r: _vector(r._v))
-    NAME, _VECTORS = "translation", ("v",)
+    NAME = "translation"
 
     def _motion(self) -> AffineIsometry:
         _require(math.hypot(*self._v) > 0.0, "translation vector must be nonzero")
@@ -143,7 +143,7 @@ class Screw(_Record):
     axis: Line3
     angle: float
     slide: Vec3 = _Array(lambda r: _vector(r._slide))
-    NAME, _VECTORS = "screw", ("slide",)
+    NAME = "screw"
 
     def _motion(self) -> AffineIsometry:
         _require_turn(self.angle, "screw")
@@ -172,7 +172,7 @@ class GlideReflection(_Record):
 
     mirror: Plane
     slide: Vec3 = _Array(lambda r: _vector(r._slide))
-    NAME, _VECTORS = "glide_reflection", ("slide",)
+    NAME = "glide_reflection"
 
     def _motion(self) -> AffineIsometry:
         slide = self._slide
@@ -187,7 +187,7 @@ class GlideReflection(_Record):
 @dataclass(frozen=True, eq=False)
 class Inversion(_Record):
     center: Vec3 = _Array(lambda r: _vector(r._center))
-    NAME, _VECTORS = "inversion", ("center",)
+    NAME = "inversion"
 
     def _motion(self) -> AffineIsometry:
         flip = [[-x for x in row] for row in _EYE]  # -I, with -0.0 off the diagonal
@@ -203,7 +203,7 @@ class RotaryReflection(_Record):
     mirror: Plane
     center: Vec3 = _Array(lambda r: _vector(r._center))
     angle: float
-    NAME, _VECTORS = "rotary_reflection", ("center",)
+    NAME = "rotary_reflection"
 
     def _motion(self) -> AffineIsometry:
         _require(math.isfinite(self.angle), "rotary angle must be finite")

@@ -3,10 +3,10 @@
 AffineIsometry is x -> L x + t with orthogonal L; ReflectionSequence is an ordered list of
 mirror planes applied left to right.  `apply` accepts either, `seq_to_affine` converts, and
 `then` composes affine motions in reading order (first, then second) by the 3x3 product
-`_compose`.  AffineIsometry() and `then` validate with `_isometry` (repair: `_mgs`); motions
-built from unit normals or a unit axis are orthogonal by construction and skip it.  `_rigid`
-keeps either's float rows and finite shift as `_parts`, for the kernels; arrays on first read.
-It checks the shift unless AffineIsometry's own __init__ hands it in, checked by `_floats`.
+`_compose`.  AffineIsometry() and `then` validate with `_isometry` (repair: `_mgs`), which
+tests L^T L - I alone; motions built from unit normals or axes are orthogonal and skip it.
+`_rigid` keeps either's float rows and finite shift as `_parts`; arrays on first read.  It
+checks the shift unless AffineIsometry's own __init__ hands it in, checked by `_floats`.
 A sequence folds its planes when built (`_fold`), reflecting the fold so far in each plane,
 not multiplying by its matrix; `_sequence` may be handed that fold, continued from a prefix.
 """
@@ -22,12 +22,12 @@ import numpy as np
 from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3, _finite
 from .geom import _Array, _matrix, _reflect, _value_class, _vector, _unit
 
-# Orthogonality drift of the linear part: up to _ORTHO_PASS it is stored as
-# given, up to _ORTHO_FIX it is silently re-orthonormalized, beyond that the
-# matrix is rejected as not an isometry.
+# Drift of L^T L - I, which alone decides: up to _ORTHO_PASS L is stored as given (|det L|
+# is then 1 within 3/2 of it plus 5 eps), up to _ORTHO_FIX it is silently re-orthonormalized,
+# beyond that the matrix is rejected as not an isometry.
 _ORTHO_PASS = 1e-10
 _ORTHO_FIX = 1e-6
-_FOLD_LIMIT = int(((1e-10 - 5.0 * math.ulp(1.0)) / (1.5 * math.ulp(1.0)) - 4.0) / 29.0)  # 10,352
+_FOLD_LIMIT = int((_ORTHO_PASS / math.ulp(1.0) - 4.0) / 29.0)  # 15,529
 
 _EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows of floats, as _isometry takes
 PROBE_POINTS = tuple(map(_vector, ((0.0, 0.0, 0.0),) + _EYE))
@@ -39,15 +39,13 @@ class OrientationParity(enum.IntEnum):
 
 
 def _mgs(rows) -> list[list[float]]:
-    """Re-orthonormalize the columns of three float rows by modified Gram-Schmidt."""
+    """Modified Gram-Schmidt on the columns of float rows within _ORTHO_FIX of orthogonal."""
     q = [list(column) for column in zip(*rows)]
     for j in range(3):
         for k in range(j):
             s = _dot3(q[k], q[j])
             q[j] = [x - s * y for x, y in zip(q[j], q[k])]
         length = math.sqrt(_dot3(q[j], q[j]))
-        if length <= 1e-12:
-            raise ValueError("linear part is numerically singular")
         q[j] = [x / length for x in q[j]]
     return [list(row) for row in zip(*q)]
 
@@ -90,8 +88,6 @@ def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
         raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
     if residual > _ORTHO_PASS:
         rows = _mgs(rows)
-    if abs(abs(_det(rows)) - 1.0) > 1e-10:
-        raise ValueError("linear part must have determinant +1 or -1")
     return _rigid(rows, t, m)
 
 
@@ -266,9 +262,9 @@ def _fold(planes: tuple, parts=None) -> tuple[list[list[float]], list[float]]:
 
 
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
-    """The planes' motion.  k unit-normal reflections fold to L^T L - I within (29 k + 4) eps
-    and |det L| - 1 within 3/2 of that plus 5 eps, so up to _FOLD_LIMIT planes _isometry would
-    pass the fold as it is and is skipped; a longer sequence is validated, repaired if need be."""
+    """The planes' motion.  k unit-normal reflections fold to L^T L - I within (29 k + 4) eps,
+    so up to _FOLD_LIMIT planes _isometry would pass the fold as it is and is skipped; a longer
+    sequence is validated, repaired if need be."""
     return (_rigid if len(seq.planes) <= _FOLD_LIMIT else _isometry)(*seq._parts)
 
 

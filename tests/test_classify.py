@@ -16,6 +16,7 @@ from trimirror import (
     Line3,
     Plane,
     Reflection,
+    ReflectionSequence,
     Rotation,
     RotaryReflection,
     Screw,
@@ -32,6 +33,7 @@ from trimirror import (
     reconstruct,
     rotation_about_axis,
     rotation_from_plane_pair,
+    seq_to_affine,
     split_translation,
     then,
     translation,
@@ -154,6 +156,55 @@ def test_fixed_point_tiny_rotary_angle_collapses_to_reflection():
     got = classify_fixed_point(motion, (0, 0, 0))
     assert isinstance(got, Reflection)
     assert oracle.planes_close(got.mirror, Plane((0, 0, 1), 0.0), 1e-8)
+
+
+def test_angle_collapses_below_the_angle_floor():
+    # eps_len below eps_angle: the columns of L -/+ I are longer than eps_len,
+    # so the kernel's angle test, not its column test, collapses the class
+    tol = Tolerance(eps_len=1e-12, eps_angle=1e-9)
+    z = (0.0, 0.0, 1.0)
+    turn = rotation_about_axis((0, 0, 0), z, 1e-10)
+    assert classify(turn, tol) == Identity() == classify_fixed_point(turn, (0, 0, 0), tol)
+    got = classify(rotation_about_axis((1.0, 2.0, 0.0), z, 1e-10), tol)  # axis off the origin
+    assert isinstance(got, Translation)
+    assert np.allclose(got.v, (2e-10, -1e-10, 0.0), rtol=1e-6, atol=0.0)
+    rotary = _rotary_motion(Plane(z, 0.0), (0, 0, 0), np.pi - 1e-10)
+    assert isinstance(classify(rotary, tol), Inversion)
+    assert isinstance(classify_fixed_point(rotary, (0, 0, 0), tol), Inversion)
+
+
+def _through(c, *normals) -> ReflectionSequence:
+    """Mirrors through the point c with the given normals."""
+    return ReflectionSequence(tuple(Plane(n, float(np.dot(n, c))) for n in normals))
+
+
+def _repr17(record) -> str:
+    with np.printoptions(precision=17):
+        return repr(record)
+
+
+def test_sequences_classify_as_their_affine_motions():
+    # classify and classify_fixed_point take a ReflectionSequence as it is;
+    # their records equal those of the motion seq_to_affine makes of it
+    c = (1.0, -2.0, 0.5)
+    parallel = ReflectionSequence((Plane((0, 1, 0), 1.0), Plane((0, 1, 0), -2.0)))
+    cases = [
+        (_through(c, (1, 0, 0), (1, 1, 0)), Rotation),
+        (parallel, Translation),
+        (_through(c, (0, 1, 1), (0, 1, 1)), Identity),
+        (_through(c, (1, 0, 0), (0, 1, 0), (1, 1, 1)), RotaryReflection),
+    ]
+    for seq, kind in cases:
+        affine = seq_to_affine(seq)
+        got = classify(seq)
+        assert isinstance(got, kind), got
+        assert _repr17(got) == _repr17(classify(affine)), seq
+        if seq is parallel:
+            for motion in (seq, affine):
+                with pytest.raises(NotAFixedPoint):
+                    classify_fixed_point(motion, c)
+        else:
+            assert _repr17(classify_fixed_point(seq, c)) == _repr17(classify_fixed_point(affine, c))
 
 
 def test_find_probe_witness_fields():

@@ -327,6 +327,8 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["iterate", "--input", g, "--start", "1,0,0", "--count", "-2"]) == 2
     capsys.readouterr()
+    assert main(["iterate", "--input", g, "--start", "1,x,3"]) == 2
+    assert capsys.readouterr().err.startswith("error: start point: ")
 
     src = _write(tmp_path, "src.json", {"A": [0, 0, 0], "B": [1, 0, 0], "C": [0, 1, 0]})
     stretched = _write(tmp_path, "dst.json", {"A": [0, 0, 0], "B": [3, 0, 0], "C": [0, 1, 0]})
@@ -336,6 +338,9 @@ def test_exit_codes(tmp_path, capsys):
     flat = _write(tmp_path, "flat.json", {"A": [0, 0, 0], "B": [1, 0, 0], "C": [2, 0, 0]})
     assert main(["triples", "--src", flat, "--dst", src]) == 2
     capsys.readouterr()
+    listed = _write(tmp_path, "listed.json", [1, 2, 3])
+    assert main(["triples", "--src", listed, "--dst", src]) == 2
+    assert capsys.readouterr().err == "error: triple description must be a JSON object\n"
 
     # tolerances too loose for the worked example: at 1 and 2 the rotation
     # part no longer classifies as a rotation, at 10 the orbit points coincide

@@ -534,13 +534,25 @@ def test_affine_isometry_rejects_large_drift():
         (np.eye(3), (np.inf, 0.0, 0.0), "components must be finite"),
         (np.eye(3), (0.0, 0.0, -np.inf), "components must be finite"),
         (np.eye(3), np.zeros(4), r"expected 3 components, got shape \(4,\)"),
-        # residual 8e-11 passes unrepaired, but |det| - 1 is 1.2e-10
-        ((1.0 + 4e-11) * np.eye(3), np.zeros(3), "determinant"),
     ],
 )
 def test_affine_isometry_rejects_malformed_parts(linear, shift, message):
     with pytest.raises(ValueError, match=message):
         AffineIsometry(linear, shift)
+
+
+def test_affine_isometry_stretched_identity_is_judged_by_its_residual_alone():
+    # (1 + s) I has residual 2 s + s^2 and |det| - 1 near 3 s: at s = 4e-11 the
+    # residual 8e-11 passes unrepaired although |det| - 1 is 1.2e-10, as at 3e-11;
+    # at 6e-11 the residual 1.2e-10 is past _ORTHO_PASS and the matrix is repaired
+    for s in (3e-11, 4e-11):
+        linear = (1.0 + s) * np.eye(3)
+        assert abs(abs(np.linalg.det(linear)) - 1.0) > 0.5 * _ORTHO_PASS
+        for sign in (1.0, -1.0):
+            m = AffineIsometry(sign * linear, np.zeros(3))
+            assert m.linear.tobytes() == (sign * linear).tobytes(), (s, sign)
+    linear = (1.0 + 6e-11) * np.eye(3)
+    assert np.array_equal(AffineIsometry(linear, np.zeros(3)).linear, np.eye(3))
 
 
 def test_affine_isometry_rejects_nonfinite_entries_in_every_slot():
@@ -631,7 +643,6 @@ def test_validator_verdicts_match_numpy_reference():
     assert seen == {
         "accepted",
         "repaired",
-        "linear part must have determinant +1 or -1",
         "linear part is not orthogonal (residual 1.001e-06)",
         "linear part is not orthogonal (residual 1.000e-05)",
     }
