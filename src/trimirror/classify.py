@@ -28,9 +28,9 @@ The kernel and `classify` run on Python floats up to the record, which keeps
 its vectors as floats (_v, _slide, _center), arrays only once read.  The eight
 record classes are the one table of classes: each carries its JSON name (NAME)
 and its own rebuild (_motion), so `reconstruct` and the CLI's encoder need no
-per-class branches.  The rebuilds run on those floats too: the rotary one
-composes its turn after its flip with `motion._compose`, and the glide
-measures its drift with `_dot3`.  Each hands its rows to `motion._rigid` as they are.
+per-class branches.  The rebuilds run on those floats too: a mirror's flip is its one-plane
+fold (`motion._fold`), followed by the rotary turn with `motion._compose`; the glide measures
+its drift with `_dot3`.  Each hands its rows to `motion._rigid` as they are.
 `rotation_from_plane_pair` stays public for cross-checking the kernel on
 mirror pairs; the library, the worked example included, does not call it.
 """
@@ -49,7 +49,7 @@ from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
 from .geom import _Array, _floats, _finite, _line, _plane, _unit, _vector
 from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _EYE, _as_affine
-from .motion import _compose, _det, _fixed_point, _fold, _reflection_parts, _rigid, _rodrigues
+from .motion import _compose, _det, _fixed_point, _fold, _rigid, _rodrigues
 from .motion import _split
 
 # Validation slack for reconstruct(): parameter records are expected to come
@@ -180,7 +180,7 @@ class GlideReflection(_Record):
         _require(slide_len > 0.0, "glide slide must be nonzero")
         drift = abs(_dot3(slide, self.mirror._n))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
-        flip, (x, y, z) = _reflection_parts(self.mirror)
+        flip, (x, y, z) = _fold((self.mirror,))  # the reflection
         return _rigid(flip, [x + slide[0], y + slide[1], z + slide[2]])
 
 
@@ -213,7 +213,7 @@ class RotaryReflection(_Record):
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
         turn = _rodrigues(center, mirror._n, self.angle)
-        return _rigid(*_compose(*turn, *_reflection_parts(mirror)))  # flip, then turn
+        return _rigid(*_compose(*turn, *_fold((mirror,))))  # flip, then turn
 
 
 MotionClass = Union[

@@ -106,5 +106,6 @@ def second_motion(
     PointTriple or any three noncollinear points.
     """
     kept = seq._dst  # three_reflections' pair and measurement of its dst, or None
-    closing = _measured_plane(*(kept[1] if kept and kept[0].dst is dst else _measured(dst)), tol)
+    hit = kept and dst is not None and vars(kept[0]).get("dst") is dst  # unread arrays: not dst
+    closing = _measured_plane(*(kept[1] if hit else _measured(dst)), tol)
     return _sequence(seq.planes + (closing,), _fold((closing,), seq._parts))

@@ -61,7 +61,8 @@ def _floats(value) -> list[float]:
 
 
 def _finite(v):
-    x, y, z = v.tolist() if isinstance(v, np.ndarray) else v  # a (3,) array or three floats
+    """Three floats, returned as given once checked finite; ValueError with as_vec3's message."""
+    x, y, z = v
     if not math.isfinite(x * 0.0 + y * 0.0 + z * 0.0):  # +-0.0 for finite x, else NaN: no overflow
         raise ValueError("vector components must be finite")
     return v
@@ -295,8 +296,11 @@ def _triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...
 
 
 def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
-    """collinear()'s verdict on a measurement of _triangle."""
-    return measure[0] <= 2.0 * tol.eps_len * max(measure[1])
+    """collinear()'s verdict on a measurement of _triangle; ValueError if that overflowed."""
+    area, longest = measure[0], max(measure[1])
+    if not math.isfinite(area * 0.0 + longest * 0.0):  # as _finite: no verdict on an overflow
+        raise ValueError("vector components must be finite")
+    return area <= 2.0 * tol.eps_len * longest
 
 
 def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -304,7 +308,10 @@ def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
     p = [_floats(x) for x in (a, b, c, d)]
     edges = [[x - y for x, y in zip(p[j], p[i])] for i in range(4) for j in range(i + 1, 4)]
     spread = abs(_dot3(_cross3(edges[0], edges[1]), edges[2]))  # (b - a) x (c - a) . (d - a)
-    return spread <= 6.0 * tol.eps_len * max(_dot3(e, e) for e in edges)  # the widest squared
+    widest = max(_dot3(e, e) for e in edges)  # squared
+    if not math.isfinite(spread * 0.0 + widest * 0.0):  # as _thin
+        raise ValueError("vector components must be finite")
+    return spread <= 6.0 * tol.eps_len * widest
 
 
 def point_on_plane(point, plane: Plane, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -3,12 +3,12 @@
 AffineIsometry is x -> L x + t with orthogonal L; ReflectionSequence is an ordered list of
 mirror planes applied left to right.  `apply` accepts either, `seq_to_affine` converts, and
 `then` composes affine motions in reading order (first, then second) by the 3x3 product
-`_compose`.  AffineIsometry() and `then` validate with `_isometry` (repair: `_mgs`), which
+`_compose`.  AffineIsometry() and `then` check L with `_orthogonal` (repair: `_mgs`), which
 tests L^T L - I alone; motions built from unit normals or axes are orthogonal and skip it.
-`_rigid` keeps either's float rows and finite shift as `_parts`; arrays on first read.  It
-checks the shift unless AffineIsometry's own __init__ hands it in, checked by `_floats`.
-A sequence folds its planes when built (`_fold`), reflecting the fold so far in each plane,
-not multiplying by its matrix; `_sequence` may be handed that fold, continued from a prefix.
+Each keeps float rows and a finite shift as `_parts`, arrays on first read; all but
+AffineIsometry() are made by `_rigid`, which checks the shift.  A sequence folds its planes
+when built (`_fold`), reflecting the fold so far in each plane, not multiplying by its matrix;
+`_sequence` may be handed that fold, continued from a prefix.  One plane's fold is its reflection.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _ORTHO_PASS = 1e-10
 _ORTHO_FIX = 1e-6
 _FOLD_LIMIT = int((_ORTHO_PASS / math.ulp(1.0) - 4.0) / 29.0)  # 15,529
 
-_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows of floats, as _isometry takes
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows of floats, as _rigid takes
 PROBE_POINTS = tuple(map(_vector, ((0.0, 0.0, 0.0),) + _EYE))
 
 
@@ -70,33 +70,34 @@ class AffineIsometry:
 
     def __init__(self, linear: np.ndarray, translation: Vec3) -> None:
         l = np.asarray(linear, dtype=float)
-        _isometry(l.tolist() if l.shape == (3, 3) else None, translation, self)
+        rows = _orthogonal(l.tolist() if l.shape == (3, 3) else None)  # reported before the shift
+        self.__dict__["_parts"] = rows, _floats(translation)
 
 
-def _isometry(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
-    """AffineIsometry(rows, t) for float rows (None if not 3x3) and floats t, validated in full;
-    AffineIsometry() passes itself in with its raw translation, coerced after the rows pass."""
+def _orthogonal(rows) -> list[list[float]]:
+    """Float rows (None if not 3x3) checked as an orthogonal linear part: kept as they are
+    within _ORTHO_PASS, re-orthonormalized within _ORTHO_FIX, else ValueError."""
     (a, b, c), (d, e, f), (g, h, i) = rows or ((math.nan,) * 3,) * 3  # read once; None: not 3x3
     if not (math.isfinite(a + b + c + d + e + f + g + h + i)  # proves every entry finite
             or all(map(math.isfinite, (a, b, c, d, e, f, g, h, i)))):  # on overflow
         raise ValueError("linear part must be a finite 3x3 matrix")
-    t = t if m is None else _floats(t)
     residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),  # L^T L - I
                    abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
                    abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
     if residual > _ORTHO_FIX:
         raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
-    if residual > _ORTHO_PASS:
-        rows = _mgs(rows)
-    return _rigid(rows, t, m)
+    return _mgs(rows) if residual > _ORTHO_PASS else rows
 
 
-def _rigid(rows, t, m: AffineIsometry | None = None) -> AffineIsometry:
-    """x -> rows x + t for float rows _isometry would pass as they are; t may overflow: checked,
-    but for AffineIsometry(), which passes itself in with its translation's _floats."""
-    if m is None:
-        m, t = object.__new__(AffineIsometry), _finite(t)
-    m.__dict__["_parts"] = rows, t
+def _isometry(rows, t) -> AffineIsometry:
+    """AffineIsometry(rows, t) for float rows and floats t, validated in full."""
+    return _rigid(_orthogonal(rows), t)
+
+
+def _rigid(rows, t) -> AffineIsometry:
+    """x -> rows x + t for float rows that _orthogonal would keep; t may overflow: checked."""
+    m = object.__new__(AffineIsometry)
+    m.__dict__["_parts"] = rows, _finite(t)
     return m
 
 
@@ -138,28 +139,9 @@ def translation(v) -> AffineIsometry:
     return _rigid(_EYE, _floats(v))
 
 
-def _reflection_parts(plane: Plane) -> tuple[list[list[float]], list[float]]:
-    """I - 2 n n^T as rows of floats and 2 offset n of the reflection in `plane`, unvalidated."""
-    x, y, z = plane._n
-    k = 2.0 * plane.offset
-    # 0.0 - ... as in I - 2 n n^T: a bare -2.0 * (x * y) would give -0.0 for a zero product
-    xy, xz, yz = 0.0 - 2.0 * (x * y), 0.0 - 2.0 * (x * z), 0.0 - 2.0 * (y * z)
-    xx, yy, zz = 1.0 - 2.0 * (x * x), 1.0 - 2.0 * (y * y), 1.0 - 2.0 * (z * z)
-    return [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]], [k * x, k * y, k * z]
-
-
 def plane_reflection(plane: Plane) -> AffineIsometry:
-    """The reflection in `plane` as an affine map."""
-    return _rigid(*_reflection_parts(plane))
-
-
-def _rotation_parts(point, direction, angle: float) -> tuple[list[list[float]], list[float]]:
-    """Linear part and translation of rotation_about_axis, checked but not validated."""
-    d = _unit(direction, "rotation axis direction")
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    return _rodrigues(_floats(point), d, angle)
+    """The reflection in `plane` as an affine map: the fold of that one plane."""
+    return _rigid(*_fold((plane,)))
 
 
 def _split(u, d) -> tuple[list[float], list[float]]:
@@ -207,7 +189,11 @@ def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:
     The sense is right-handed about `direction` exactly as given; the
     direction is normalized but never flipped, unlike Line3 canonicalization.
     """
-    return _rigid(*_rotation_parts(point, direction, angle))
+    d = _unit(direction, "rotation axis direction")
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError("rotation angle must be finite")
+    return _rigid(*_rodrigues(_floats(point), d, angle))
 
 
 def rotation_about_line(axis, angle: float) -> AffineIsometry:

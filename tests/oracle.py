@@ -25,9 +25,11 @@ each record class's NAME and dataclass fields.
 `numpy_linear_kernel`, `numpy_rotation_parts` and `numpy_validate` are the
 classify and motion kernels as the library wrote them on numpy arrays,
 before they moved to Python floats.  The library's kernels must give the
-same classes and verdicts, and parameters equal to rounding.  `numpy_reflection_parts` is the reflection's I - 2 n n^T and
-2 offset n as numpy computes them; the library's written-out entries must
-match it bit for bit, signed zeros included (`zero_component_vectors`).
+same classes and verdicts, and parameters equal to rounding.
+`numpy_reflection_parts` is the reflection's I - 2 n n^T and 2 offset n as
+numpy computes them; the library's one-plane fold must match it bit for bit,
+signed zeros included (`zero_component_vectors`), but for its shift's zero
+components, which are +0.0.
 
 `loop_canonical_sign` is the canonical sign as the library scanned it
 before it became one expression on three floats; the library's

@@ -45,7 +45,7 @@ from trimirror.errors import (
     ParallelDistinctMirrors,
 )
 from trimirror.classify import _CENTER_SLACK, _fixed_point, _linear_kernel, _split
-from trimirror.motion import _reflection_parts, _rodrigues
+from trimirror.motion import _rodrigues
 from trimirror.example import make_f, make_g, make_h, make_k
 
 import oracle
@@ -715,13 +715,14 @@ def test_far_rotary_centers_round_trip():
 def test_rotary_rebuild_matches_exact_reference():
     # reconstruct composes a rotary record's turn after its flip with
     # motion._compose, on the float rows and shifts of _rodrigues and
-    # _reflection_parts.  Against the same float factors multiplied exactly in
-    # fractions, with r = eps / 2 and gamma(k) = k r / (1 - k r): an entry of
-    # the linear part sums three products left to right, gamma(3) times the sum
-    # of their magnitudes; a shift entry adds the turn's shift to three
-    # products, gamma(4) (test_fold_step_matches_exact_reference).  The records
-    # are classify's, with angles from 1e-7 to pi and translations from 1e-3 to
-    # 1e6 long, so far centers are among them.
+    # plane_reflection (the one-plane fold).  Against the same float factors
+    # multiplied exactly in fractions, with r = eps / 2 and gamma(k) =
+    # k r / (1 - k r): an entry of the linear part sums three products left to
+    # right, gamma(3) times the sum of their magnitudes; a shift entry adds the
+    # turn's shift to three products, gamma(4)
+    # (test_fold_step_matches_exact_reference).  The records are classify's,
+    # with angles from 1e-7 to pi and translations from 1e-3 to 1e6 long, so
+    # far centers are among them.
     r = Fraction(np.finfo(float).eps) / 2
 
     def gamma(k):
@@ -741,7 +742,7 @@ def test_rotary_rebuild_matches_exact_reference():
         rows, shift = reconstruct(record)._parts
         turn = _rodrigues(record.center.tolist(), record.mirror._n, record.angle)
         (m, u), (l, t) = [([[Fraction(x) for x in row] for row in rs], [Fraction(x) for x in ts])
-                          for rs, ts in (turn, _reflection_parts(record.mirror))]
+                          for rs, ts in (turn, plane_reflection(record.mirror)._parts)]
         for i in range(3):
             for j in range(3):
                 terms = [m[i][k] * l[k][j] for k in range(3)]

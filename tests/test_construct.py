@@ -249,6 +249,9 @@ def test_second_motion_properties():
         dst_plane = plane_through_points(*dst)
         assert abs(gap - 2.0 * abs(dst_plane.signed_distance(apply(first, probe)))) <= 1e-9
         as_triple = second_motion(first, PointTriple(*dst))
+        with pytest.raises(TypeError):  # None is not the pair's unread dst either
+            second_motion(first, None)
+        assert "dst" not in vars(pair)  # a miss builds none of the pair's dst arrays
         # three_reflections' own measurement of pair.dst, an equal copy of it
         # and a looser tol all close with the same plane
         own = second_motion(first, pair.dst)

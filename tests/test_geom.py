@@ -327,6 +327,28 @@ def test_coplanar_predicate():
     assert not coplanar((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def test_overflowing_measurements_are_refused_not_judged():
+    # a triangle's area or longest edge, or a tetrahedron's volume or widest
+    # squared edge, that overflows (silently, on floats) gives no verdict: it is
+    # refused with as_vec3's message, as apply refuses an image past the range
+    message = "^vector components must be finite$"
+    right = ((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):  # collinear: was accepted, area NaN
+            PointTriple((0, 0, 0), (1e200, 1e200, 1e200), (2e200, 2e200, 2e200))
+        with pytest.raises(ValueError, match=message):  # a right triangle: was collinear
+            collinear(*right)
+        with pytest.raises(ValueError, match=message):
+            plane_through_points(*right)
+        with pytest.raises(ValueError, match=message):  # was coplanar
+            coplanar(*right, (0, 0, 1e200))
+    # the same shapes scaled into range keep their verdicts
+    assert collinear((0, 0, 0), (1e100, 1e100, 1e100), (2e100, 2e100, 2e100))
+    assert not collinear((0, 0, 0), (1e70, 0, 0), (0, 1e70, 0))  # its squared area is 1e280
+    assert not coplanar((0, 0, 0), (1e90, 0, 0), (0, 1e90, 0), (0, 0, 1e90))
+
+
 def test_points_coincide():
     assert points_coincide((1, 2, 3), (1, 2, 3))
     assert points_coincide((1, 2, 3), (1, 2, 3 + 1e-12))

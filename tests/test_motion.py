@@ -29,10 +29,10 @@ from trimirror import (
     translation,
     vec3,
 )
+from trimirror.classify import Reflection, reconstruct
 from trimirror.example import make_f, make_g, make_h
 from trimirror.geom import Line3, coplanar, _reflect, _unit
-from trimirror.motion import _ORTHO_PASS, _fixed_point, _fold, _mgs, _reflection_parts, _rodrigues
-from trimirror.motion import _rotation_parts
+from trimirror.motion import _ORTHO_PASS, _fixed_point, _fold, _mgs, _rodrigues
 
 import oracle
 
@@ -168,7 +168,7 @@ def _assert_within_fold_bound(seq):
     per column of L, in the 2-norm, to first order in r = eps / 2 and for unit
     columns and normals: the fold step misses by gamma(5) (1 + 2 |n|^2), 15 r
     (test_fold_step_matches_exact_reference); a then step by gamma(3) |R|_F for
-    _compose, 3 sqrt 3 r, plus (2 + sqrt 3) r for _reflection_parts' rounding of R,
+    _compose, 3 sqrt 3 r, plus (2 + sqrt 3) r for plane_reflection's rounding of R,
     8.93 r: together 23.93 r, under 12 eps.  The shift, by the same counts, misses
     by gamma(6) (3 |t| + 2 |o|) and by gamma(4) (sqrt 3 |t| + 2 |o|) + (2 + sqrt 3) r
     |t| + 2 r |o|: 28.66 r |t| + 22 r |o|, and |t| <= 2 S before any step.
@@ -279,26 +279,28 @@ def test_sequences_are_complete_when_built():
 
 
 def test_reflection_parts_match_numpy_reference_bit_for_bit():
-    # the entries written out on floats against I - 2 n n^T and 2 offset n;
-    # zero components make zero products, where a -0.0 would show in the bytes
+    # the one-plane fold written out on floats against I - 2 n n^T and 2 offset n;
+    # zero components make zero products, where a -0.0 would show in the bytes.
+    # The fold's shift subtracts from +0.0, so its zero components are +0.0
     rng = np.random.default_rng(62)
     normals = oracle.zero_component_vectors(rng) + list(rng.normal(size=(400, 3)))
     for n in normals:
         for offset in (0.0, -0.0, 1.0, -2.5, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
             plane = Plane(n, offset)
-            got = [np.array(part) for part in _reflection_parts(plane)]
+            got = [np.array(part) for part in plane_reflection(plane)._parts]
             want = oracle.numpy_reflection_parts(plane)
             assert got[0].tobytes() == want[0].tobytes(), (n, offset)
-            assert got[1].tobytes() == want[1].tobytes(), (n, offset)
+            assert got[1].tobytes() == (want[1] + 0.0).tobytes(), (n, offset)
 
 
 def test_fold_step_matches_exact_reference():
     # One fold step reflects the fold so far, L and t, in the plane.  It and
-    # _reflection_parts are pinned against the same floats evaluated exactly
-    # in fractions, with r = eps / 2 and gamma(k) = k r / (1 - k r) for k
-    # roundings in a row.  _reflection_parts: -2 x y rounds once (0.0 - v is
-    # exact), r of it; 1 - 2 x^2 rounds x^2 and the difference, r (2 x^2 + |F|)
-    # (1 + r); the shift 2 offset x rounds once.  The step: an entry of L loses
+    # the fold of the plane alone, its reflection, are pinned against the same
+    # floats evaluated exactly in fractions, with r = eps / 2 and gamma(k) =
+    # k r / (1 - k r) for k roundings in a row.  From the identity, each dot
+    # is 2 n_j exactly: -2 x y rounds once (0.0 - v is exact), r of it;
+    # 1 - 2 x^2 rounds x^2 and the difference, r (2 x^2 + |F|) (1 + r); the
+    # shift 2 offset x rounds once.  The step: an entry of L loses
     # n_i 2 (n . column j).  Each product of the dot rounds at most 3 times in
     # it (its product and two sums), once more times n_i and once in the
     # difference: gamma(5) of the four terms' magnitudes.  The shift loses
@@ -315,7 +317,7 @@ def test_fold_step_matches_exact_reference():
     fold = _fold(())
     for i, normal in enumerate(normals):
         plane = Plane(normal, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0))
-        flip, shift = _reflection_parts(plane)
+        flip, shift = _fold((plane,))
         n, offset = [Fraction(x) for x in plane.normal.tolist()], Fraction(plane.offset)
         for row in range(3):
             for col in range(3):
@@ -343,15 +345,32 @@ def test_fold_step_matches_exact_reference():
 
 def test_one_plane_fold_is_its_reflection_bit_for_bit():
     # A fold starts from the identity's values with no product: on them the
-    # step gives _reflection_parts' bytes, with zero shift components +0.0
+    # step gives I - 2 n n^T and 2 offset n as numpy computes them, bit for
+    # bit, with zero shift components +0.0
     rng = np.random.default_rng(64)
     normals = oracle.zero_component_vectors(rng) + list(rng.normal(size=(2000, 3)))
     for n in normals:
         for offset in (0.0, 1.5, -2.5, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
             plane = Plane(n, offset)
-            (flip, shift), (linear, moved) = _reflection_parts(plane), _fold((plane,))
-            assert np.array(linear).tobytes() == np.array(flip).tobytes(), (n, offset)
-            assert np.array(moved).tobytes() == np.array([x + 0.0 for x in shift]).tobytes()
+            (flip, shift), (linear, moved) = oracle.numpy_reflection_parts(plane), _fold((plane,))
+            assert np.array(linear).tobytes() == flip.tobytes(), (n, offset)
+            assert np.array(moved).tobytes() == (shift + 0.0).tobytes(), (n, offset)
+
+
+def test_every_reflection_builder_gives_the_same_bytes():
+    # plane_reflection, a one-plane sequence and a Reflection record's rebuild
+    # all take the one-plane fold; (1, 0, 0) at offset -1 used to differ in
+    # the signs of its zero shift components, (-2.0, -0.0, -0.0) against +0.0
+    rng = np.random.default_rng(65)
+    for n in oracle.zero_component_vectors(rng) + [np.array([1.0, 0.0, 0.0])]:
+        for offset in (0.0, 1.5, -2.5, -1.0):
+            plane = Plane(n, offset)
+            built = (plane_reflection(plane), seq_to_affine(ReflectionSequence((plane,))),
+                     reconstruct(Reflection(mirror=plane)))
+            linear, shift = ({np.array(m._parts[i]).tobytes() for m in built} for i in (0, 1))
+            assert len(linear) == 1 and len(shift) == 1, (n, offset)
+    shift = plane_reflection(Plane((1, 0, 0), -1))._parts[1]
+    assert np.array(shift).tobytes() == np.array([-2.0, 0.0, 0.0]).tobytes()
 
 
 def test_seq_to_affine_axis_aligned():
@@ -443,7 +462,7 @@ def test_rotation_parts_match_numpy_reference():
     for angle in angles:
         point = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
         direction = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0)
-        linear, shift = _rotation_parts(point, direction, angle)
+        linear, shift = rotation_about_axis(point, direction, angle)._parts
         unit = _unit(direction, "rotation axis direction")
         want_linear, want_shift = oracle.numpy_rotation_parts(point, unit, angle)
         assert np.max(np.abs(linear - want_linear)) <= 4.0 * eps, angle
@@ -575,9 +594,14 @@ def test_affine_isometry_overflowing_finite_entries_are_not_orthogonal():
 
 
 def test_affine_isometry_reports_the_linear_part_before_the_translation():
-    for shift in ((np.inf, 0.0, 0.0), (0.0, np.nan, 0.0), np.zeros(4)):
+    shifts = ((np.inf, 0.0, 0.0), (-np.inf, 0.0, 0.0), (0.0, np.nan, 0.0), np.zeros(4))
+    for shift in shifts:
         with pytest.raises(ValueError, match="^linear part must be a finite 3x3 matrix$"):
             AffineIsometry(np.diag([np.nan, 1.0, 1.0]), shift)
+        # a finite linear part that is not orthogonal is reported first too
+        message = r"^linear part is not orthogonal \(residual 3\.000e\+00\)$"
+        with pytest.raises(ValueError, match=message):
+            AffineIsometry(2.0 * np.eye(3), shift)
 
 
 def test_library_constructors_check_the_shift_they_compute():

@@ -1,10 +1,10 @@
 """Validate once: motions the library builds are not re-validated.
 
-AffineIsometry() and `then` validate their motion in full with
-`motion._isometry`.  Reflections, turns, translations, folds and classify's
-rebuilds come from unit mirror normals or a unit axis and go to
-`motion._rigid`, which keeps their rows as they are and checks only the
-shift.  These tests pin that `_isometry` would have accepted every such
+AffineIsometry() and `then` validate their linear part in full with
+`motion._orthogonal`, `then` through `motion._isometry`.  Reflections,
+turns, translations, folds and classify's rebuilds come from unit mirror
+normals or a unit axis and go to `motion._rigid`, which keeps their rows as
+they are and checks only the shift.  These tests pin that `_isometry` would have accepted every such
 motion unrepaired (it returns the very rows object it was given), on the
 benchmark's own generated cases, and derive the drift bounds that make it so.
 `_isometry` tests only the residual of L^T L - I; the determinant bound that
@@ -37,7 +37,7 @@ from trimirror import motion
 from trimirror.errors import InvalidClassParameters
 from trimirror.geom import _unit
 from trimirror.motion import _FOLD_LIMIT, _ORTHO_PASS, _compose, _det, _isometry, _mgs
-from trimirror.motion import _reflection_parts, _rodrigues
+from trimirror.motion import _fold, _rodrigues
 
 import oracle
 
@@ -74,10 +74,10 @@ def built(monkeypatch):
     """(rows, t) of every motion _rigid builds, except those _isometry hands it."""
     calls, rigid = [], motion._rigid
 
-    def recording(rows, t, m=None):
+    def recording(rows, t):
         if sys._getframe(1).f_code is not _isometry.__code__:
             calls.append((rows, t))
-        return rigid(rows, t, m)
+        return rigid(rows, t)
 
     callers = [m for name, m in sys.modules.items() if name.startswith("trimirror.")]
     for module in callers:
@@ -146,7 +146,7 @@ def test_rebuilds_stay_orthogonal_far_below_the_repair_threshold():
     for v in _normals(rng):
         offset = float(rng.uniform(-3.0, 3.0))
         plane, axis = Plane(v, offset), Line3(rng.normal(size=3), v)
-        flip = _reflection_parts(plane)
+        flip = _fold((plane,))  # the reflection
         _assert_within(flip[0], 22.0, ("flip", v))
         center = [x - offset * y for x, y in zip(rng.normal(size=3), plane._n)]
         for angle in _angles(rng):
