@@ -6,14 +6,15 @@ builds the orientation-reversing one as a sequence of three mirrors, moving
 one point into place per stage; `second_motion` appends the destination
 triple's own plane to obtain the orientation-preserving partner, whose fold
 continues its prefix's fold by that one plane.  The walk runs on Python floats, and
-`geom._triangle` measures each triangle once: PointTriple and the sequence keep it.
+`geom._measure_triangle` measures each triangle once: PointTriple and the sequence
+keep it.
 """
 
 from __future__ import annotations
 
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
 from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _value_class, _vector
-from .geom import _bisector, _measured_plane, _plane_through, _reflect, _thin, _triangle
+from .geom import _bisector, _measure_triangle, _measured_plane, _plane_through, _reflect, _thin
 from .motion import ReflectionSequence, _fold, _sequence
 
 
@@ -38,7 +39,7 @@ def _measured(triple) -> tuple[list[float], tuple, tuple]:
     if isinstance(triple, PointTriple):
         return triple._floats[0], triple._normal, triple._measure
     a, b, c = (_floats(p) for p in triple)
-    return (a, *_triangle(a, b, c))
+    return (a, *_measure_triangle(a, b, c))
 
 
 def congruent_triples(src, dst, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -71,7 +72,7 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
     n, measure = pair.src._normal, pair.src._measure
     if _thin(measure, tol):
         raise DegenerateSource("source triple is collinear at this tolerance")
-    dst_triangle = (a2, *_triangle(a2, b2, c2))
+    dst_triangle = (a2, *_measure_triangle(a2, b2, c2))
     if not _congruent(measure[1], dst_triangle[2][1], tol):
         raise NotCongruent("triples are not congruent at this tolerance")
 
@@ -106,6 +107,5 @@ def second_motion(
     PointTriple or any three noncollinear points.
     """
     kept = seq._dst  # three_reflections' pair and measurement of its dst, or None
-    hit = kept and dst is not None and vars(kept[0]).get("dst") is dst  # unread arrays: not dst
-    closing = _measured_plane(*(kept[1] if hit else _measured(dst)), tol)
+    closing = _measured_plane(*(kept[1] if kept and kept[0].dst is dst else _measured(dst)), tol)
     return _sequence(seq.planes + (closing,), _fold((closing,), seq._parts))

@@ -7,19 +7,20 @@ to loosen or tighten them.
 
 Public functions and constructors validate their arguments once, then run a
 private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`, the
-triangle kernel `_triangle`, its verdict `_thin` and the plane `_measured_plane`
-it fixes, the plane kernel `_plane`, the line kernel `_line`, the sign
-`_canonical_sign`) on the checked floats of `_floats`, which reads a float64
-(3,) ndarray as it is.  Every dot, cross product and length in the module is
-written out on Python floats (`_dot3`, `_cross3`, `math.sqrt`, or spelt out in
-their operation order), `_unit` and the predicates included, and
-`intersect_planes` places its point by a closed form rather than a linear solve;
-numpy only reads input and builds what callers read.  Each value class
-(`_value_class`) checks its arguments in its own __init__ and stores the floats
-the kernels read (`Plane._n`, `Line3._floats`, `PointTriple._floats`); it holds
-no array: `_Array` builds a field's array with `_vector` on first read, in one
-step and read-only from birth (it cannot be made writable again), and keeps it;
-a copy builds its own.
+triangle kernel `_triangle` with its checked form `_measure_triangle`, its
+verdict `_thin` and the plane `_measured_plane` it fixes, the plane kernel
+`_plane`, the line kernel `_line`, the sign `_canonical_sign`) on the checked
+floats of `_floats`, which reads a float64 (3,) ndarray as it is.  Every dot,
+cross product and length in the module is written out on Python floats
+(`_dot3`, `_cross3`, `math.sqrt` or `math.hypot`, or spelt out in their
+operation order), `_unit` and the predicates included, and `intersect_planes`
+places its point by a closed form rather than a linear solve; numpy only reads
+input and builds what callers read.  Each value class (`_value_class`) checks
+its arguments in its own __init__ and stores the floats the kernels read
+(`Plane._n`, `Line3._floats`, `PointTriple._floats`); it holds no array:
+`_Array` builds a field's array with `_vector` on first read, in one step and
+read-only from birth (it cannot be made writable again), and keeps it; a copy
+builds its own.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ class PointTriple:
 
     def __init__(self, a: Vec3, b: Vec3, c: Vec3, tol: InitVar[Tolerance | None] = None) -> None:
         floats = a, b, c = _floats(a), _floats(b), _floats(c)
-        n, measure = _triangle(a, b, c)
+        n, measure = _measure_triangle(a, b, c)
         if _thin(measure, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
         self.__dict__.update(_floats=floats, _measure=measure, _normal=n)  # construct re-tests
@@ -281,7 +282,7 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
     edge, which keeps the verdict stable under uniform rescaling of the
     points and agrees with PointTriple's construction check.
     """
-    return _thin(_triangle(_floats(a), _floats(b), _floats(c))[1], tol)
+    return _thin(_measure_triangle(_floats(a), _floats(b), _floats(c))[1], tol)
 
 
 def _triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]]]:
@@ -295,12 +296,38 @@ def _triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...
     return n, (math.sqrt(x * x + y * y + z * z), edges)
 
 
-def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
-    """collinear()'s verdict on a measurement of _triangle; ValueError if that overflowed."""
-    area, longest = measure[0], max(measure[1])
-    if not math.isfinite(area * 0.0 + longest * 0.0):  # as _finite: no verdict on an overflow
+def _measure_triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]]]:
+    """_triangle(a, b, c), or where a square or product overflowed, its measure found without one.
+
+    n is the cross product of the edges over `_scaled`'s s, times s^2, both
+    steps exact; math.hypot takes each length without squaring, so a thin
+    triangle's small area is kept.  An area or edge past the float range is
+    refused with as_vec3's message.
+    """
+    triangle = _triangle(a, b, c)
+    area, (e0, e1, e2) = triangle[1]
+    if math.isfinite(area * 0.0 + e0 + e1 + e2):  # finite edges are below 1.4e154: no sum overflows
+        return triangle
+    u, v, w = ([q - p for p, q in zip(f, t)] for f, t in ((a, b), (a, c), (b, c)))
+    s, (us, vs) = _scaled(u, v)
+    n = _cross3(us, vs)
+    measure = math.hypot(*n) * s * s, (math.hypot(*u), math.hypot(*v), math.hypot(*w))
+    if max(measure[0], *measure[1]) == math.inf:  # an area or edge past the float range
         raise ValueError("vector components must be finite")
-    return area <= 2.0 * tol.eps_len * longest
+    return (n[0] * s * s, n[1] * s * s, n[2] * s * s), measure
+
+
+def _scaled(*vectors) -> tuple[float, list[list[float]]]:
+    """The power of two s that puts the vectors' largest part in [1, 2), and the vectors over s."""
+    if (m := max(abs(x) for v in vectors for x in v)) == math.inf:  # a vector past the float range
+        raise ValueError("vector components must be finite")
+    s = 2.0 ** (math.frexp(m)[1] - 1)
+    return s, [[x / s for x in v] for v in vectors]  # exact but for subnormal quotients
+
+
+def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
+    """collinear()'s verdict on a measurement of _measure_triangle."""
+    return measure[0] <= 2.0 * tol.eps_len * max(measure[1])
 
 
 def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -309,8 +336,12 @@ def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
     edges = [[x - y for x, y in zip(p[j], p[i])] for i in range(4) for j in range(i + 1, 4)]
     spread = abs(_dot3(_cross3(edges[0], edges[1]), edges[2]))  # (b - a) x (c - a) . (d - a)
     widest = max(_dot3(e, e) for e in edges)  # squared
-    if not math.isfinite(spread * 0.0 + widest * 0.0):  # as _thin
-        raise ValueError("vector components must be finite")
+    if not math.isfinite(spread * 0.0 + widest):  # overflowed: decide on the half edges over s
+        s, edges = _scaled(*([x / 2.0 - y / 2.0 for x, y in zip(p[j], p[i])]  # finite, as halves
+                             for i in range(4) for j in range(i + 1, 4)))
+        # spread (2s)^3 <= 6 eps widest (2s)^2 as spread 2s <= 6 eps widest; inf is not flat
+        spread = abs(_dot3(_cross3(edges[0], edges[1]), edges[2])) * s * 2.0  # 2 s may overflow
+        widest = max(_dot3(e, e) for e in edges)
     return spread <= 6.0 * tol.eps_len * widest
 
 
@@ -346,11 +377,11 @@ def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
 
 
 def _plane_through(a, b, c, tol: Tolerance) -> Plane:
-    return _measured_plane(a, *_triangle(a, b, c), tol)
+    return _measured_plane(a, *_measure_triangle(a, b, c), tol)
 
 
 def _measured_plane(a, n, measure, tol: Tolerance) -> Plane:
-    """The plane through a of the triangle that _triangle measured as n, measure."""
+    """The plane through a of the triangle that _measure_triangle measured as n, measure."""
     if _thin(measure, tol):
         raise CollinearPoints("three collinear points do not fix a plane")
     return _plane(n, measure[0], _dot3(n, a))

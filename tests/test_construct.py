@@ -249,9 +249,6 @@ def test_second_motion_properties():
         dst_plane = plane_through_points(*dst)
         assert abs(gap - 2.0 * abs(dst_plane.signed_distance(apply(first, probe)))) <= 1e-9
         as_triple = second_motion(first, PointTriple(*dst))
-        with pytest.raises(TypeError):  # None is not the pair's unread dst either
-            second_motion(first, None)
-        assert "dst" not in vars(pair)  # a miss builds none of the pair's dst arrays
         # three_reflections' own measurement of pair.dst, an equal copy of it
         # and a looser tol all close with the same plane
         own = second_motion(first, pair.dst)
@@ -296,6 +293,22 @@ def test_three_reflections_rejects_overflowing_chords():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^plane normal must have a nonzero, finite length$"):
             three_reflections(TriplePair(src, dst))
+
+
+def test_three_reflections_walks_a_triangle_whose_area_squares_overflow():
+    # edges of 2e77: the doubled area 4e154 is measured at a power-of-two
+    # scale, so the walk and its partner close with the triangles' own planes
+    src = PointTriple((0, 0, 0), (2e77, 0, 0), (0, 2e77, 0))
+    dst = ((1, 0, 0), (1, 2e77, 0), (1, 0, 2e77))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = three_reflections(TriplePair(src, dst))
+        second = second_motion(first, dst)
+    assert plane_bytes(second.planes[-1]) == plane_bytes(Plane((1, 0, 0), 1))
+    for seq in (first, second):
+        motion = seq_to_affine(seq)
+        for p, q in zip(src.points(), dst):
+            assert np.allclose(apply(motion, p), q, rtol=0, atol=1e-14 * 2e77)
 
 
 def test_triple_pair_validation():

@@ -39,7 +39,7 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
-from trimirror.geom import _bisector, _reflect, _triangle, _unit
+from trimirror.geom import _bisector, _measure_triangle, _reflect, _triangle, _unit
 
 from oracle import exact_root, loop_canonical_sign, plane_bytes, zero_component_vectors
 
@@ -327,25 +327,43 @@ def test_coplanar_predicate():
     assert not coplanar((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def test_overflowing_measurements_are_refused_not_judged():
-    # a triangle's area or longest edge, or a tetrahedron's volume or widest
-    # squared edge, that overflows (silently, on floats) gives no verdict: it is
-    # refused with as_vec3's message, as apply refuses an image past the range
-    message = "^vector components must be finite$"
-    right = ((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0))
+def test_overflowing_measurements_are_rescaled_or_refused():
+    # a triangle's squared area overflows once its edges pass about 1.2e77,
+    # and a tetrahedron's volume once they pass about 5.6e102, far inside the
+    # float range: each is measured again at a power-of-two scale and keeps the
+    # verdict it had, or gets the one it should have had; only a measure that
+    # is itself past the range is refused, with as_vec3's message
+    right = ((0, 0, 0), (2e77, 0, 0), (0, 2e77, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=message):  # collinear: was accepted, area NaN
-            PointTriple((0, 0, 0), (1e200, 1e200, 1e200), (2e200, 2e200, 2e200))
-        with pytest.raises(ValueError, match=message):  # a right triangle: was collinear
-            collinear(*right)
+        assert not collinear(*right)
+        assert PointTriple(*right)._measure == (4e154, (2e77, 2e77, math.hypot(2e77, 2e77)))
+        assert plane_bytes(plane_through_points(*right)) == plane_bytes(Plane((0, 0, 1), 0))
+        assert not coplanar((0, 0, 0), (1e110, 0, 0), (0, 1e110, 0), (0, 0, 1e110))
+        assert not coplanar((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0), (0, 0, 1e200))  # was True
+        assert coplanar((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0), (1e200, 1e200, 0))
+        line = ((0, 0, 0), (1e200, 1e200, 1e200), (2e200, 2e200, 2e200))
+        assert collinear(*line)
+        with pytest.raises(CollinearPoints):  # was accepted, its area NaN
+            PointTriple(*line)
+        # a sliver whose products overflow, though its doubled area, 1e300, does not
+        sliver = [0.0, 0.0, 0.0], [1e160, 0.0, 0.0], [2e160, 1e140, 0.0]
+        n, (area, edges) = _measure_triangle(*sliver)
+        assert (n, area, edges) == ((0.0, 0.0, 1e160 * 1e140), 1e160 * 1e140, (1e160, 2e160, 1e160))
+        message = "^vector components must be finite$"
+        wide = ((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0))
+        with pytest.raises(ValueError, match=message):  # its area is 1e400; was collinear
+            collinear(*wide)
         with pytest.raises(ValueError, match=message):
-            plane_through_points(*right)
-        with pytest.raises(ValueError, match=message):  # was coplanar
-            coplanar(*right, (0, 0, 1e200))
-    # the same shapes scaled into range keep their verdicts
+            plane_through_points(*wide)
+        # edges 2e308 long, past the range, are halved before they are measured
+        assert coplanar((-1e308, 0, 0), (1e308, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert not coplanar((-1e308, 0, 0), (1e308, 0, 0), (0, 1e308, 0), (0, 0, 1e308))
+        with pytest.raises(ValueError, match=message):  # a triangle keeps its edges: refused
+            collinear((-1e308, 0, 0), (1e308, 0, 0), (0, 1, 0))
+    # the same shapes inside the range keep their bytes and verdicts
     assert collinear((0, 0, 0), (1e100, 1e100, 1e100), (2e100, 2e100, 2e100))
-    assert not collinear((0, 0, 0), (1e70, 0, 0), (0, 1e70, 0))  # its squared area is 1e280
+    assert PointTriple((0, 0, 0), (1e70, 0, 0), (0, 1e70, 0))._measure[0] == 1e70 * 1e70
     assert not coplanar((0, 0, 0), (1e90, 0, 0), (0, 1e90, 0), (0, 0, 1e90))
 
 
