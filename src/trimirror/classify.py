@@ -4,18 +4,16 @@ Every motion of 3-space is exactly one of: the identity, a translation, a
 rotation, a screw, a reflection, a glide reflection, a point inversion, or a
 rotary reflection.
 
-The classifiers read the motion off its action on the probe frame
-{0, e1, e2, e3} (motion.PROBE_POINTS).  That action is the affine form
-itself: the translation t is the image of 0, and column i of the linear
-part L is the image of e_i minus the image of 0.  One closed-form kernel
-works on L: the determinant gives the parity, the skew and symmetric parts
-give the axis or mirror normal, and trace against skew gives the angle.
-`classify_fixed_point` places the kernel's answer through a given fixed
-point; `classify` splits t once along the axis or mirror normal: a turn keeps
-the part along its axis as slide and is placed by the part across it, while
-every mirror, the rotary one included, lies at half the part along its normal
-and a glide keeps the part across it as slide.  `reconstruct` rebuilds a
-motion from its record, closing the loop.
+The classifiers read the motion's affine parts, its linear part L and
+translation t (`_parts`, a sequence's fold via `motion._as_affine`).  One
+closed-form kernel works on L: the determinant gives the parity, the skew
+and symmetric parts give the axis or mirror normal, and trace against skew
+gives the angle.  `classify_fixed_point` places the kernel's answer
+through a given fixed point; `classify` splits t once along the axis or
+mirror normal: a turn keeps the part along its axis as slide and is placed
+by the part across it, while every mirror, the rotary one included, lies
+at half the part along its normal and a glide keeps the part across it as
+slide.  `reconstruct` rebuilds a motion from its record, closing the loop.
 
 The axis point and the rotary center come from one closed form,
 `motion._fixed_point`, the inverse of the shift of the record's own turn,
@@ -339,10 +337,10 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
     within eps_angle of zero give Identity, rotary angles within eps_angle of
     zero or pi give Reflection or Inversion.
     """
-    c = _floats(c)
+    c, m = _floats(c), _as_affine(m)
     if not points_coincide(apply(m, c), c, tol):
         raise NotAFixedPoint("the supplied point is moved by the motion")
-    kind, direction, angle = _linear_kernel(_as_affine(m)._parts[0], tol)
+    kind, direction, angle = _linear_kernel(m._parts[0], tol)
     if kind is Identity:
         return Identity()
     if kind is Inversion:

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .classify import MotionClass, classify
+from .classify import Inversion, MotionClass, classify, reconstruct
 from .construct import TriplePair, second_motion, three_reflections
 from .errors import CollinearPoints, GeometryError
 from .example import DEFAULT_ITERATES, analyze, iterate
@@ -101,7 +101,7 @@ def motion_from_spec(doc) -> AffineIsometry:
         if kind == "reflection":
             return plane_reflection(Plane(_vec_field(doc, "normal"), _num_field(doc, "offset")))
         if kind == "inversion":
-            return AffineIsometry(-np.eye(3), 2.0 * _vec_field(doc, "center"))
+            return reconstruct(Inversion(center=_vec_field(doc, "center")))
         if kind == "sequence":
             steps = doc.get("steps")
             if not isinstance(steps, list) or not steps:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
 from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _value_class, _vector
-from .geom import _bisector, _measure_triangle, _measured_plane, _plane_through, _reflect, _thin
+from .geom import _bisector, _measure_triangle, _measured_plane, _reflect, _thin
 from .motion import ReflectionSequence, _fold, _sequence
 
 
@@ -86,7 +86,7 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
         # happens to lie on line(A', B') that plane would be underdetermined,
         # but in that case the source plane itself contains both images.
         try:
-            beta = _plane_through(a2, b2, c, tol)
+            beta = _measured_plane(a2, *_measure_triangle(a2, b2, c), tol)
         except CollinearPoints:
             beta = _measured_plane(a, n, measure, tol)
 

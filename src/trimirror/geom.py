@@ -6,21 +6,21 @@ absolute and tuned for inputs of roughly unit scale; pass a custom Tolerance
 to loosen or tighten them.
 
 Public functions and constructors validate their arguments once, then run a
-private kernel (`_coincide`, `_bisector`, `_plane_through`, `_reflect`, the
-triangle kernel `_triangle` with its checked form `_measure_triangle`, its
-verdict `_thin` and the plane `_measured_plane` it fixes, the plane kernel
-`_plane`, the line kernel `_line`, the sign `_canonical_sign`) on the checked
-floats of `_floats`, which reads a float64 (3,) ndarray as it is.  Every dot,
-cross product and length in the module is written out on Python floats
-(`_dot3`, `_cross3`, `math.sqrt` or `math.hypot`, or spelt out in their
-operation order), `_unit` and the predicates included, and `intersect_planes`
-places its point by a closed form rather than a linear solve; numpy only reads
-input and builds what callers read.  Each value class (`_value_class`) checks
-its arguments in its own __init__ and stores the floats the kernels read
-(`Plane._n`, `Line3._floats`, `PointTriple._floats`); it holds no array:
-`_Array` builds a field's array with `_vector` on first read, in one step and
-read-only from birth (it cannot be made writable again), and keeps it; a copy
-builds its own.
+private kernel (`_coincide`, `_bisector`, `_reflect`, the triangle kernel
+`_triangle` with its checked form `_measure_triangle`, its verdict `_thin` and
+the plane `_measured_plane` it fixes, the plane kernel `_plane`, the line
+kernel `_line`, the sign `_canonical_sign`, and `_scaled`, the one rescale, by
+an exact power of two) on the checked floats of `_floats`, which reads a
+float64 (3,) ndarray as it is.  Every dot, cross product and length in the
+module is written out on Python floats (`_dot3`, `_cross3`, `math.sqrt` or
+`math.hypot`, or spelt out in their operation order), `_unit` and the
+predicates included, and `intersect_planes` places its point by a closed form
+rather than a linear solve; numpy only reads input and builds what callers
+read.  Each value class (`_value_class`) checks its arguments in its own
+__init__ and stores the floats the kernels read (`Plane._n`, `Line3._floats`,
+`PointTriple._floats`); it holds no array: `_Array` builds a field's array
+with `_vector` on first read, in one step and read-only from birth (it cannot
+be made writable again), and keeps it; a copy builds its own.
 """
 
 from __future__ import annotations
@@ -333,15 +333,12 @@ def _thin(measure: tuple[float, tuple[float, ...]], tol: Tolerance) -> bool:
 def coplanar(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the tetrahedron abcd is flat within tolerance."""
     p = [_floats(x) for x in (a, b, c, d)]
-    edges = [[x - y for x, y in zip(p[j], p[i])] for i in range(4) for j in range(i + 1, 4)]
-    spread = abs(_dot3(_cross3(edges[0], edges[1]), edges[2]))  # (b - a) x (c - a) . (d - a)
-    widest = max(_dot3(e, e) for e in edges)  # squared
-    if not math.isfinite(spread * 0.0 + widest):  # overflowed: decide on the half edges over s
-        s, edges = _scaled(*([x / 2.0 - y / 2.0 for x, y in zip(p[j], p[i])]  # finite, as halves
-                             for i in range(4) for j in range(i + 1, 4)))
-        # spread (2s)^3 <= 6 eps widest (2s)^2 as spread 2s <= 6 eps widest; inf is not flat
-        spread = abs(_dot3(_cross3(edges[0], edges[1]), edges[2])) * s * 2.0  # 2 s may overflow
-        widest = max(_dot3(e, e) for e in edges)
+    s, edges = _scaled(*([x / 2.0 - y / 2.0 for x, y in zip(p[j], p[i])]  # finite, as halves
+                         for i in range(4) for j in range(i + 1, 4)))
+    # on the half edges over s: spread (2s)^3 <= 6 eps widest (2s)^2 as spread 2s <= 6 eps
+    # widest, spread from (b - a) x (c - a) . (d - a), widest squared; inf is not flat
+    spread = abs(_dot3(_cross3(edges[0], edges[1]), edges[2])) * s * 2.0  # 2 s may overflow
+    widest = max(_dot3(e, e) for e in edges)
     return spread <= 6.0 * tol.eps_len * widest
 
 
@@ -373,11 +370,8 @@ def _bisector(a, b, tol: Tolerance) -> Plane | None:
 
 def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
     """The unique plane through three noncollinear points."""
-    return _plane_through(_floats(a), _floats(b), _floats(c), tol)
-
-
-def _plane_through(a, b, c, tol: Tolerance) -> Plane:
-    return _measured_plane(a, *_measure_triangle(a, b, c), tol)
+    a = _floats(a)
+    return _measured_plane(a, *_measure_triangle(a, _floats(b), _floats(c)), tol)
 
 
 def _measured_plane(a, n, measure, tol: Tolerance) -> Plane:
@@ -393,16 +387,15 @@ def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:
     The returned line's direction is the (canonicalized) cross product of the
     two normals; its stored point is the point of the line nearest the origin.
     """
-    d, m = _cross3(p._n, q._n), 1.0
-    if (square := _dot3(d, d)) < 2.0 ** -1022 and any(d):  # subnormal: measure d / m instead,
-        m = max(map(abs, d))  # m its largest part, so |d| = m |d / m| and x divides by m |d / m|^2
-        d = (d[0] / m, d[1] / m, d[2] / m)
+    d, s = _cross3(p._n, q._n), 1.0
+    if (square := _dot3(d, d)) < 2.0 ** -1022 and any(d):  # subnormal: measure d / s instead,
+        s, (d,) = _scaled(d)  # exact, so |d| = s |d / s| and x divides by s |d / s|^2
         square = _dot3(d, d)
-    if m * (length := math.sqrt(square)) <= tol.eps_angle:
+    if s * (length := math.sqrt(square)) <= tol.eps_angle:
         raise ParallelPlanes("planes are parallel within tolerance")
     # x = (o1 n2 x d + o2 d x n1) / |d|^2 meets both planes and the plane d . x = 0
     (u0, u1, u2), (v0, v1, v2), o1, o2 = _cross3(q._n, d), _cross3(d, p._n), p.offset, q.offset
-    square *= m
+    square *= s
     x = ((o1 * u0 + o2 * v0) / square, (o1 * u1 + o2 * v1) / square, (o1 * u2 + o2 * v2) / square)
     return _line(x, (d[0] / length, d[1] / length, d[2] / length))
 

@@ -1,14 +1,15 @@
 """Rigid motions of 3-space in two interchangeable representations.
 
 AffineIsometry is x -> L x + t with orthogonal L; ReflectionSequence is an ordered list of
-mirror planes applied left to right.  `apply` accepts either, `seq_to_affine` converts, and
-`then` composes affine motions in reading order (first, then second) by the 3x3 product
-`_compose`.  AffineIsometry() and `then` check L with `_orthogonal` (repair: `_mgs`), which
-tests L^T L - I alone; motions built from unit normals or axes are orthogonal and skip it.
-Each keeps float rows and a finite shift as `_parts`, arrays on first read; all but
-AffineIsometry() are made by `_rigid`, which checks the shift.  A sequence folds its planes
-when built (`_fold`), reflecting the fold so far in each plane, not multiplying by its matrix;
-`_sequence` may be handed that fold, continued from a prefix.  One plane's fold is its reflection.
+mirror planes applied left to right.  `seq_to_affine` converts, `apply` maps a point by
+either's affine parts, a sequence's fold, and `then` composes affine motions in reading
+order (first, then second) by the 3x3 product `_compose`.  AffineIsometry() and `then`
+check L with `_orthogonal` (repair: `_mgs`), which tests L^T L - I alone; motions built
+from unit normals or axes are orthogonal and skip it.  Each keeps float rows and a finite
+shift as `_parts`, arrays on first read; all but AffineIsometry() are made by `_rigid`,
+which checks the shift.  A sequence folds its planes when built (`_fold`), reflecting the
+fold so far in each plane, not multiplying by its matrix; `_sequence` may be handed that
+fold, continued from a prefix.  One plane's fold is its reflection.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3, _finite
-from .geom import _Array, _matrix, _reflect, _value_class, _vector, _unit
+from .geom import _Array, _matrix, _value_class, _vector, _unit
 
 # Drift of L^T L - I, which alone decides: up to _ORTHO_PASS L is stored as given (|det L|
 # is then 1 within 3/2 of it plus 5 eps), up to _ORTHO_FIX it is silently re-orthonormalized,
@@ -202,16 +203,12 @@ def rotation_about_line(axis, angle: float) -> AffineIsometry:
 
 
 def apply(motion: Motion, point) -> Vec3:
-    """Image of `point` under the motion (planes of a sequence in order); ValueError on overflow."""
-    p = _floats(point)
-    if isinstance(motion, AffineIsometry):
-        ((a, b, c), (d, e, f), (g, h, i)), (t0, t1, t2) = motion._parts
-        x, y, z = p
-        p = [a * x + b * y + c * z + t0, d * x + e * y + f * z + t1, g * x + h * y + i * z + t2]
-    else:
-        for plane in motion.planes:
-            p = _reflect(plane, p)  # a non-finite step stays non-finite
-    return np.array(_finite(p))
+    """Image of `point` under `_as_affine(motion)`: a sequence maps points by its fold, as
+    seq_to_affine's motion does, bit for bit; ValueError on overflow."""
+    x, y, z = _floats(point)
+    ((a, b, c), (d, e, f), (g, h, i)), (t0, t1, t2) = _as_affine(motion)._parts
+    return np.array(_finite([a * x + b * y + c * z + t0, d * x + e * y + f * z + t1,
+                             g * x + h * y + i * z + t2]))
 
 
 def _compose(m, u, l, t) -> tuple[list[list[float]], list[float]]:

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,20 @@ def test_input_beyond_the_float_range_exits_as_malformed_input(tmp_path, capsys)
     huge_src = _write(tmp_path, "huge_src.json", {**far, "A": [huge, 0, 0]})
     assert main(["triples", "--src", huge_src, "--dst", dst]) == 2
     assert capsys.readouterr().err == f"error: field 'A': {message}\n"
+
+
+def test_an_inversion_whose_shift_overflows_exits_as_malformed_input(tmp_path, capsys):
+    # the shift 2 center passes the largest double: the one inversion builder
+    # doubles the center on floats and refuses it, one error line and no numpy
+    # overflow warning, where -I and 2.0 * center on an array warned first
+    path = _write(tmp_path, "inv.json", {"kind": "inversion", "center": [1e308, 0, 0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["compose"], ["classify"], ["iterate", "--start", "1,0,0"]):
+            assert main([*argv, "--input", path]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err == "error: vector components must be finite\n", argv
 
 
 def test_orbit_beyond_the_float_range_exits_as_malformed_input(tmp_path, capsys):

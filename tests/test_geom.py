@@ -666,13 +666,14 @@ def test_intersect_planes_matches_exact_reference():
 
 
 def test_intersect_planes_measures_a_direction_whose_square_is_subnormal():
-    # Below |d|^2 = 2^-1022, d is scaled by its largest component m first.  Here
-    # n1 is an axis, so d = n1 x n2 is exact, and to first order in r: d / m rounds
-    # once; |d / m|^2 three times and its root once more, 2.5 r in the length; the
-    # division once, so |direction| is 1 within 3.5 r = 1.75 eps.  The crosses of
-    # d / m round three times each (d / m counted), sqrt 2 gamma(3) |D / m| in norm;
-    # o1 u + o2 v twice more, 2 r; m |d / m|^2 and the division 7 r, and _line's
-    # foot 2 r, of |X| <= (|o1| + |o2|) / |D|: 15.25 r (|o1| + |o2|) / |D|, 7.625 eps.
+    # Below |d|^2 = 2^-1022, d is scaled by _scaled's power of two s first, so d / s
+    # is exact.  Here n1 is an axis, so d = n1 x n2 is exact, and to first order in
+    # r: |d / s|^2 rounds three times and its root once more, 2.5 r in the length;
+    # the division once, so |direction| is 1 within 3.5 r = 1.75 eps.  The crosses
+    # of d / s round at most three times each, sqrt 2 gamma(3) |D / s| in norm;
+    # o1 u + o2 v twice more, 2 r; s |d / s|^2 and the division at most 7 r, and
+    # _line's foot 2 r, of |X| <= (|o1| + |o2|) / |D|: at most 15.25 r (|o1| + |o2|)
+    # / |D|, 7.625 eps.
     # Unscaled, |d|^2 = 1e-320 kept 4 digits: the direction came out 1.0000056 long.
     rng = np.random.default_rng(76)
     eps, tol = np.finfo(float).eps, Tolerance(1e-300, 1e-300)

@@ -79,6 +79,9 @@ def test_apply_and_reflect_point_refuse_an_image_beyond_the_float_range():
     calls = [
         lambda: apply(translation((1.7e308, 0.0, 0.0)), (1.7e308, 0.0, 0.0)),
         lambda: apply(ReflectionSequence((mirror, Plane((0, 1, 0), 0.0))), (-1.7e308, 0.0, 0.0)),
+        # 1e308 lies on both mirrors and came back as itself plane by plane; the
+        # fold's shift passes 2e308 on the way, so it is refused, as seq_to_affine is
+        lambda: apply(ReflectionSequence((Plane((1, 0, 0), 1e308),) * 2), (1e308, 0.0, 0.0)),
         lambda: reflect_point(mirror, (-1.7e308, 0.0, 0.0)),
     ]
     with warnings.catch_warnings():
@@ -147,7 +150,8 @@ def test_seq_to_affine_agrees_with_apply():
         assert orientation(seq) is parity
         assert orientation(affine) is parity
         for p in list(PROBE_POINTS) + [rng.uniform(-5, 5, 3) for _ in range(4)]:
-            assert np.linalg.norm(apply(seq, p) - apply(affine, p)) <= 1e-10
+            assert apply(seq, p).tobytes() == apply(affine, p).tobytes(), (seq, p)
+        assert iso_equal(seq, affine, Tolerance(1e-300, 1e-300)), seq
 
 
 def _then_fold(seq):
@@ -279,7 +283,7 @@ def test_sequences_are_complete_when_built():
 
 
 def test_reflection_parts_match_numpy_reference_bit_for_bit():
-    # the one-plane fold written out on floats against I - 2 n n^T and 2 offset n;
+    # the public builder, plane_reflection, against I - 2 n n^T and 2 offset n;
     # zero components make zero products, where a -0.0 would show in the bytes.
     # The fold's shift subtracts from +0.0, so its zero components are +0.0
     rng = np.random.default_rng(62)
@@ -346,11 +350,13 @@ def test_fold_step_matches_exact_reference():
 def test_one_plane_fold_is_its_reflection_bit_for_bit():
     # A fold starts from the identity's values with no product: on them the
     # step gives I - 2 n n^T and 2 offset n as numpy computes them, bit for
-    # bit, with zero shift components +0.0
+    # bit, with zero shift components +0.0.  Zero normal components make zero
+    # products, where a -0.0 would show in the bytes, at either signed zero offset
     rng = np.random.default_rng(64)
     normals = oracle.zero_component_vectors(rng) + list(rng.normal(size=(2000, 3)))
     for n in normals:
-        for offset in (0.0, 1.5, -2.5, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
+        for offset in (0.0, -0.0, 1.0, 1.5, -2.5,
+                       float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
             plane = Plane(n, offset)
             (flip, shift), (linear, moved) = oracle.numpy_reflection_parts(plane), _fold((plane,))
             assert np.array(linear).tobytes() == flip.tobytes(), (n, offset)
