@@ -59,7 +59,7 @@ _PARAM_EPS = 1e-9
 # |u| <= 2 |x| and classify's unit d as the normal, by (2 + 2 sqrt 2) r |x| from
 # _fixed_point's d x v term (exact along d, and |cot||v| / 2 <= |x|), 3 r |x| from
 # k = u . d and 13 r |x| from the rest of the offset (d . k d) / 2, |d|^2 - 1 included,
-# and 3 r |x| from signed_distance's dot product: at most 24 r |x| in all.
+# and 3 r |x| from the dot product that measures the miss: at most 24 r |x| in all.
 _CENTER_SLACK = 12.0 * sys.float_info.epsilon
 
 
@@ -207,7 +207,7 @@ class RotaryReflection(_Record):
         _require(math.isfinite(self.angle), "rotary angle must be finite")
         _require(0.0 < abs(self.angle) < math.pi, "rotary angle must avoid 0 and pi")
         mirror, center = self.mirror, self._center
-        miss = abs(mirror.signed_distance(center))
+        miss = abs(_dot3(mirror._n, center) - mirror.offset)  # signed_distance on kept floats
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
         turn = _rodrigues(center, mirror._n, self.angle)
@@ -237,9 +237,9 @@ def _skew_vector(a) -> list[float]:
     return [0.5 * (a[2][1] - a[1][2]), 0.5 * (a[0][2] - a[2][0]), 0.5 * (a[1][0] - a[0][1])]
 
 
-def _angle_about(skew, cos: float, direction) -> float:
-    """Signed rotation angle about the unit `direction` from its skew vector and cosine."""
-    return _canonical_angle(math.atan2(_dot3(skew, direction), min(max(cos, -1.0), 1.0)))
+def _angle_about(sin: float, cos: float) -> float:
+    """Signed rotation angle from its sine, the skew vector dotted with the unit axis, and cosine."""
+    return _canonical_angle(math.atan2(sin, min(max(cos, -1.0), 1.0)))
 
 
 def rotation_from_plane_pair(
@@ -263,7 +263,7 @@ def rotation_from_plane_pair(
         ) from exc
     rows = _fold((alpha, beta))[0]
     cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
-    angle = _angle_about(_skew_vector(rows), cos, axis._floats[1])
+    angle = _angle_about(_dot3(_skew_vector(rows), axis._floats[1]), cos)
     return Rotation(axis=axis, angle=angle)
 
 
@@ -278,6 +278,11 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, fl
     Identity and Inversion; angles within eps_angle of 0 (or of 0 and pi for
     a rotary reflection) collapse to the simpler class.
 
+    Those column tests run only when every diagonal entry is within 2 eps_len
+    of +1 (of -1): a diagonal offset fl(a -/+ 1) is 0 or at least 2^-53, so
+    one past 2 eps_len squares without underflow, and its column, at least
+    as long, fails the test.
+
     The skew vector of r is sin(angle) times the axis, accurate while
     cos(angle) > 0.  Toward a half turn it vanishes, but the symmetric part
     minus cos(angle) I is (1 - cos(angle)) axis axis^T, whose column on its
@@ -287,40 +292,44 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, fl
     angle reads zero and the class collapses.
     """
     (a, b, c), (d, e, f), (g, h, i) = linear
-    for s, kind in ((-1.0, Identity), (1.0, Inversion)):  # columns of linear + s I, as _dot3
-        x, y, z = a + s, e + s, i + s
-        widest = max(x * x + d * d + g * g, b * b + y * y + h * h, c * c + f * f + z * z)
-        if math.sqrt(widest) <= tol.eps_len:
-            return kind, None, 0.0
+    near = 2.0 * tol.eps_len
+    if abs(abs(a) - 1.0) <= near:  # the smaller of |a - 1| and |a + 1|, rounded alike
+        for s, kind in ((-1.0, Identity), (1.0, Inversion)):  # columns of linear + s I, as _dot3
+            x, y, z = a + s, e + s, i + s
+            if abs(x) <= near and abs(y) <= near and abs(z) <= near:
+                widest = max(x * x + d * d + g * g, b * b + y * y + h * h, c * c + f * f + z * z)
+                if math.sqrt(widest) <= tol.eps_len:
+                    return kind, None, 0.0
     proper = _det(linear) > 0.0
-    skew = _skew_vector(linear)
-    if not proper:  # negation is exact, so r = -linear has skew vector -skew
+    sx, sy, sz = _skew_vector(linear)
+    if not proper:  # r = -linear has skew vector -skew, but for the sign of a zero
         a, b, c, d, e, f, g, h, i = -a, -b, -c, -d, -e, -f, -g, -h, -i
-        skew = [-x for x in skew]
+        sx, sy, sz = -sx, -sy, -sz
     cos = (a + e + i - 1.0) / 2.0
     if cos > 0.0:
-        axis = skew
+        x, y, z = sx, sy, sz
     elif a >= e and a >= i:
-        axis = (a - cos, 0.5 * (d + b), 0.5 * (g + c))
+        x, y, z = a - cos, 0.5 * (d + b), 0.5 * (g + c)
     elif e >= i:
-        axis = (0.5 * (b + d), e - cos, 0.5 * (h + f))
+        x, y, z = 0.5 * (b + d), e - cos, 0.5 * (h + f)
     else:
-        axis = (0.5 * (c + g), 0.5 * (f + h), i - cos)
-    length = math.sqrt(_dot3(axis, axis))
-    direction = [x / length for x in axis] if length != 0.0 else list(axis)
-    sign = _canonical_sign(*direction)
-    direction = [sign * x for x in direction]
-    angle = _angle_about(skew, cos, direction)
+        x, y, z = 0.5 * (c + g), 0.5 * (f + h), i - cos
+    length = math.sqrt(x * x + y * y + z * z)
+    if length != 0.0:
+        x, y, z = x / length, y / length, z / length
+    sign = _canonical_sign(x, y, z)
+    x, y, z = sign * x, sign * y, sign * z
+    angle = _angle_about(sx * x + sy * y + sz * z, cos)
     if proper:
         if abs(angle) <= tol.eps_angle:
             return Identity, None, 0.0
-        return Rotation, direction, angle
+        return Rotation, [x, y, z], angle
     angle = _canonical_angle(angle - math.pi)
     if abs(angle) <= tol.eps_angle:
-        return Reflection, direction, 0.0
+        return Reflection, [x, y, z], 0.0
     if abs(abs(angle) - math.pi) <= tol.eps_angle:
         return Inversion, None, 0.0
-    return RotaryReflection, direction, angle
+    return RotaryReflection, [x, y, z], angle
 
 
 def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionClass:

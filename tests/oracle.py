@@ -38,8 +38,15 @@ and infinite components included.
 
 `two_pass_linear_kernel` is the library's float kernel before it became one
 pass over the linear part: it finds the axis, then measures the angle about
-it, on a negated copy of an improper linear part.  Negation is exact, so the
-one-pass kernel must match it bit for bit.
+it, on a negated copy of an improper linear part, and it runs both column
+tests against I and -I on every input, where the library first checks the
+diagonal.  Negation is exact and the check skips only tests that fail, so
+the one-pass kernel must match it bit for bit, but for the sign of a zero
+direction component: the kernel negates the skew vector of the linear part,
+-(x - x) = -0.0, where this takes the skew vector of its negation, +0.0.
+
+`perfbench_gen` loads the benchmark's case generators, perfbench/gen.py, so
+tests run on the cases the benchmark times.
 
 The module also carries random generators for motions and canonical
 records, and tolerant comparison helpers for the geometric parameter types.
@@ -48,8 +55,12 @@ records, and tolerant comparison helpers for the geometric parameter types.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.util
 import itertools
 import math
+import pathlib
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -515,6 +526,16 @@ def exact_root(square: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------- generators
+
+
+@functools.cache
+def perfbench_gen():
+    """perfbench/gen.py, imported once as the module perfbench_gen."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def random_point(rng: np.random.Generator, scale: float = 3.0) -> np.ndarray:

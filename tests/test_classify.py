@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import itertools
 import math
 import warnings
@@ -44,7 +45,7 @@ from trimirror.errors import (
     NotAFixedPoint,
     ParallelDistinctMirrors,
 )
-from trimirror.classify import _CENTER_SLACK, _fixed_point, _linear_kernel, _split
+from trimirror.classify import _CENTER_SLACK, _PARAM_EPS, _fixed_point, _linear_kernel, _split
 from trimirror.motion import _rodrigues
 from trimirror.example import make_f, make_g, make_h, make_k
 
@@ -383,6 +384,78 @@ def test_reconstruct_validates_records():
         reconstruct(z_plane)
 
 
+@pytest.fixture
+def floats_calls(monkeypatch):
+    """The values passed to _floats through trimirror.geom or trimirror.classify."""
+    calls, real = [], importlib.import_module("trimirror.geom")._floats
+
+    def counted(value):
+        calls.append(value)
+        return real(value)
+
+    for name in ("trimirror.geom", "trimirror.classify"):
+        monkeypatch.setattr(importlib.import_module(name), "_floats", counted)
+    return calls
+
+
+def _rotary_edges(rng):
+    """(record, accepted) for rotary centers just inside and just outside _PARAM_EPS and
+    _CENTER_SLACK |x| off their mirror: exact on z = 0, by signed_distance on tilted mirrors."""
+    z_plane, far = Plane((0, 0, 1), 0.0), _CENTER_SLACK * 1e6  # |(1e6, 0, far)| rounds to 1e6
+    edges = []
+    near_and_far = (((0.0, 0.0), _PARAM_EPS), ((1e6, 0.0), far))
+    for (x, edge), sign in itertools.product(near_and_far, (1.0, -1.0)):
+        for z, accepted in ((edge, True), (math.nextafter(edge, math.inf), False)):
+            record = RotaryReflection(mirror=z_plane, center=(*x, sign * z), angle=0.5)
+            edges.append((record, accepted))
+    for _ in range(200):
+        mirror, scale = oracle.random_plane(rng), float(rng.choice((1.0, 1e6)))
+        foot = oracle.random_point(rng, scale)
+        foot = foot - mirror.signed_distance(foot) * mirror.normal
+        edge = max(_PARAM_EPS, _CENTER_SLACK * scale)
+        center = foot + edge * float(rng.uniform(0.5, 1.5)) * mirror.normal
+        miss = abs(mirror.signed_distance(center))  # the parent's measure, on the stored center
+        record = RotaryReflection(mirror=mirror, center=center, angle=0.5)
+        hypot = math.hypot(*record.center.tolist())
+        edges.append((record, miss <= _PARAM_EPS or miss <= _CENTER_SLACK * hypot))
+    return edges
+
+
+def test_reconstruct_reads_kept_floats_only(floats_calls):
+    # every record keeps the floats of its vectors, checked when it is built,
+    # and its rebuild reads only those: the rotary one measures its center's
+    # miss from the mirror on them, with the bits of signed_distance, which
+    # would send the center through _floats again.  Its slack keeps its
+    # edges: the centers on either side of _PARAM_EPS and of _CENTER_SLACK |x|
+    z_axis, z_plane = Line3((1, 2, 0), (0, 0, 1)), Plane((0, 0, 1), 1.0)
+    records = [
+        Identity(),
+        Translation(v=(1.0, 2.0, 3.0)),
+        Rotation(axis=z_axis, angle=0.5),
+        Screw(axis=z_axis, angle=0.5, slide=(0.0, 0.0, 2.0)),
+        Reflection(mirror=z_plane),
+        GlideReflection(mirror=z_plane, slide=(1.0, 2.0, 0.0)),
+        Inversion(center=(1.0, 2.0, 3.0)),
+        RotaryReflection(mirror=z_plane, center=(1.0, 2.0, 1.0), angle=0.5),
+    ]
+    edges = _rotary_edges(np.random.default_rng(61))
+    z_plane.signed_distance((0.0, 0.0, 0.0))
+    assert floats_calls, "the patch sees a _floats call through geom"
+    floats_calls.clear()
+    for record in records:
+        reconstruct(record)
+    verdicts = set()
+    for record, accepted in edges:
+        verdicts.add(accepted)
+        if accepted:
+            reconstruct(record)
+        else:
+            with pytest.raises(InvalidClassParameters, match="^rotary center must lie on"):
+                reconstruct(record)
+    assert floats_calls == []
+    assert len({type(record) for record in records}) == 8 and verdicts == {True, False}
+
+
 def test_records_refuse_an_axis_or_mirror_of_another_type():
     # the rebuilds trust the unit direction a Line3 or Plane keeps, so the
     # public constructors refuse any other value, as TriplePair does
@@ -556,24 +629,87 @@ def _random_orthogonal_parts(rng):
         yield -q
 
 
+def _kernel_matches_two_pass(rows, tol: Tolerance, zero: float = -0.0) -> type:
+    """The kernel's class of rows, once its class, direction and angle keep every bit of
+    the two-pass reference's; zero=0.0 compares the direction with its zeros made +0.0."""
+    kind, direction, angle = _linear_kernel(rows, tol)
+    want_kind, want_direction, want_angle = oracle.two_pass_linear_kernel(rows, tol)
+    assert kind is want_kind, (rows, tol)
+    assert (direction is None) == (want_direction is None), (rows, tol)
+    if direction is not None:
+        got, want = ([x + zero for x in v] for v in (direction, want_direction))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (rows, tol)
+    assert np.float64(angle).tobytes() == np.float64(want_angle).tobytes(), (rows, tol)
+    return kind
+
+
 def test_linear_kernel_matches_two_pass_reference_bit_for_bit():
     # the one-pass kernel negates the unpacked entries of an improper linear
     # part and forms the trace and skew vector once; negation is exact, so
     # the class, direction and angle must keep every bit of the two passes
     rng = np.random.default_rng(58)
     parts = itertools.chain(_seam_linear_parts(rng), _random_orthogonal_parts(rng))
-    seen = set()
-    for linear in parts:
-        rows = linear.tolist()
-        kind, direction, angle = _linear_kernel(rows, Tolerance())
-        want_kind, want_direction, want_angle = oracle.two_pass_linear_kernel(rows)
-        assert kind is want_kind, linear
-        seen.add(kind)
-        assert (direction is None) == (want_direction is None), linear
-        if direction is not None:
-            assert np.array(direction).tobytes() == np.array(want_direction).tobytes(), linear
-        assert np.float64(angle).tobytes() == np.float64(want_angle).tobytes(), linear
+    seen = {_kernel_matches_two_pass(linear.tolist(), Tolerance()) for linear in parts}
     assert seen == {Identity, Rotation, Reflection, Inversion, RotaryReflection}
+
+
+def _near_signed_identities(tol: Tolerance):
+    """I and -I with one diagonal entry moved off by a few ulps around eps_len and
+    2 eps_len, each way, bare and with a turn of eps_len / 2 about that entry's axis
+    in the other two columns, and the offsets that moved entry has from 1 or -1."""
+    rows, offsets = [], set()
+    turns = (0.0, 0.5 * tol.eps_len)
+    grid = itertools.product((1.0, -1.0), range(3), (1.0, 2.0), (1.0, -1.0), turns)
+    for s, j, k, away, t in grid:
+        entry = s + away * k * tol.eps_len
+        for _ in range(3):  # walk the few floats around the bound, on either side of it
+            entry = math.nextafter(entry, -math.inf)
+        for _ in range(6):
+            entry = math.nextafter(entry, math.inf)
+            linear = [[s if row == col else 0.0 for col in range(3)] for row in range(3)]
+            linear[j][j] = entry
+            p, q = (j + 1) % 3, (j + 2) % 3
+            linear[q][p], linear[p][q] = s * t, -s * t  # the columns stay within eps_len of I's
+            rows.append(linear)
+            offsets.add(abs(entry - s) / tol.eps_len)
+    return rows, offsets
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [Tolerance(), Tolerance(1e-3, 1e-3), Tolerance(1e-200, 1e-200), Tolerance(10.0, 1.0),
+     Tolerance(1e-6, 1e-12)],
+    ids=["default", "1e-3", "1e-200", "10", "1e-6-1e-12"],
+)
+def test_linear_kernel_diagonal_check_matches_two_pass_reference_bit_for_bit(tol):
+    # the kernel runs the column tests against I and -I only where every
+    # diagonal entry lies within 2 eps_len of 1 or of -1; the reference runs
+    # them on every input, so each tolerance's verdicts, directions and
+    # angles must keep every bit, at tiny eps_len too (1e-200).  The
+    # inputs: the seam and random parts above, the first 2,000 cases of each
+    # classify workload the benchmark times, and I and -I moved by just under
+    # and just over eps_len and 2 eps_len on one diagonal entry.  Where
+    # eps_angle < eps_len / 2 the turn of eps_len / 2 would not collapse, so
+    # only the column tests make those Identity or Inversion: a check that
+    # skipped a test it should run would read Rotation or RotaryReflection.
+    # Those turns leave a skew component exactly zero, whose sign the two
+    # kernels set apart: the kernel negates linear's, -(x - x) = -0.0, where
+    # the reference takes -linear's, -x - -x = +0.0, so there the direction
+    # is compared with its zeros made +0.0 and the angle bit for bit
+    rng, gen = np.random.default_rng(60), oracle.perfbench_gen()
+    parts = [linear.tolist() for linear in _seam_linear_parts(rng)]
+    parts += [linear.tolist() for linear in _random_orthogonal_parts(rng)]
+    for stream in (gen.classify_mixed, gen.classify_seams):
+        for case in itertools.islice(stream(1), 2000):
+            parts.append(AffineIsometry(case.motion.linear, case.motion.t)._parts[0])
+    for linear in parts:
+        _kernel_matches_two_pass(linear, tol)
+    near, offsets = _near_signed_identities(tol)
+    seen = {_kernel_matches_two_pass(linear, tol, zero=0.0) for linear in near}
+    if tol.eps_len >= 1e-12:  # a diagonal entry near 1 moves by 2.2e-16 at the least
+        assert min(offsets) < 1.0 < max(offsets) and min(offsets) < 2.0 < max(offsets), offsets
+    if tol.eps_angle < 0.5 * tol.eps_len:
+        assert seen == {Identity, Rotation, Inversion, RotaryReflection}, seen
 
 
 def test_split_matches_exact_reference():

@@ -18,13 +18,10 @@ only numpy) and the public constructors.
 
 import copy
 import dataclasses
-import importlib.util
 import inspect
 import itertools
-import pathlib
 import pickle
 import struct
-import sys
 
 import numpy as np
 import pytest
@@ -62,10 +59,9 @@ from trimirror import (
 from trimirror.errors import InvalidClassParameters
 from trimirror.example import ANCHOR, CENTER
 
-_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_gen", _PATH)
-gen = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)  # for its dataclasses
-_SPEC.loader.exec_module(gen)
+import oracle
+
+gen = oracle.perfbench_gen()
 
 N_CASES = 300  # per workload: three construct cycles, thirty classify-mixed cycles
 

@@ -11,10 +11,8 @@ benchmark's own generated cases, and derive the drift bounds that make it so.
 `_assert_within` also checks shows that a test of |det L| - 1 would add nothing.
 """
 
-import importlib.util
 import itertools
 import math
-import pathlib
 import sys
 
 import numpy as np
@@ -41,10 +39,7 @@ from trimirror.motion import _fold, _rodrigues
 
 import oracle
 
-_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_gen", _PATH)
-gen = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)  # for its dataclasses
-_SPEC.loader.exec_module(gen)
+gen = oracle.perfbench_gen()
 
 EPS = np.finfo(float).eps
 N_CASES = 2000
