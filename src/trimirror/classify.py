@@ -22,8 +22,10 @@ across the axis, or for the center all of t.  The rotary L = R (I - 2 d d^T)
 sends d to -d, which halves w's component along d, as x does: the center
 lies on the mirror up to rounding, which `reconstruct` allows (_CENTER_SLACK).
 
-The kernel and `classify` run on Python floats up to the record, which keeps
-its vectors as floats (_v, _slide, _center), arrays only once read.  The eight
+The kernel and the classifiers run on Python floats up to the record, built by
+`_record` (its axis by `geom._line`, its mirror by `geom._plane`), which keeps
+its vectors as floats (_v, _slide, _center), arrays only once read.  The module
+imports no numpy; `split_translation` refuses a split that overflows.  The eight
 record classes are the one table of classes: each carries its JSON name (NAME)
 and its own rebuild (_motion), so `reconstruct` and the CLI's encoder need no
 per-class branches.  The rebuilds run on those floats too: a mirror's flip is its one-plane
@@ -40,10 +42,8 @@ import sys
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
-from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, intersect_planes
+from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
 from .geom import _Array, _floats, _finite, _line, _plane, _unit, _vector
 from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _EYE, _as_affine
@@ -95,7 +95,7 @@ class _Record:
 
 
 def _record(cls, **fields):
-    """cls(**fields) for floats classify has just computed: checked, each vector's floats kept."""
+    """cls(**fields) for floats a classifier has just computed: checked, vectors' floats kept."""
     record = object.__new__(cls)
     for name in cls._BUILT:
         fields["_" + name] = _finite(fields.pop(name))
@@ -254,7 +254,7 @@ def rotation_from_plane_pair(
     and are rejected with ParallelDistinctMirrors.
     """
     if planes_equal(alpha, beta, tol):
-        return Identity()
+        return _record(Identity)
     try:
         axis = intersect_planes(alpha, beta, tol)
     except ParallelPlanes as exc:
@@ -264,7 +264,7 @@ def rotation_from_plane_pair(
     rows = _fold((alpha, beta))[0]
     cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
     angle = _angle_about(_dot3(_skew_vector(rows), axis._floats[1]), cos)
-    return Rotation(axis=axis, angle=angle)
+    return _record(Rotation, axis=axis, angle=angle)
 
 
 def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, float]:
@@ -351,15 +351,16 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
         raise NotAFixedPoint("the supplied point is moved by the motion")
     kind, direction, angle = _linear_kernel(m._parts[0], tol)
     if kind is Identity:
-        return Identity()
+        return _record(Identity)
     if kind is Inversion:
-        return Inversion(center=c)
+        return _record(Inversion, center=c)
+    length = math.sqrt(_dot3(direction, direction))  # as Line3() and Plane() measure it
     if kind is Rotation:
-        return Rotation(axis=Line3(c, direction), angle=angle)
-    mirror = Plane(direction, _dot3(c, direction))
+        return _record(Rotation, axis=_line(c, [x / length for x in direction]), angle=angle)
+    mirror = _plane(direction, length, _dot3(c, direction))
     if kind is Reflection:
-        return Reflection(mirror=mirror)
-    return RotaryReflection(mirror=mirror, center=c, angle=angle)
+        return _record(Reflection, mirror=mirror)
+    return _record(RotaryReflection, mirror=mirror, center=c, angle=angle)
 
 
 def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
@@ -376,7 +377,7 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
     else:
         d = _unit(splitter, "splitter direction")
     n, v = _split(u, d)
-    return np.array(n), np.array(v)
+    return as_vec3(n), as_vec3(v)
 
 
 def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:

@@ -13,6 +13,9 @@ Motion descriptions are JSON documents with a "kind" field: rotation
 inversion (center), or sequence (steps, applied in listed order).  Angles
 may be numbers or the tokens "pi", "-pi", "pi/6" and so on.  Exit status is
 0 on success, 2 for malformed input, 3 for violated geometric preconditions.
+
+`main` resolves --tol once, before any subcommand reads input, into args.tol.
+The module imports no numpy: the arrays it prints are geom's Vec3 values.
 """
 
 from __future__ import annotations
@@ -24,13 +27,11 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from .classify import Inversion, MotionClass, classify, reconstruct
 from .construct import TriplePair, second_motion, three_reflections
 from .errors import CollinearPoints, GeometryError
 from .example import DEFAULT_ITERATES, analyze, iterate
-from .geom import DEFAULT_TOL, Line3, Plane, PointTriple, Tolerance, as_vec3, points_coincide
+from .geom import DEFAULT_TOL, Line3, Plane, PointTriple, Tolerance, Vec3, as_vec3, points_coincide
 from .motion import (
     AffineIsometry,
     apply,
@@ -151,7 +152,7 @@ def _json(value):
         return {"normal": _json(value.normal), "offset": float(value.offset)}
     if isinstance(value, Line3):
         return {"point": _json(value.point), "dir": _json(value.direction)}
-    if isinstance(value, np.ndarray):
+    if isinstance(value, Vec3):
         return value.ravel().tolist()
     return float(value)
 
@@ -170,31 +171,20 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _tolerance(args) -> Tolerance:
-    if args.tol is None:
-        return DEFAULT_TOL
-    try:
-        return Tolerance(eps_len=args.tol)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-
-
 def cmd_classify(args) -> int:
-    tol = _tolerance(args)
     motion = motion_from_spec(_load_json(args.input))
-    _emit(class_to_json(classify(motion, tol)))
+    _emit(class_to_json(classify(motion, args.tol)))
     return 0
 
 
 def cmd_compose(args) -> int:
-    _tolerance(args)
     motion = motion_from_spec(_load_json(args.input))
     _emit({"linear": _json(motion.linear), "translation": _json(motion.translation)})
     return 0
 
 
 def cmd_triples(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tol
     src = triple_from_spec(_load_json(args.src), tol)
     dst = triple_from_spec(_load_json(args.dst), tol)
     pair = TriplePair(src, (dst.a, dst.b, dst.c))
@@ -226,7 +216,6 @@ def _parse_start(text: str):
 
 
 def cmd_iterate(args) -> int:
-    _tolerance(args)
     motion = motion_from_spec(_load_json(args.input))
     start = _parse_start(args.start)
     if args.count < 0:
@@ -243,8 +232,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_example(args) -> int:
-    tol = _tolerance(args)
-    report = analyze(tol)
+    report = analyze(args.tol)
     _emit({**_fields_json(report), "residual_dot_n": float(report.residual_dot_n())})
     return 0
 
@@ -292,11 +280,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        args.tol = DEFAULT_TOL if args.tol is None else Tolerance(eps_len=args.tol)
         return args.func(args)
     except GeometryError as exc:  # a violated geometric precondition
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # a SpecError, or input beyond the float range
+    except ValueError as exc:  # a SpecError, a bad --tol, or input beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

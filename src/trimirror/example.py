@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classify import Rotation, Screw, classify, classify_fixed_point, split_translation
 from .errors import GeometryError
 from .geom import (
@@ -49,14 +47,14 @@ DEFAULT_ITERATES = 12
 def make_f() -> AffineIsometry:
     """Rotation by pi/6 about the axis through (1,0,0) along (1,-1,0), then
     translation by (1,1,1)."""
-    turn = rotation_about_axis((1.0, 0.0, 0.0), (1.0, -1.0, 0.0), np.pi / 6.0)
+    turn = rotation_about_axis((1.0, 0.0, 0.0), (1.0, -1.0, 0.0), math.pi / 6.0)
     return then(turn, translation((1.0, 1.0, 1.0)))
 
 
 def make_g() -> AffineIsometry:
     """Rotation by pi/4 about the downward vertical through the origin, then
     translation by (0,0,1); a unit-pitch screw on the z-axis."""
-    turn = rotation_about_axis((0.0, 0.0, 0.0), (0.0, 0.0, -1.0), np.pi / 4.0)
+    turn = rotation_about_axis((0.0, 0.0, 0.0), (0.0, 0.0, -1.0), math.pi / 4.0)
     return then(turn, translation((0.0, 0.0, 1.0)))
 
 
@@ -67,7 +65,7 @@ def make_h() -> AffineIsometry:
 
 def make_k() -> AffineIsometry:
     """The rotation part of h, anchored at the origin."""
-    return AffineIsometry(make_h().linear, np.zeros(3))
+    return AffineIsometry(make_h().linear, (0.0, 0.0, 0.0))
 
 
 def iterate(m: Motion, start, count: int) -> list[Vec3]:
@@ -158,6 +156,6 @@ def analyze(tol: Tolerance = DEFAULT_TOL) -> ExampleReport:
         residual=residual,
         p=p,
         screw_axis_h=h_class.axis,
-        bisector_normal_ab=_z_scaled(np.asarray(bis_ab.normal)),
-        bisector_normal_bb_prime=_z_scaled(np.asarray(bis_bb.normal)),
+        bisector_normal_ab=_z_scaled(bis_ab.normal),
+        bisector_normal_bb_prime=_z_scaled(bis_bb.normal),
     )

@@ -45,6 +45,13 @@ the one-pass kernel must match it bit for bit, but for the sign of a zero
 direction component: the kernel negates the skew vector of the linear part,
 -(x - x) = -0.0, where this takes the skew vector of its negation, +0.0.
 
+`constructor_classify_fixed_point` and `constructor_rotation_from_plane_pair`
+are the two classifiers as the library wrote them before they built their
+records with `classify._record`: the public constructors (`Rotation(...)`,
+`Line3(...)`, `Plane(...)` and the rest) applied to the kernels' floats, which
+check and normalize those floats again.  The library's classifiers must
+return the same records bit for bit, kept floats and `vars` keys included.
+
 `perfbench_gen` loads the benchmark's case generators, perfbench/gen.py, so
 tests run on the cases the benchmark times.
 
@@ -90,11 +97,13 @@ from trimirror import (
     collinear,
     congruent_triples,
     identity,
+    intersect_planes,
     iso_equal,
     orientation,
     perpendicular_bisector_plane,
     plane_reflection,
     plane_through_points,
+    planes_equal,
     points_coincide,
     reflect_point,
     seq_to_affine,
@@ -102,7 +111,9 @@ from trimirror import (
     translation,
 )
 
-from trimirror.motion import _rodrigues
+from trimirror.classify import _angle_about, _linear_kernel, _skew_vector
+from trimirror.geom import _dot3, _floats
+from trimirror.motion import _as_affine, _fold, _rodrigues
 
 TOL = Tolerance()
 
@@ -514,6 +525,35 @@ def two_pass_linear_kernel(linear, tol: Tolerance = TOL):
     if abs(abs(angle) - math.pi) <= tol.eps_angle:
         return Inversion, None, 0.0
     return RotaryReflection, direction, angle
+
+
+def constructor_classify_fixed_point(m, c, tol: Tolerance = TOL):
+    """classify_fixed_point(m, c, tol) with its records built by the public constructors."""
+    c, m = _floats(c), _as_affine(m)
+    if not points_coincide(apply(m, c), c, tol):
+        raise NotAFixedPoint("the supplied point is moved by the motion")
+    kind, direction, angle = _linear_kernel(m._parts[0], tol)
+    if kind is Identity:
+        return Identity()
+    if kind is Inversion:
+        return Inversion(center=c)
+    if kind is Rotation:
+        return Rotation(axis=Line3(c, direction), angle=angle)
+    mirror = Plane(direction, _dot3(c, direction))
+    if kind is Reflection:
+        return Reflection(mirror=mirror)
+    return RotaryReflection(mirror=mirror, center=c, angle=angle)
+
+
+def constructor_rotation_from_plane_pair(alpha: Plane, beta: Plane, tol: Tolerance = TOL):
+    """rotation_from_plane_pair(alpha, beta, tol) for coincident or meeting mirrors, its
+    record built by the public constructors."""
+    if planes_equal(alpha, beta, tol):
+        return Identity()
+    axis = intersect_planes(alpha, beta, tol)
+    rows = _fold((alpha, beta))[0]
+    cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
+    return Rotation(axis=axis, angle=_angle_about(_dot3(_skew_vector(rows), axis._floats[1]), cos))
 
 
 # ---------------------------------------------------------------- exact arithmetic

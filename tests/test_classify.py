@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -259,6 +260,78 @@ def test_plane_pair_doubles_the_dihedral():
         )
 
 
+def _bits(x):
+    """x's type and, nested, its floats' bytes (so -0.0 differs from 0.0), its arrays' dtype,
+    shape, writability and bytes, and each value's __dict__ keys in order."""
+    if isinstance(x, float):
+        return struct.pack("d", x)
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.flags.writeable, x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [_bits(v) for v in x]
+    return type(x).__name__, [(k, _bits(v)) for k, v in vars(x).items()]
+
+
+def _outcome(classifier, *args):
+    """_bits of the fresh record (its kept floats), then of its fields and of their planes'
+    and lines' fields, arrays included; or the refusal."""
+    try:
+        record = classifier(*args)
+    except NotAFixedPoint as exc:
+        return "refused", str(exc)
+    kept = _bits(record)  # before a read adds an array to its __dict__
+    values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    nested = [getattr(v, f.name) for v in values if isinstance(v, (Plane, Line3))
+              for f in dataclasses.fields(v)]
+    return kept, [_bits(v) for v in values], [_bits(v) for v in nested]
+
+
+_BYTE_TOLS = (Tolerance(), Tolerance(1e-3, 1e-3), Tolerance(1e-12, 1e-12))
+
+
+def test_fixed_point_records_match_the_public_constructors_bit_for_bit():
+    # classify_fixed_point builds its records, axes and mirrors from the kernel's floats
+    # (classify._record, geom._line, geom._plane); the public constructors, which check and
+    # normalize those floats again, must build the same records, byte for byte
+    rng = np.random.default_rng(2701)
+    built = set()
+    for scale in (1.0, 1e3, 1e6):
+        for _ in range(40):
+            c = oracle.random_point(rng) * scale
+            n = oracle.random_unit(rng)
+            mirror, angle = Plane(n, float(n @ c)), oracle.random_angle(rng)
+            motions = (  # the five classes, and the angles that collapse to the simpler one
+                identity(), rotation_about_axis(c, n, 1e-11), rotation_about_axis(c, n, angle),
+                rotation_about_axis(c, n, np.pi), plane_reflection(mirror),
+                reconstruct(Inversion(center=c)), _rotary_motion(mirror, c, angle),
+                _rotary_motion(mirror, c, np.pi - 1e-11), _rotary_motion(mirror, c, 1e-11),
+            )
+            for motion, tol in itertools.product(motions, _BYTE_TOLS):
+                got = _outcome(classify_fixed_point, motion, c, tol)
+                assert got == _outcome(oracle.constructor_classify_fixed_point, motion, c, tol)
+                if got[0] != "refused":
+                    built.add((scale, tol, got[0][0]))
+    names = ("Identity", "Rotation", "Reflection", "Inversion", "RotaryReflection")
+    assert built == set(itertools.product((1.0, 1e3, 1e6), _BYTE_TOLS, names))
+
+
+def test_plane_pair_records_match_the_public_constructors_bit_for_bit():
+    rng = np.random.default_rng(2702)
+    built = set()
+    for _ in range(200):
+        point = oracle.random_point(rng)
+        n1, n2 = oracle.random_unit(rng), oracle.random_unit(rng)
+        if np.linalg.norm(np.cross(n1, n2)) < 1e-2:
+            continue
+        alpha, beta = Plane(n1, float(n1 @ point)), Plane(n2, float(n2 @ point))
+        for a, b in ((alpha, beta), (alpha, alpha), (alpha, Plane(-n1, -float(n1 @ point)))):
+            for tol in _BYTE_TOLS:
+                got = _outcome(rotation_from_plane_pair, a, b, tol)
+                assert got == _outcome(oracle.constructor_rotation_from_plane_pair, a, b, tol)
+                built.add(got[0][0])
+    assert built == {"Identity", "Rotation"}
+
+
 def test_split_translation_axes_planes_vectors():
     rng = np.random.default_rng(45)
     for _ in range(100):
@@ -287,6 +360,31 @@ def test_split_translation_rejects_overflowing_direction():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^splitter direction must have a nonzero, finite"):
             split_translation((1.0, 2.0, 3.0), (1e200, 0.0, 0.0))
+
+
+def test_split_translation_refuses_a_non_finite_split():
+    # k = u . d overflows to inf, so n = k d and v = u - n would hold inf and nan
+    u, d = (1.5e308, 1.5e308, 0.0), (1.0, 1.0, 0.0)
+    for splitter in (d, Line3((0.0, 0.0, 0.0), d), Plane(d, 0.0)):
+        with pytest.raises(ValueError, match="^vector components must be finite$"):
+            split_translation(u, splitter)
+    # a finite split keeps its bytes, k d and u - k d on the unit direction, in two fresh
+    # writable arrays
+    rng = np.random.default_rng(2703)
+    for _ in range(100):
+        u = oracle.random_point(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+        line, plane = oracle.random_line(rng), oracle.random_plane(rng)
+        w0, w1, w2 = bare = oracle.random_point(rng).tolist()
+        length = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        for splitter, unit in ((line, line._floats[1]), (plane, plane._n),
+                               (bare, (w0 / length, w1 / length, w2 / length))):
+            (u0, u1, u2), (d0, d1, d2) = u.tolist(), unit
+            k = u0 * d0 + u1 * d1 + u2 * d2
+            n, v = split_translation(u, splitter)
+            assert n.tobytes() == struct.pack("3d", k * d0, k * d1, k * d2)
+            assert v.tobytes() == struct.pack("3d", u0 - k * d0, u1 - k * d1, u2 - k * d2)
+            assert n.dtype == v.dtype == np.float64 and n.shape == v.shape == (3,)
+            assert n.flags.writeable and v.flags.writeable and not np.shares_memory(n, v)
 
 
 def test_classify_identity_and_translation():

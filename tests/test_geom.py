@@ -808,6 +808,31 @@ def test_library_builds_no_motion_or_identity_matrix_through_the_public_construc
     assert not sites, f"calls {sites}"
 
 
+def test_library_builds_no_value_or_record_through_the_public_constructors():
+    # a public constructor re-reads and re-normalizes its floats; library code builds
+    # planes with geom._plane, lines with geom._line, sequences with motion._sequence and
+    # records with classify._record, on the floats its kernels have just computed
+    values = ("Plane", "Line3", "PointTriple", "TriplePair", "ReflectionSequence", "Identity",
+              "Translation", "Rotation", "Screw", "Reflection", "GlideReflection", "Inversion",
+              "RotaryReflection")
+    sites = [c[:3] for c in _library_calls() if c[2] in values]
+    # numpy builds what callers read, in geom (as_vec3, _vector, _matrix) and motion
+    # (AffineIsometry's input, apply's point); no other module imports it
+    importers = set()
+    for path in pathlib.Path(trimirror.__file__).parent.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    extra = sorted(importers - {"geom.py", "motion.py"})
+    assert not sites and not extra, f"calls {sites}; numpy imported by {extra}"
+
+
 def test_library_builds_no_array_to_freeze_it_afterwards():
     # every stored array is built once from floats in hand, read-only from birth
     # (geom._vector and geom._matrix): no array is made only to be frozen in
