@@ -5,14 +5,14 @@ rotation, a screw, a reflection, a glide reflection, a point inversion, or a
 rotary reflection.
 
 The classifiers read the motion's affine parts, its linear part L and
-translation t (`_parts`, a sequence's fold via `motion._as_affine`).  One
-closed-form kernel works on L: the determinant gives the parity, the skew
-and symmetric parts give the axis or mirror normal, and trace against skew
-gives the angle.  `classify_fixed_point` places the kernel's answer
-through a given fixed point; `classify` splits t once along the axis or
-mirror normal: a turn keeps the part along its axis as slide and is placed
-by the part across it, while every mirror, the rotary one included, lies
-at half the part along its normal and a glide keeps the part across it as
+translation t, as 12 floats, L row-major, then t (`_parts`, a sequence's fold
+via `motion._as_affine`).  One closed-form kernel works on L: the determinant
+gives the parity, the skew and symmetric parts give the axis or mirror normal,
+and trace against skew gives the angle.  `classify_fixed_point` places the
+kernel's answer through a given fixed point; `classify` splits t once along
+the axis or mirror normal: a turn keeps the part along its axis as slide and
+is placed by the part across it, while every mirror, the rotary one included,
+lies at half the part along its normal and a glide keeps the part across it as
 slide.  `reconstruct` rebuilds a motion from its record, closing the loop.
 
 The axis point and the rotary center come from one closed form,
@@ -30,7 +30,7 @@ record classes are the one table of classes: each carries its JSON name (NAME)
 and its own rebuild (_motion), so `reconstruct` and the CLI's encoder need no
 per-class branches.  The rebuilds run on those floats too: a mirror's flip is its one-plane
 fold (`motion._fold`), followed by the rotary turn with `motion._compose`; the glide measures
-its drift with `_dot3`.  Each hands its rows to `motion._rigid` as they are.
+its drift with `_dot3`.  Each hands its 12 floats to `motion._rigid` as they are.
 `rotation_from_plane_pair` stays public for cross-checking the kernel on
 mirror pairs; the library, the worked example included, does not call it.
 """
@@ -43,11 +43,11 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
-from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, as_vec3, intersect_planes
+from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
-from .geom import _Array, _floats, _finite, _line, _plane, _unit, _vector
-from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _EYE, _as_affine
-from .motion import _compose, _det, _fixed_point, _fold, _rigid, _rodrigues
+from .geom import _Array, _floats, _finite, _fresh, _line, _plane, _unit, _vector
+from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _ID, _as_affine
+from .motion import _compose, _fixed_point, _fold, _rigid, _rodrigues
 from .motion import _split
 
 # Validation slack for reconstruct(): parameter records are expected to come
@@ -69,8 +69,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_turn(angle: float, name: str) -> None:
-    _require(math.isfinite(angle), f"{name} angle must be finite")
-    _require(0.0 < abs(angle) <= math.pi + 1e-12, f"{name} angle must be nonzero and in (-pi, pi]")
+    if not (math.isfinite(angle) and 0.0 < abs(angle) <= math.pi + 1e-12):  # messages on failure
+        _require(math.isfinite(angle), f"{name} angle must be finite")
+        _require(False, f"{name} angle must be nonzero and in (-pi, pi]")
 
 
 class _Record:
@@ -118,7 +119,7 @@ class Translation(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require(math.hypot(*self._v) > 0.0, "translation vector must be nonzero")
-        return _rigid(_EYE, self._v)
+        return _rigid(_ID[:9] + tuple(self._v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +132,7 @@ class Rotation(_Record):
 
     def _motion(self) -> AffineIsometry:
         _require_turn(self.angle, "rotation")
-        return _rigid(*_rodrigues(*self.axis._floats, self.angle))
+        return _rigid(_rodrigues(*self.axis._floats, self.angle))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +152,8 @@ class Screw(_Record):
         p, d = self.axis._floats
         drift = math.hypot(*_cross3(slide, d))
         _require(drift <= _PARAM_EPS * slide_len, "screw slide must be parallel to the axis")
-        turn, (x, y, z) = _rodrigues(p, d, self.angle)
-        return _rigid(turn, [x + slide[0], y + slide[1], z + slide[2]])
+        m = _rodrigues(p, d, self.angle)
+        return _rigid(m[:9] + [m[9] + slide[0], m[10] + slide[1], m[11] + slide[2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +179,8 @@ class GlideReflection(_Record):
         _require(slide_len > 0.0, "glide slide must be nonzero")
         drift = abs(_dot3(slide, self.mirror._n))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
-        flip, (x, y, z) = _fold((self.mirror,))  # the reflection
-        return _rigid(flip, [x + slide[0], y + slide[1], z + slide[2]])
+        m = _fold((self.mirror,))  # the reflection
+        return _rigid(m[:9] + [m[9] + slide[0], m[10] + slide[1], m[11] + slide[2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +189,9 @@ class Inversion(_Record):
     NAME = "inversion"
 
     def _motion(self) -> AffineIsometry:
-        flip = [[-x for x in row] for row in _EYE]  # -I, with -0.0 off the diagonal
-        return _rigid(flip, [2.0 * x for x in self._center])
+        x, y, z = self._center  # -I, with -0.0 off the diagonal
+        return _rigid([-1.0, -0.0, -0.0, -0.0, -1.0, -0.0, -0.0, -0.0, -1.0,
+                       2.0 * x, 2.0 * y, 2.0 * z])
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +213,7 @@ class RotaryReflection(_Record):
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
         turn = _rodrigues(center, mirror._n, self.angle)
-        return _rigid(*_compose(*turn, *_fold((mirror,))))  # flip, then turn
+        return _rigid(_compose(turn, _fold((mirror,))))  # flip, then turn
 
 
 MotionClass = Union[
@@ -232,9 +234,9 @@ def _canonical_angle(angle: float) -> float:
     return math.pi if wrapped <= -math.pi else wrapped
 
 
-def _skew_vector(a) -> list[float]:
-    """Axial vector of the skew part of rows `a`; sin(angle) times the axis for a rotation."""
-    return [0.5 * (a[2][1] - a[1][2]), 0.5 * (a[0][2] - a[2][0]), 0.5 * (a[1][0] - a[0][1])]
+def _skew_vector(l) -> list[float]:
+    """Axial vector of the skew part of L, row-major in l; sin(angle) times a rotation's axis."""
+    return [0.5 * (l[7] - l[5]), 0.5 * (l[2] - l[6]), 0.5 * (l[3] - l[1])]
 
 
 def _angle_about(sin: float, cos: float) -> float:
@@ -261,27 +263,28 @@ def rotation_from_plane_pair(
         raise ParallelDistinctMirrors(
             "parallel distinct mirrors compose to a translation, not a rotation"
         ) from exc
-    rows = _fold((alpha, beta))[0]
-    cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
-    angle = _angle_about(_dot3(_skew_vector(rows), axis._floats[1]), cos)
+    l = _fold((alpha, beta))
+    cos = (l[0] + l[4] + l[8] - 1.0) / 2.0
+    angle = _angle_about(_dot3(_skew_vector(l), axis._floats[1]), cos)
     return _record(Rotation, axis=axis, angle=angle)
 
 
-def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, float]:
-    """Class of the linear part, as rows of floats, as a motion fixing the origin.
+def _linear_kernel(parts, tol: Tolerance) -> tuple[type, list[float] | None, float]:
+    """Class of L, the first nine floats of parts, row-major, as a motion fixing the origin.
 
     Returns the record class (Identity, Rotation, Reflection, Inversion or
     RotaryReflection), the canonical unit axis or mirror normal as floats,
     and the angle signed about it.  Orientation parity comes from the
-    determinant; an improper `linear` is minus a rotation r by angle + pi
-    about the mirror normal.  Columns of linear -/+ I within eps_len give
+    determinant; an improper L is minus a rotation r by angle + pi
+    about the mirror normal.  Columns of L -/+ I within eps_len give
     Identity and Inversion; angles within eps_angle of 0 (or of 0 and pi for
     a rotary reflection) collapse to the simpler class.
 
     Those column tests run only when every diagonal entry is within 2 eps_len
     of +1 (of -1): a diagonal offset fl(a -/+ 1) is 0 or at least 2^-53, so
     one past 2 eps_len squares without underflow, and its column, at least
-    as long, fails the test.
+    as long, fails the test.  Where a column's or the axis's squares sum below
+    2^-1022, where they may have underflowed, its length is math.hypot's.
 
     The skew vector of r is sin(angle) times the axis, accurate while
     cos(angle) > 0.  Toward a half turn it vanishes, but the symmetric part
@@ -291,18 +294,20 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, fl
     skew vector.  The axis is zero only for r = I up to rounding, where the
     angle reads zero and the class collapses.
     """
-    (a, b, c), (d, e, f), (g, h, i) = linear
+    a, b, c, d, e, f, g, h, i = parts[:9]
     near = 2.0 * tol.eps_len
     if abs(abs(a) - 1.0) <= near:  # the smaller of |a - 1| and |a + 1|, rounded alike
-        for s, kind in ((-1.0, Identity), (1.0, Inversion)):  # columns of linear + s I, as _dot3
+        for s, kind in ((-1.0, Identity), (1.0, Inversion)):  # columns of L + s I, as _dot3
             x, y, z = a + s, e + s, i + s
             if abs(x) <= near and abs(y) <= near and abs(z) <= near:
                 widest = max(x * x + d * d + g * g, b * b + y * y + h * h, c * c + f * f + z * z)
-                if math.sqrt(widest) <= tol.eps_len:
+                if math.sqrt(widest) <= tol.eps_len and (widest >= 2.0 ** -1022 or max(
+                        math.hypot(x, d, g), math.hypot(b, y, h), math.hypot(c, f, z))
+                        <= tol.eps_len):  # else its squares may have underflowed
                     return kind, None, 0.0
-    proper = _det(linear) > 0.0
-    sx, sy, sz = _skew_vector(linear)
-    if not proper:  # r = -linear has skew vector -skew, but for the sign of a zero
+    proper = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) > 0.0  # as _det
+    sx, sy, sz = 0.5 * (h - f), 0.5 * (c - g), 0.5 * (d - b)  # as _skew_vector, on locals
+    if not proper:  # r = -L has skew vector -skew, but for the sign of a zero
         a, b, c, d, e, f, g, h, i = -a, -b, -c, -d, -e, -f, -g, -h, -i
         sx, sy, sz = -sx, -sy, -sz
     cos = (a + e + i - 1.0) / 2.0
@@ -314,7 +319,7 @@ def _linear_kernel(linear, tol: Tolerance) -> tuple[type, list[float] | None, fl
         x, y, z = 0.5 * (b + d), e - cos, 0.5 * (h + f)
     else:
         x, y, z = 0.5 * (c + g), 0.5 * (f + h), i - cos
-    length = math.sqrt(x * x + y * y + z * z)
+    length = math.sqrt(sq) if (sq := x * x + y * y + z * z) >= 2.0 ** -1022 else math.hypot(x, y, z)
     if length != 0.0:
         x, y, z = x / length, y / length, z / length
     sign = _canonical_sign(x, y, z)
@@ -349,7 +354,7 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
     c, m = _floats(c), _as_affine(m)
     if not points_coincide(apply(m, c), c, tol):
         raise NotAFixedPoint("the supplied point is moved by the motion")
-    kind, direction, angle = _linear_kernel(m._parts[0], tol)
+    kind, direction, angle = _linear_kernel(m._parts, tol)
     if kind is Identity:
         return _record(Identity)
     if kind is Inversion:
@@ -377,7 +382,7 @@ def split_translation(u, splitter) -> tuple[Vec3, Vec3]:
     else:
         d = _unit(splitter, "splitter direction")
     n, v = _split(u, d)
-    return as_vec3(n), as_vec3(v)
+    return _fresh(n), _fresh(v)
 
 
 def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
@@ -388,8 +393,8 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
     component of u along the fixed axis or mirror survives as slide, while
     the perpendicular component relocates the axis, mirror, or center.
     """
-    linear, u = _as_affine(m)._parts
-    kind, direction, angle = _linear_kernel(linear, tol)
+    parts = _as_affine(m)._parts
+    (kind, direction, angle), u = _linear_kernel(parts, tol), parts[9:]
 
     if kind is Identity:
         if math.hypot(*u) <= tol.eps_len:  # without overflow
@@ -397,10 +402,10 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
         return _record(Translation, v=u)
 
     if kind is Inversion:
-        return _record(Inversion, center=[0.5 * x for x in u])
+        return _record(Inversion, center=[0.5 * u[0], 0.5 * u[1], 0.5 * u[2]])
 
     length = math.sqrt(_dot3(direction, direction))  # once for the split and the axis or mirror
-    d = [x / length for x in direction]
+    d = [direction[0] / length, direction[1] / length, direction[2] / length]  # no comprehension
     n, v = _split(u, d)
     if kind is Rotation:
         axis = _line(_fixed_point(v, d, angle), d)

@@ -69,6 +69,11 @@ def _finite(v):
     return v
 
 
+def _fresh(floats) -> Vec3:
+    """Three floats as a fresh, writable float64 array once checked finite, as by _finite."""
+    return np.array(_finite(floats))
+
+
 _pack3, _pack9 = struct.Struct("3d").pack, struct.Struct("9d").pack
 
 
@@ -77,9 +82,9 @@ def _vector(floats) -> Vec3:
     return np.frombuffer(_pack3(*floats))
 
 
-def _matrix(rows) -> np.ndarray:
-    """_vector's 3x3 twin for three rows of floats."""
-    return np.ndarray((3, 3), float, _pack9(*rows[0], *rows[1], *rows[2]))
+def _matrix(parts) -> np.ndarray:
+    """_vector's 3x3 twin for the first nine floats of parts, row-major."""
+    return np.ndarray((3, 3), float, _pack9(*parts[:9]))
 
 
 def _value_class(cls):
@@ -256,7 +261,7 @@ class PointTriple:
 
 def reflect_point(plane: Plane, point) -> Vec3:
     """Mirror image of `point` in `plane`; ValueError if it overflows."""
-    return np.array(_finite(_reflect(plane, _floats(point))))
+    return _fresh(_reflect(plane, _floats(point)))
 
 
 def _reflect(plane: Plane, p) -> list[float]:

@@ -5,9 +5,9 @@ mirror planes applied left to right.  `seq_to_affine` converts, `apply` maps a p
 either's affine parts, a sequence's fold, and `then` composes affine motions in reading
 order (first, then second) by the 3x3 product `_compose`.  AffineIsometry() and `then`
 check L with `_orthogonal` (repair: `_mgs`), which tests L^T L - I alone; motions built
-from unit normals or axes are orthogonal and skip it.  Each keeps float rows and a finite
-shift as `_parts`, arrays on first read; all but AffineIsometry() are made by `_rigid`,
-which checks the shift.  A sequence folds its planes when built (`_fold`), reflecting the
+from unit normals or axes are orthogonal and skip it.  Each keeps its parts as `_parts`, 12
+floats, L row-major, then t; arrays on first read.  All but AffineIsometry() are made by
+`_rigid`, which checks t.  A sequence folds its planes when built (`_fold`), reflecting the
 fold so far in each plane, not multiplying by its matrix; `_sequence` may be handed that
 fold, continued from a prefix.  One plane's fold is its reflection.
 """
@@ -21,7 +21,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3, _finite
-from .geom import _Array, _matrix, _value_class, _vector, _unit
+from .geom import _Array, _fresh, _matrix, _value_class, _vector, _unit
 
 # Drift of L^T L - I, which alone decides: up to _ORTHO_PASS L is stored as given (|det L|
 # is then 1 within 3/2 of it plus 5 eps), up to _ORTHO_FIX it is silently re-orthonormalized,
@@ -30,8 +30,8 @@ _ORTHO_PASS = 1e-10
 _ORTHO_FIX = 1e-6
 _FOLD_LIMIT = int((_ORTHO_PASS / math.ulp(1.0) - 4.0) / 29.0)  # 15,529
 
-_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows of floats, as _rigid takes
-PROBE_POINTS = tuple(map(_vector, ((0.0, 0.0, 0.0),) + _EYE))
+_ID = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # the identity's parts
+PROBE_POINTS = tuple(map(_vector, (_ID[9:], _ID[:3], _ID[3:6], _ID[6:9])))
 
 
 class OrientationParity(enum.IntEnum):
@@ -39,21 +39,21 @@ class OrientationParity(enum.IntEnum):
     IMPROPER = -1
 
 
-def _mgs(rows) -> list[list[float]]:
-    """Modified Gram-Schmidt on the columns of float rows within _ORTHO_FIX of orthogonal."""
-    q = [list(column) for column in zip(*rows)]
+def _mgs(l) -> list[float]:
+    """Modified Gram-Schmidt on L's columns, l row-major, within _ORTHO_FIX of orthogonal."""
+    q = [list(l[j:9:3]) for j in range(3)]
     for j in range(3):
         for k in range(j):
             s = _dot3(q[k], q[j])
             q[j] = [x - s * y for x, y in zip(q[j], q[k])]
         length = math.sqrt(_dot3(q[j], q[j]))
         q[j] = [x / length for x in q[j]]
-    return [list(row) for row in zip(*q)]
+    return [x for row in zip(*q) for x in row]
 
 
-def _det(rows) -> float:
-    """Determinant of three rows of floats, written out along the first row."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
+def _det(parts) -> float:
+    """Determinant of the L of the floats parts, written out along its first row."""
+    a, b, c, d, e, f, g, h, i = parts[:9]
     return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
 
 
@@ -66,39 +66,44 @@ class AffineIsometry:
     raises ValueError.
     """
 
-    linear: np.ndarray = _Array(lambda m: _matrix(m._parts[0]))
-    translation: Vec3 = _Array(lambda m: _vector(m._parts[1]))
+    linear: np.ndarray = _Array(lambda m: _matrix(m._parts))
+    translation: Vec3 = _Array(lambda m: _vector(m._parts[9:]))
 
     def __init__(self, linear: np.ndarray, translation: Vec3) -> None:
         l = np.asarray(linear, dtype=float)
-        rows = _orthogonal(l.tolist() if l.shape == (3, 3) else None)  # reported before the shift
-        self.__dict__["_parts"] = rows, _floats(translation)
+        l = _orthogonal(l.ravel().tolist() if l.shape == (3, 3) else None)  # before the shift
+        self.__dict__["_parts"] = l + _floats(translation)
 
 
-def _orthogonal(rows) -> list[list[float]]:
-    """Float rows (None if not 3x3) checked as an orthogonal linear part: kept as they are
-    within _ORTHO_PASS, re-orthonormalized within _ORTHO_FIX, else ValueError."""
-    (a, b, c), (d, e, f), (g, h, i) = rows or ((math.nan,) * 3,) * 3  # read once; None: not 3x3
+def _orthogonal(l) -> list[float]:
+    """Nine floats, L row-major (None if not 3x3), checked as an orthogonal linear part: kept
+    as they are within _ORTHO_PASS, re-orthonormalized within _ORTHO_FIX, else ValueError."""
+    a, b, c, d, e, f, g, h, i = l or (math.nan,) * 9  # read once; None: not 3x3
     if not (math.isfinite(a + b + c + d + e + f + g + h + i)  # proves every entry finite
             or all(map(math.isfinite, (a, b, c, d, e, f, g, h, i)))):  # on overflow
         raise ValueError("linear part must be a finite 3x3 matrix")
-    residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),  # L^T L - I
-                   abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
-                   abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
+    x, y, z = a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0
+    u, v, w = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i  # L^T L - I
+    p, n = _ORTHO_PASS, -_ORTHO_PASS  # a pass needs no call; a term past it, or NaN, is measured
+    if n <= x <= p and n <= y <= p and n <= z <= p and n <= u <= p and n <= v <= p and n <= w <= p:
+        return l
+    residual = max(abs(x), abs(y), abs(z), abs(u), abs(v), abs(w))
     if residual > _ORTHO_FIX:
         raise ValueError(f"linear part is not orthogonal (residual {residual:.3e})")
-    return _mgs(rows) if residual > _ORTHO_PASS else rows
+    return _mgs(l) if residual > p else l
 
 
-def _isometry(rows, t) -> AffineIsometry:
-    """AffineIsometry(rows, t) for float rows and floats t, validated in full."""
-    return _rigid(_orthogonal(rows), t)
+def _isometry(parts) -> AffineIsometry:
+    """AffineIsometry for the 12 floats parts, validated in full: kept unless L is repaired."""
+    kept = _orthogonal(l := parts[:9])
+    return _rigid(parts if kept is l else [*kept, *parts[9:]])
 
 
-def _rigid(rows, t) -> AffineIsometry:
-    """x -> rows x + t for float rows that _orthogonal would keep; t may overflow: checked."""
+def _rigid(parts) -> AffineIsometry:
+    """x -> L x + t for 12 floats parts whose L _orthogonal would keep; t may overflow: checked."""
+    _finite(parts[9:])
     m = object.__new__(AffineIsometry)
-    m.__dict__["_parts"] = rows, _finite(t)
+    m.__dict__["_parts"] = parts
     return m
 
 
@@ -133,16 +138,16 @@ Motion = Union[AffineIsometry, ReflectionSequence]
 
 
 def identity() -> AffineIsometry:
-    return _rigid(_EYE, (0.0, 0.0, 0.0))
+    return _rigid(_ID)
 
 
 def translation(v) -> AffineIsometry:
-    return _rigid(_EYE, _floats(v))
+    return _rigid(_ID[:9] + tuple(_floats(v)))
 
 
 def plane_reflection(plane: Plane) -> AffineIsometry:
     """The reflection in `plane` as an affine map: the fold of that one plane."""
-    return _rigid(*_fold((plane,)))
+    return _rigid(_fold((plane,)))
 
 
 def _split(u, d) -> tuple[list[float], list[float]]:
@@ -152,8 +157,8 @@ def _split(u, d) -> tuple[list[float], list[float]]:
     return n, [u[0] - n[0], u[1] - n[1], u[2] - n[2]]
 
 
-def _rodrigues(p, d, angle: float) -> tuple[list[list[float]], list[float]]:
-    """Rodrigues' formula for the point p, unit direction d and finite angle, all floats.
+def _rodrigues(p, d, angle: float) -> list[float]:
+    """Rodrigues' formula for the point p, unit direction d and finite angle: 12 floats.
 
     For v across d, (I - R) v = 2 h (h v - k d x v) and (I - R) d x v = 2 h (h d x v + k v),
     h and k the sine and cosine of angle / 2.  The shift is the first for v the part of p
@@ -162,15 +167,13 @@ def _rodrigues(p, d, angle: float) -> tuple[list[list[float]], list[float]]:
     """
     x, y, z = d
     s, c = math.sin(angle), 1.0 - math.cos(angle)
-    r = [
-        [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
-        [c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x],
-        [c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y)],
-    ]
     (v0, v1, v2), h, k = _split(p, d)[1], math.sin(0.5 * angle), math.cos(0.5 * angle)
-    return r, [2.0 * h * (h * v0 - k * (y * v2 - z * v1)) + 0.0,
-               2.0 * h * (h * v1 - k * (z * v0 - x * v2)) + 0.0,
-               2.0 * h * (h * v2 - k * (x * v1 - y * v0)) + 0.0]
+    return [1.0 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y,
+            c * x * y + s * z, 1.0 - c * (x * x + z * z), c * y * z - s * x,
+            c * x * z - s * y, c * y * z + s * x, 1.0 - c * (x * x + y * y),
+            2.0 * h * (h * v0 - k * (y * v2 - z * v1)) + 0.0,
+            2.0 * h * (h * v1 - k * (z * v0 - x * v2)) + 0.0,
+            2.0 * h * (h * v2 - k * (x * v1 - y * v0)) + 0.0]
 
 
 def _fixed_point(w, d, angle: float) -> list[float]:
@@ -194,7 +197,7 @@ def rotation_about_axis(point, direction, angle: float) -> AffineIsometry:
     angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError("rotation angle must be finite")
-    return _rigid(*_rodrigues(_floats(point), d, angle))
+    return _rigid(_rodrigues(_floats(point), d, angle))
 
 
 def rotation_about_line(axis, angle: float) -> AffineIsometry:
@@ -206,31 +209,30 @@ def apply(motion: Motion, point) -> Vec3:
     """Image of `point` under `_as_affine(motion)`: a sequence maps points by its fold, as
     seq_to_affine's motion does, bit for bit; ValueError on overflow."""
     x, y, z = _floats(point)
-    ((a, b, c), (d, e, f), (g, h, i)), (t0, t1, t2) = _as_affine(motion)._parts
-    return np.array(_finite([a * x + b * y + c * z + t0, d * x + e * y + f * z + t1,
-                             g * x + h * y + i * z + t2]))
+    a, b, c, d, e, f, g, h, i, t0, t1, t2 = _as_affine(motion)._parts
+    return _fresh([a * x + b * y + c * z + t0, d * x + e * y + f * z + t1,
+                   g * x + h * y + i * z + t2])
 
 
-def _compose(m, u, l, t) -> tuple[list[list[float]], list[float]]:
-    """(m l, m t + u) on float rows and 3-lists: x -> l x + t, then x -> m x + u."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = l
-    t0, t1, t2 = t  # written out: comprehensions cost twice the time
-    return ([[a * p0 + b * q0 + c * r0, a * p1 + b * q1 + c * r1, a * p2 + b * q2 + c * r2],
-             [d * p0 + e * q0 + f * r0, d * p1 + e * q1 + f * r1, d * p2 + e * q2 + f * r2],
-             [g * p0 + h * q0 + i * r0, g * p1 + h * q1 + i * r1, g * p2 + h * q2 + i * r2]],
-            [a * t0 + b * t1 + c * t2 + u[0], d * t0 + e * t1 + f * t2 + u[1],
-             g * t0 + h * t1 + i * t2 + u[2]])
+def _compose(m, l) -> list[float]:
+    """m l for the 12 floats of each: x -> L x + t (l), then x -> M x + u (m)."""
+    a, b, c, d, e, f, g, h, i, u0, u1, u2 = m
+    p0, p1, p2, q0, q1, q2, r0, r1, r2, t0, t1, t2 = l  # written out: no comprehension frames
+    return [a * p0 + b * q0 + c * r0, a * p1 + b * q1 + c * r1, a * p2 + b * q2 + c * r2,
+            d * p0 + e * q0 + f * r0, d * p1 + e * q1 + f * r1, d * p2 + e * q2 + f * r2,
+            g * p0 + h * q0 + i * r0, g * p1 + h * q1 + i * r1, g * p2 + h * q2 + i * r2,
+            a * t0 + b * t1 + c * t2 + u0, d * t0 + e * t1 + f * t2 + u1,
+            g * t0 + h * t1 + i * t2 + u2]
 
 
 def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
     """Composite motion that applies `first`, then `second`."""
-    return _isometry(*_compose(*second._parts, *first._parts))
+    return _isometry(_compose(second._parts, first._parts))
 
 
-def _fold(planes: tuple, parts=None) -> tuple[list[list[float]], list[float]]:
-    """The planes folded on floats from the identity or on from `parts`, by reflecting the fold."""
-    ((a, b, c), (d, e, f), (g, h, i)), (t0, t1, t2) = parts or (_EYE, (0.0, 0.0, 0.0))
+def _fold(planes: tuple, parts=_ID) -> list[float]:
+    """The planes folded from the identity or on from `parts`, by reflecting the fold."""
+    a, b, c, d, e, f, g, h, i, t0, t1, t2 = parts
     for plane in planes:
         x, y, z = plane._n
         u = 2.0 * (x * a + y * d + z * g)  # twice n . each column
@@ -241,27 +243,25 @@ def _fold(planes: tuple, parts=None) -> tuple[list[list[float]], list[float]]:
         g, h, i = g - z * u, h - z * v, i - z * w
         k = 2.0 * (x * t0 + y * t1 + z * t2 - plane.offset)  # t moves as _reflect moves a point
         t0, t1, t2 = t0 - k * x, t1 - k * y, t2 - k * z
-    return [[a, b, c], [d, e, f], [g, h, i]], [t0, t1, t2]
+    return [a, b, c, d, e, f, g, h, i, t0, t1, t2]
 
 
 def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
     """The planes' motion.  k unit-normal reflections fold to L^T L - I within (29 k + 4) eps,
     so up to _FOLD_LIMIT planes _isometry would pass the fold as it is and is skipped; a longer
     sequence is validated, repaired if need be."""
-    return (_rigid if len(seq.planes) <= _FOLD_LIMIT else _isometry)(*seq._parts)
+    return (_rigid if len(seq.planes) <= _FOLD_LIMIT else _isometry)(seq._parts)
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:
-    if isinstance(motion, AffineIsometry):
-        return motion
-    return seq_to_affine(motion)
+    return motion if isinstance(motion, AffineIsometry) else seq_to_affine(motion)
 
 
 def orientation(motion: Motion) -> OrientationParity:
     """PROPER for direct motions, IMPROPER for reflections of space."""
     if isinstance(motion, ReflectionSequence):
         return OrientationParity.PROPER if len(motion) % 2 == 0 else OrientationParity.IMPROPER
-    return OrientationParity(1 if _det(motion._parts[0]) > 0.0 else -1)
+    return OrientationParity(1 if _det(motion._parts) > 0.0 else -1)
 
 
 def iso_equal(a: Motion, b: Motion, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -44,6 +44,9 @@ diagonal.  Negation is exact and the check skips only tests that fail, so
 the one-pass kernel must match it bit for bit, but for the sign of a zero
 direction component: the kernel negates the skew vector of the linear part,
 -(x - x) = -0.0, where this takes the skew vector of its negation, +0.0.
+It takes its rows of floats; the kernel takes the same nine floats
+row-major, as a motion keeps them, and measures a length whose squares sum
+below 2^-1022 with math.hypot, which no input of those tests reaches.
 
 `constructor_classify_fixed_point` and `constructor_rotation_from_plane_pair`
 are the two classifiers as the library wrote them before they built their
@@ -51,6 +54,10 @@ records with `classify._record`: the public constructors (`Rotation(...)`,
 `Line3(...)`, `Plane(...)` and the rest) applied to the kernels' floats, which
 check and normalize those floats again.  The library's classifiers must
 return the same records bit for bit, kept floats and `vars` keys included.
+
+`rows_of` reads the rows of L out of a motion's 12 floats (`_parts`, L
+row-major, then t), and `affine_of` builds an AffineIsometry from them
+through the public constructor.
 
 `perfbench_gen` loads the benchmark's case generators, perfbench/gen.py, so
 tests run on the cases the benchmark times.
@@ -532,7 +539,7 @@ def constructor_classify_fixed_point(m, c, tol: Tolerance = TOL):
     c, m = _floats(c), _as_affine(m)
     if not points_coincide(apply(m, c), c, tol):
         raise NotAFixedPoint("the supplied point is moved by the motion")
-    kind, direction, angle = _linear_kernel(m._parts[0], tol)
+    kind, direction, angle = _linear_kernel(m._parts, tol)
     if kind is Identity:
         return Identity()
     if kind is Inversion:
@@ -551,9 +558,9 @@ def constructor_rotation_from_plane_pair(alpha: Plane, beta: Plane, tol: Toleran
     if planes_equal(alpha, beta, tol):
         return Identity()
     axis = intersect_planes(alpha, beta, tol)
-    rows = _fold((alpha, beta))[0]
-    cos = (rows[0][0] + rows[1][1] + rows[2][2] - 1.0) / 2.0
-    return Rotation(axis=axis, angle=_angle_about(_dot3(_skew_vector(rows), axis._floats[1]), cos))
+    l = _fold((alpha, beta))
+    cos = (l[0] + l[4] + l[8] - 1.0) / 2.0
+    return Rotation(axis=axis, angle=_angle_about(_dot3(_skew_vector(l), axis._floats[1]), cos))
 
 
 # ---------------------------------------------------------------- exact arithmetic
@@ -765,7 +772,17 @@ def sequence_of(rng: np.random.Generator, count: int) -> ReflectionSequence:
 def _turn(point, unit, angle: float) -> AffineIsometry:
     """The turn about the record's own unit direction, which rotation_about_axis
     would normalize again."""
-    return AffineIsometry(*_rodrigues(point.tolist(), unit.tolist(), angle))
+    return affine_of(_rodrigues(point.tolist(), unit.tolist(), angle))
+
+
+def affine_of(parts) -> AffineIsometry:
+    """AffineIsometry() of a motion's 12 floats, L row-major, then t."""
+    return AffineIsometry(rows_of(parts), parts[9:])
+
+
+def rows_of(parts) -> list[list[float]]:
+    """The rows of L in a motion's 12 floats."""
+    return [list(parts[0:3]), list(parts[3:6]), list(parts[6:9])]
 
 
 def record_motion(record) -> AffineIsometry:

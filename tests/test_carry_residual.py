@@ -3,6 +3,10 @@ import math
 import pathlib
 import sys
 
+import numpy as np
+
+from trimirror import AffineIsometry
+
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "carry_residual.py"
 _SPEC = importlib.util.spec_from_file_location("carry_residual", _PATH)
 carry_residual = importlib.util.module_from_spec(_SPEC)
@@ -16,10 +20,13 @@ def test_carry_is_exact_in_units_of_eps_times_scale():
     src = [[1.0, 2.0, 3.0], [0.5, -1.0, 0.25], [0.0, 0.0, 1.0]]
     dst = [list(p) for p in src]
     dst[1][2] += 12.0 * eps  # 48 units in the last place of 0.25: exact
-    assert carry_residual.carry(_EYE, src, dst, 4.0) == 3.0
+    assert carry_residual.carry(*_EYE, src, dst, 4.0) == 3.0
     # a shift of 1 on a point at 2^53, which a float sum L p + t rounds away
     far = [[2.0**53, 0.0, 0.0]] * 3
-    assert carry_residual.carry((_EYE[0], [1.0, 0.0, 0.0]), far, far, 1.0) == 1.0 / eps
+    assert carry_residual.carry(_EYE[0], [1.0, 0.0, 0.0], far, far, 1.0) == 1.0 / eps
+    # the public arrays of a motion, as measure() reads them
+    m = AffineIsometry(np.eye(3), [1.0, 0.0, 0.0])
+    assert carry_residual.carry(m.linear, m.translation, far, far, 1.0) == 1.0 / eps
 
 
 def test_summary_takes_inclusive_quantiles():

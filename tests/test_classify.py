@@ -704,7 +704,7 @@ def test_linear_kernel_matches_numpy_reference_at_seams():
     tol = Tolerance()
     seen = set()
     for linear in _seam_linear_parts(rng):
-        kind, direction, angle = _linear_kernel(linear.tolist(), tol)
+        kind, direction, angle = _linear_kernel(linear.ravel().tolist(), tol)
         want_kind, want_direction, want_angle = oracle.numpy_linear_kernel(linear, tol)
         assert kind is want_kind, (linear, kind, want_kind)
         seen.add(kind)
@@ -728,9 +728,10 @@ def _random_orthogonal_parts(rng):
 
 
 def _kernel_matches_two_pass(rows, tol: Tolerance, zero: float = -0.0) -> type:
-    """The kernel's class of rows, once its class, direction and angle keep every bit of
-    the two-pass reference's; zero=0.0 compares the direction with its zeros made +0.0."""
-    kind, direction, angle = _linear_kernel(rows, tol)
+    """The kernel's class of rows, read by the kernel row-major, once its class, direction
+    and angle keep every bit of the two-pass reference's; zero=0.0 compares the direction
+    with its zeros made +0.0."""
+    kind, direction, angle = _linear_kernel([x for row in rows for x in row], tol)
     want_kind, want_direction, want_angle = oracle.two_pass_linear_kernel(rows, tol)
     assert kind is want_kind, (rows, tol)
     assert (direction is None) == (want_direction is None), (rows, tol)
@@ -799,7 +800,7 @@ def test_linear_kernel_diagonal_check_matches_two_pass_reference_bit_for_bit(tol
     parts += [linear.tolist() for linear in _random_orthogonal_parts(rng)]
     for stream in (gen.classify_mixed, gen.classify_seams):
         for case in itertools.islice(stream(1), 2000):
-            parts.append(AffineIsometry(case.motion.linear, case.motion.t)._parts[0])
+            parts.append(oracle.rows_of(AffineIsometry(case.motion.linear, case.motion.t)._parts))
     for linear in parts:
         _kernel_matches_two_pass(linear, tol)
     near, offsets = _near_signed_identities(tol)
@@ -808,6 +809,22 @@ def test_linear_kernel_diagonal_check_matches_two_pass_reference_bit_for_bit(tol
         assert min(offsets) < 1.0 < max(offsets) and min(offsets) < 2.0 < max(offsets), offsets
     if tol.eps_angle < 0.5 * tol.eps_len:
         assert seen == {Identity, Rotation, Inversion, RotaryReflection}, seen
+
+
+def test_tiny_tolerance_tells_a_tiny_turn_from_the_identity():
+    # at eps_len = eps_angle = 1e-200 a turn by 1e-170 has columns of L - I and
+    # a skew vector about 1e-170 long, whose squares underflow to zero: the
+    # kernel measures a length whose squares sum below 2^-1022 with math.hypot,
+    # so the turn reads as a Rotation by its own angle, not as the identity
+    # (the column tests) with an unnormalized axis and a zero angle (the axis)
+    tol = Tolerance(1e-200, 1e-200)
+    for angle in (1e-170, -1e-170, 1e-190, 3e-160):
+        m = rotation_about_axis((0, 0, 0), (0, 0, 1), angle)
+        for record in (classify(m, tol), classify_fixed_point(m, (0.0, 0.0, 0.0), tol)):
+            assert isinstance(record, Rotation), (angle, record)
+            assert record.angle == angle and record.axis._floats[1] == (0.0, 0.0, 1.0), angle
+        assert reconstruct(classify(m, tol))._parts == m._parts, angle
+        assert isinstance(classify(m), Identity)  # under the default tolerance, as before
 
 
 def test_split_matches_exact_reference():
@@ -824,7 +841,7 @@ def test_split_matches_exact_reference():
     eps = np.finfo(float).eps
     directions = []
     for linear in _seam_linear_parts(rng):
-        kind, direction, _ = _linear_kernel(linear.tolist(), Tolerance())
+        kind, direction, _ = _linear_kernel(linear.ravel().tolist(), Tolerance())
         if direction is not None:  # the unit d as classify makes it
             length = math.sqrt(sum(x * x for x in direction))
             directions.append([x / length for x in direction])
@@ -855,7 +872,7 @@ def test_fixed_point_matches_exact_reference():
     eps = np.finfo(float).eps
     seen = set()
     for linear in _seam_linear_parts(rng):
-        kind, direction, angle = _linear_kernel(linear.tolist(), tol)
+        kind, direction, angle = _linear_kernel(linear.ravel().tolist(), tol)
         if kind not in (Rotation, RotaryReflection):
             continue
         seen.add(kind)
@@ -948,7 +965,7 @@ def test_far_rotary_centers_round_trip():
 
 def test_rotary_rebuild_matches_exact_reference():
     # reconstruct composes a rotary record's turn after its flip with
-    # motion._compose, on the float rows and shifts of _rodrigues and
+    # motion._compose, on the 12 floats of _rodrigues and
     # plane_reflection (the one-plane fold).  Against the same float factors
     # multiplied exactly in fractions, with r = eps / 2 and gamma(k) =
     # k r / (1 - k r): an entry of the linear part sums three products left to
@@ -973,10 +990,12 @@ def test_rotary_rebuild_matches_exact_reference():
         record = classify(AffineIsometry(linear, rng.normal(size=3) * scale))
         if not isinstance(record, RotaryReflection):
             continue
-        rows, shift = reconstruct(record)._parts
+        got = reconstruct(record)._parts
+        rows, shift = oracle.rows_of(got), got[9:]
         turn = _rodrigues(record.center.tolist(), record.mirror._n, record.angle)
-        (m, u), (l, t) = [([[Fraction(x) for x in row] for row in rs], [Fraction(x) for x in ts])
-                          for rs, ts in (turn, plane_reflection(record.mirror)._parts)]
+        (m, u), (l, t) = [([[Fraction(x) for x in row] for row in oracle.rows_of(parts)],
+                           [Fraction(x) for x in parts[9:]])
+                          for parts in (turn, plane_reflection(record.mirror)._parts)]
         for i in range(3):
             for j in range(3):
                 terms = [m[i][k] * l[k][j] for k in range(3)]

@@ -20,6 +20,7 @@ import copy
 import dataclasses
 import inspect
 import itertools
+import math
 import pickle
 import struct
 
@@ -30,6 +31,7 @@ from trimirror import (
     PROBE_POINTS,
     AffineIsometry,
     GlideReflection,
+    Identity,
     Inversion,
     Line3,
     Plane,
@@ -58,6 +60,7 @@ from trimirror import (
 )
 from trimirror.errors import InvalidClassParameters
 from trimirror.example import ANCHOR, CENTER
+from trimirror.motion import _FOLD_LIMIT
 
 import oracle
 
@@ -83,7 +86,7 @@ def _kept(value):
     if isinstance(value, TriplePair):
         return _kept(value.src) + list(zip(value.dst, value._floats))
     if isinstance(value, AffineIsometry):
-        return list(zip((value.linear, value.translation), value._parts))
+        return [(value.linear, oracle.rows_of(value._parts)), (value.translation, value._parts[9:])]
     if isinstance(value, ReflectionSequence):
         return [pair for plane in value.planes for pair in _kept(plane)]
     out = []  # a class record: its vectors, and its mirror's or axis's arrays
@@ -197,6 +200,54 @@ def test_public_constructors_keep_their_floats_and_read_only_arrays():
         with pytest.raises(ValueError):
             array.setflags(write=True)
 
+
+def _assert_twelve_floats(m) -> None:
+    """m keeps 12 finite Python floats, L row-major, then t, and its arrays hold them bit for
+    bit."""
+    parts = m._parts
+    assert len(parts) == 12 and all(type(x) is float and math.isfinite(x) for x in parts), m
+    assert _bits(parts) == m.linear.tobytes() + m.translation.tobytes(), m
+
+
+def test_every_motion_builder_keeps_twelve_finite_floats():
+    # every builder stores one flat record, as the kernels read it: the public
+    # builders, seq_to_affine at the plane limit (trusted) and one plane past
+    # it (validated), and the eight rebuilds, of public records and of the
+    # records classify makes of the benchmark's classify-mixed cases
+    plane, line = Plane((0.0, -2.0, 0.0), -0.0), Line3((1.0, 2.0, 3.0), (0.0, 0.0, -1.0))
+    turn = rotation_about_axis((1.0, 2.0, 3.0), (1.0, 1.0, 0.0), 0.7)
+    rng = np.random.default_rng(31)
+    planes = [Plane(rng.normal(size=3), float(rng.uniform(-1.0, 1.0))) for _ in range(97)]
+    long = tuple(planes[i % 97] for i in range(_FOLD_LIMIT + 1))
+    motions = [
+        AffineIsometry(np.eye(3), (0.0, -0.0, 1.0)),
+        AffineIsometry([[0, -1, 0], [1, 0, 0], [0, 0, 1]], [1, 2, 3]),
+        AffineIsometry(np.eye(3) + 1e-8, np.zeros(3)),  # re-orthonormalized
+        identity(),
+        translation((1e308, -0.0, 2.0)),
+        plane_reflection(plane),
+        turn,
+        rotation_about_line(line, -2.0),
+        then(turn, plane_reflection(plane)),
+        seq_to_affine(ReflectionSequence(())),
+        seq_to_affine(ReflectionSequence(long[:_FOLD_LIMIT])),
+        seq_to_affine(ReflectionSequence(long)),
+    ]
+    records = [
+        Identity(),
+        Translation(v=(1.0, -0.0, 0.0)),
+        Rotation(axis=line, angle=0.5),
+        Screw(axis=line, angle=0.5, slide=(0.0, 0.0, 2.0)),
+        Reflection(mirror=plane),
+        GlideReflection(mirror=plane, slide=(1.0, 0.0, 0.0)),
+        Inversion(center=(1.0, 2.0, 3.0)),
+        RotaryReflection(mirror=Plane((0, 0, 1), 0.0), center=(1.0, 2.0, 0.0), angle=0.5),
+    ]
+    for case in itertools.islice(gen.classify_mixed(1), 200):
+        records.append(classify(AffineIsometry(case.motion.linear, case.motion.t)))
+    assert len({type(r) for r in records[8:]}) == 8
+    for m in motions + [reconstruct(r) for r in records]:
+        _assert_twelve_floats(m)
 
 
 def _state(value):

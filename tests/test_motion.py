@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -32,7 +33,8 @@ from trimirror import (
 from trimirror.classify import Reflection, reconstruct
 from trimirror.example import make_f, make_g, make_h
 from trimirror.geom import Line3, coplanar, _reflect, _unit
-from trimirror.motion import _ORTHO_PASS, _fixed_point, _fold, _mgs, _rodrigues
+from trimirror.motion import _ORTHO_FIX, _ORTHO_PASS, _fixed_point, _fold, _mgs, _orthogonal
+from trimirror.motion import _rodrigues
 
 import oracle
 
@@ -240,12 +242,12 @@ def test_folds_stay_orthogonal_far_below_the_repair_threshold():
         offsets = rng.choice((-1.0, 1.0), size=k) * 10.0 ** rng.uniform(-6.0, 6.0, size=k)
         picks = rng.integers(0, len(normals), size=k)
         seq = ReflectionSequence(tuple(Plane(normals[i], d) for i, d in zip(picks, offsets)))
-        (a, b, c), (d, e, f), (g, h, i) = seq._parts[0]
+        a, b, c, d, e, f, g, h, i = seq._parts[:9]
         residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
                        abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
                        abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
         assert residual <= 33.0 * k * eps, seq
-        assert seq_to_affine(seq)._parts[0] is seq._parts[0]  # not repaired: _mgs makes new rows
+        assert seq_to_affine(seq)._parts is seq._parts  # not repaired: _mgs makes new floats
     assert 33.0 * 8 * eps < _ORTHO_PASS
 
 
@@ -291,7 +293,8 @@ def test_reflection_parts_match_numpy_reference_bit_for_bit():
     for n in normals:
         for offset in (0.0, -0.0, 1.0, -2.5, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
             plane = Plane(n, offset)
-            got = [np.array(part) for part in plane_reflection(plane)._parts]
+            parts = plane_reflection(plane)._parts
+            got = [np.array(oracle.rows_of(parts)), np.array(parts[9:])]
             want = oracle.numpy_reflection_parts(plane)
             assert got[0].tobytes() == want[0].tobytes(), (n, offset)
             assert got[1].tobytes() == (want[1] + 0.0).tobytes(), (n, offset)
@@ -321,7 +324,7 @@ def test_fold_step_matches_exact_reference():
     fold = _fold(())
     for i, normal in enumerate(normals):
         plane = Plane(normal, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0))
-        flip, shift = _fold((plane,))
+        flip, shift = oracle.rows_of(_fold((plane,))), _fold((plane,))[9:]
         n, offset = [Fraction(x) for x in plane.normal.tolist()], Fraction(plane.offset)
         for row in range(3):
             for col in range(3):
@@ -333,16 +336,17 @@ def test_fold_step_matches_exact_reference():
             exact = 2 * offset * n[row]
             assert abs(Fraction(shift[row]) - exact) <= r * abs(exact), (normal, row)
         step = _fold((plane,), fold)
-        assert step[1] == _reflect(plane, fold[1]), normal
-        l, t = [[Fraction(x) for x in row] for row in fold[0]], [Fraction(x) for x in fold[1]]
+        assert step[9:] == _reflect(plane, fold[9:]), normal
+        l = [[Fraction(x) for x in row] for row in oracle.rows_of(fold)]
+        t = [Fraction(x) for x in fold[9:]]
         for row in range(3):
             for col in range(3):
                 terms = [l[row][col]] + [-2 * n[row] * n[k] * l[k][col] for k in range(3)]
                 slack = gamma(5) * sum(map(abs, terms))
-                assert abs(Fraction(step[0][row][col]) - sum(terms)) <= slack, (i, row, col)
+                assert abs(Fraction(step[3 * row + col]) - sum(terms)) <= slack, (i, row, col)
             terms = [t[row], 2 * n[row] * offset] + [-2 * n[row] * n[k] * t[k] for k in range(3)]
             slack = gamma(6) * sum(map(abs, terms))
-            assert abs(Fraction(step[1][row]) - sum(terms)) <= slack, (i, row)
+            assert abs(Fraction(step[9 + row]) - sum(terms)) <= slack, (i, row)
         # fold on from this step, or start again from the identity's parts
         fold = step if i % 7 else _fold(())
 
@@ -358,7 +362,8 @@ def test_one_plane_fold_is_its_reflection_bit_for_bit():
         for offset in (0.0, -0.0, 1.0, 1.5, -2.5,
                        float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
             plane = Plane(n, offset)
-            (flip, shift), (linear, moved) = oracle.numpy_reflection_parts(plane), _fold((plane,))
+            (flip, shift), parts = oracle.numpy_reflection_parts(plane), _fold((plane,))
+            linear, moved = oracle.rows_of(parts), parts[9:]
             assert np.array(linear).tobytes() == flip.tobytes(), (n, offset)
             assert np.array(moved).tobytes() == (shift + 0.0).tobytes(), (n, offset)
 
@@ -373,9 +378,10 @@ def test_every_reflection_builder_gives_the_same_bytes():
             plane = Plane(n, offset)
             built = (plane_reflection(plane), seq_to_affine(ReflectionSequence((plane,))),
                      reconstruct(Reflection(mirror=plane)))
-            linear, shift = ({np.array(m._parts[i]).tobytes() for m in built} for i in (0, 1))
+            linear, shift = ({np.array(m._parts[i]).tobytes() for m in built}
+                             for i in (slice(0, 9), slice(9, 12)))
             assert len(linear) == 1 and len(shift) == 1, (n, offset)
-    shift = plane_reflection(Plane((1, 0, 0), -1))._parts[1]
+    shift = plane_reflection(Plane((1, 0, 0), -1))._parts[9:]
     assert np.array(shift).tobytes() == np.array([-2.0, 0.0, 0.0]).tobytes()
 
 
@@ -468,7 +474,8 @@ def test_rotation_parts_match_numpy_reference():
     for angle in angles:
         point = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
         direction = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0)
-        linear, shift = rotation_about_axis(point, direction, angle)._parts
+        parts = rotation_about_axis(point, direction, angle)._parts
+        linear, shift = np.array(oracle.rows_of(parts)), np.array(parts[9:])
         unit = _unit(direction, "rotation axis direction")
         want_linear, want_shift = oracle.numpy_rotation_parts(point, unit, angle)
         assert np.max(np.abs(linear - want_linear)) <= 4.0 * eps, angle
@@ -508,7 +515,7 @@ def test_turn_shift_matches_exact_reference():
     # about eps |p| whatever the angle, 6e11 eps |h| |p| here.
     eps = np.finfo(float).eps
     for p, d, angle in _turn_cases(np.random.default_rng(61)):
-        shift = _rodrigues(p, d, angle)[1]
+        shift = _rodrigues(p, d, angle)[9:]
         h, k = Fraction(math.sin(0.5 * angle)), Fraction(math.cos(0.5 * angle))
         v, (d0, d1, d2) = _exact_across(p, d)
         cross = (d1 * v[2] - d2 * v[1], d2 * v[0] - d0 * v[2], d0 * v[1] - d1 * v[0])
@@ -527,7 +534,7 @@ def test_turn_shift_inverts_to_its_axis_point():
     # worst miss here is 2.3 eps |p|; with p - R p it reached 3e11 eps |p|.
     eps = np.finfo(float).eps
     for p, d, angle in _turn_cases(np.random.default_rng(61)):
-        x = _fixed_point(_rodrigues(p, d, angle)[1], d, angle)
+        x = _fixed_point(_rodrigues(p, d, angle)[9:], d, angle)
         v = _exact_across(p, d)[0]
         miss = math.sqrt(sum(float(Fraction(g) - y) ** 2 for g, y in zip(x, v)))
         assert miss <= 17.0 * eps * math.hypot(*p), (p, d, angle)
@@ -578,6 +585,66 @@ def test_affine_isometry_stretched_identity_is_judged_by_its_residual_alone():
             assert m.linear.tobytes() == (sign * linear).tobytes(), (s, sign)
     linear = (1.0 + 6e-11) * np.eye(3)
     assert np.array_equal(AffineIsometry(linear, np.zeros(3)).linear, np.eye(3))
+
+
+def _residual_verdict(l) -> str:
+    """The verdict on the nine floats l, L row-major, of the residual max(abs(...)) of
+    L^T L - I alone, formed on every input: "kept", "repaired" or the refusal's message."""
+    a, b, c, d, e, f, g, h, i = l
+    residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+                   abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+                   abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
+    if residual > _ORTHO_FIX:
+        return f"linear part is not orthogonal (residual {residual:.3e})"
+    return "repaired" if residual > _ORTHO_PASS else "kept"
+
+
+def test_orthogonal_pass_test_keeps_every_residual_verdict():
+    # _orthogonal passes L when each of the six terms of L^T L - I lies within
+    # +-_ORTHO_PASS, by comparisons alone, and measures the residual only when
+    # one does not, NaN included; every verdict, repair and message must be
+    # the residual's.  An off-diagonal entry p beside a unit diagonal makes its
+    # cross term exactly p: at +-_ORTHO_PASS it passes, one ulp past it is
+    # repaired.  A diagonal term cannot hit the bound (1 +- _ORTHO_PASS is not
+    # a float), so each diagonal entry walks the floats across it instead.
+    # Entries of 1e200 overflow a cross term to inf - inf = NaN, behind an inf
+    # diagonal term; and the (1 + 4e-11) I and (1 + 6e-11) I pins
+    bound, past = _ORTHO_PASS, math.nextafter(_ORTHO_PASS, math.inf)
+    eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    cases, want = [], {}
+    for slot in (1, 2, 3, 5, 6, 7):
+        for x, verdict in ((bound, "kept"), (-bound, "kept"), (past, "repaired"),
+                           (-past, "repaired")):
+            cases.append(eye[:slot] + [x] + eye[slot + 1:])
+            want[id(cases[-1])] = verdict
+    for slot in (0, 4, 8):
+        for square, sign in itertools.product((1.0 + bound, 1.0 - bound), (1.0, -1.0)):
+            x = math.sqrt(square)
+            for _ in range(4):
+                x = math.nextafter(x, -math.inf)
+            for _ in range(8):
+                x = math.nextafter(x, math.inf)
+                cases.append(eye[:slot] + [sign * x] + eye[slot + 1:])
+    big = 1e200
+    cases.append([big, big, 0.0, big, -big, 0.0, 0.0, 0.0, 1.0])
+    assert math.isnan(big * big + big * -big + 0.0 * 0.0)  # its first cross term
+    want[id(cases[-1])] = "linear part is not orthogonal (residual inf)"
+    for s, verdict in ((4e-11, "kept"), (-4e-11, "kept"), (6e-11, "repaired")):
+        cases.append([(1.0 + abs(s)) * x * math.copysign(1.0, s) for x in eye])
+        want[id(cases[-1])] = verdict
+    seen = set()
+    for l in cases:
+        verdict = _residual_verdict(l)
+        try:
+            kept = _orthogonal(l)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            assert kept is l or kept == _mgs(l), l
+            got = "kept" if kept is l else "repaired"
+        assert got == verdict == want.get(id(l), verdict), l
+        seen.add(got)
+    assert seen == {"kept", "repaired", "linear part is not orthogonal (residual inf)"}
 
 
 def test_affine_isometry_rejects_nonfinite_entries_in_every_slot():
@@ -700,7 +767,7 @@ def test_mgs_matches_exact_reference():
         stretch = np.diag([np.sqrt(1.0 + drift), 1.0, 1.0])
         bend = stretch if rng.uniform() < 0.5 else np.eye(3) + drift * shear
         rows = (float(rng.choice((-1.0, 1.0))) * r @ bend).tolist()
-        got = np.array(_mgs(rows))
+        got = np.array(oracle.rows_of(_mgs([x for row in rows for x in row])))
         exact = []
         for a in (list(map(Fraction, column)) for column in zip(*rows)):
             for q in exact:

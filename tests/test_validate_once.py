@@ -3,10 +3,11 @@
 AffineIsometry() and `then` validate their linear part in full with
 `motion._orthogonal`, `then` through `motion._isometry`.  Reflections,
 turns, translations, folds and classify's rebuilds come from unit mirror
-normals or a unit axis and go to `motion._rigid`, which keeps their rows as
-they are and checks only the shift.  These tests pin that `_isometry` would have accepted every such
-motion unrepaired (it returns the very rows object it was given), on the
-benchmark's own generated cases, and derive the drift bounds that make it so.
+normals or a unit axis and go to `motion._rigid`, which keeps their 12 floats
+as they are and checks only the shift.  These tests pin that `_isometry` would
+have accepted every such motion unrepaired (it returns the very record it was
+given), on the benchmark's own generated cases, and derive the drift bounds
+that make it so.
 `_isometry` tests only the residual of L^T L - I; the determinant bound that
 `_assert_within` also checks shows that a test of |det L| - 1 would add nothing.
 """
@@ -45,34 +46,35 @@ EPS = np.finfo(float).eps
 N_CASES = 2000
 
 
-def _drift(rows) -> tuple[float, float]:
-    """The residual of L^T L - I, summed as _isometry sums it, and ||det L| - 1|."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
+def _drift(parts) -> tuple[float, float]:
+    """The residual of L^T L - I, summed as _isometry sums it, and ||det L| - 1|, for a
+    motion's 12 floats."""
+    a, b, c, d, e, f, g, h, i = parts[:9]
     residual = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
                    abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
                    abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
-    return residual, abs(abs(_det(rows)) - 1.0)
+    return residual, abs(abs(_det(parts)) - 1.0)
 
 
-def _assert_within(rows, bound: float, label) -> None:
-    """rows drift by at most `bound` (in eps) and _isometry passes them as they are."""
-    residual, det = _drift(rows)
+def _assert_within(parts, bound: float, label) -> None:
+    """L drifts by at most `bound` (in eps) and _isometry passes the 12 floats as they are."""
+    residual, det = _drift(parts)
     assert residual <= bound * EPS, (label, residual / EPS)
     # det(L)^2 = det(I + E), E = L^T L - I, is 1 + trace(E) to first order, so
     # |det L| is within 3/2 of the residual of 1, and _det rounds by under 5 eps
     assert det <= (1.5 * bound + 5.0) * EPS, (label, det / EPS)
-    assert _isometry(rows, (0.0, 0.0, 0.0))._parts[0] is rows, label
+    assert _isometry(parts)._parts is parts, label
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """(rows, t) of every motion _rigid builds, except those _isometry hands it."""
+    """The 12 floats of every motion _rigid builds, except those _isometry hands it."""
     calls, rigid = [], motion._rigid
 
-    def recording(rows, t):
+    def recording(parts):
         if sys._getframe(1).f_code is not _isometry.__code__:
-            calls.append((rows, t))
-        return rigid(rows, t)
+            calls.append(parts)
+        return rigid(parts)
 
     callers = [m for name, m in sys.modules.items() if name.startswith("trimirror.")]
     for module in callers:
@@ -83,9 +85,8 @@ def built(monkeypatch):
 
 def _assert_isometry_passes_them_as_they_are(calls) -> int:
     count = len(calls)
-    for rows, t in calls:
-        m = _isometry(rows, t)
-        assert m._parts[0] is rows and m._parts[1] is t
+    for parts in calls:
+        assert _isometry(parts)._parts is parts
     calls.clear()
     return count
 
@@ -142,13 +143,13 @@ def test_rebuilds_stay_orthogonal_far_below_the_repair_threshold():
         offset = float(rng.uniform(-3.0, 3.0))
         plane, axis = Plane(v, offset), Line3(rng.normal(size=3), v)
         flip = _fold((plane,))  # the reflection
-        _assert_within(flip[0], 22.0, ("flip", v))
+        _assert_within(flip, 22.0, ("flip", v))
         center = [x - offset * y for x, y in zip(rng.normal(size=3), plane._n)]
         for angle in _angles(rng):
             for d in (axis._floats[1], _unit(v, "axis")):  # a record's axis, rotation_about_axis's
-                _assert_within(_rodrigues(axis._floats[0], d, angle)[0], 34.0, ("turn", v, angle))
-            rotary = _compose(*_rodrigues(center, plane._n, angle), *flip)
-            _assert_within(rotary[0], 118.0, ("rotary", v, angle))
+                _assert_within(_rodrigues(axis._floats[0], d, angle), 34.0, ("turn", v, angle))
+            rotary = _compose(_rodrigues(center, plane._n, angle), flip)
+            _assert_within(rotary, 118.0, ("rotary", v, angle))
     assert 1.5 * 118.0 + 5.0 < 1e-3 * _ORTHO_PASS / EPS  # far below either threshold
 
 
@@ -166,8 +167,8 @@ def test_folds_pass_as_they_are_up_to_the_plane_limit():
         k = int(rng.integers(1, 9))
         picks = rng.integers(0, len(normals), size=k)
         seq = ReflectionSequence(tuple(Plane(normals[i], float(rng.uniform(-9, 9))) for i in picks))
-        _assert_within(seq._parts[0], 29.0 * k + 4.0, seq)
-        assert seq_to_affine(seq)._parts[0] is seq._parts[0]
+        _assert_within(seq._parts, 29.0 * k + 4.0, seq)
+        assert seq_to_affine(seq)._parts is seq._parts
 
 
 def test_a_sequence_past_the_plane_limit_still_reaches_the_repair(monkeypatch):
@@ -176,10 +177,10 @@ def test_a_sequence_past_the_plane_limit_still_reaches_the_repair(monkeypatch):
     at = ReflectionSequence(tuple(planes[i % 97] for i in range(_FOLD_LIMIT)))
     past = ReflectionSequence(at.planes + (planes[0],))
     for seq in (at, past):
-        _assert_within(seq._parts[0], 29.0 * len(seq) + 4.0, len(seq))
-        assert _drift(seq._parts[0])[0] > 0.0  # so the patched threshold below repairs it
+        _assert_within(seq._parts, 29.0 * len(seq) + 4.0, len(seq))
+        assert _drift(seq._parts)[0] > 0.0  # so the patched threshold below repairs it
     monkeypatch.setattr(motion, "_ORTHO_PASS", 0.0)  # _isometry now repairs any drift
-    assert seq_to_affine(at)._parts[0] is at._parts[0]  # not validated
-    repaired = seq_to_affine(past)
-    assert repaired._parts[0] == _mgs(past._parts[0])
-    assert repaired._parts[1] is past._parts[1]
+    assert seq_to_affine(at)._parts is at._parts  # not validated
+    repaired = seq_to_affine(past)._parts
+    assert repaired[:9] == _mgs(past._parts[:9])
+    assert np.array(repaired[9:]).tobytes() == np.array(past._parts[9:]).tobytes()

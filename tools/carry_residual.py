@@ -7,7 +7,8 @@ are built as the benchmark's construct op builds them: the pair,
 three_reflections, second_motion and seq_to_affine of both sequences.  A
 case's carry residual is the largest component of L p + t - p' over both
 motions and the three points p of the source triple, p' their destinations,
-evaluated exactly in fractions from the stored floats and given in units of
+evaluated exactly in fractions from the motions' public `linear` and
+`translation` arrays, so any revision can be measured, and given in units of
 eps * s, s the case's scale.  Each seed prints the median, p99 (inclusive
 quantiles, as tools/pair_bench.py takes them) and max over all cases and over
 its generic and degenerate (coincidence-branch) cases, and how many cases the
@@ -38,10 +39,11 @@ import pair_bench  # noqa: E402  (export, seeds_of)
 EPS = Fraction(sys.float_info.epsilon)
 
 
-def carry(parts, src, dst, scale: float) -> float:
-    """max |L p + t - p'| over the points p of src and p' of dst, exactly, in eps * scale."""
-    rows = [[Fraction(x) for x in row] for row in parts[0]]
-    shift = [Fraction(x) for x in parts[1]]
+def carry(linear, translation, src, dst, scale: float) -> float:
+    """max |L p + t - p'| over the points p of src and p' of dst, exactly, in eps * scale,
+    for the rows of L and the components of t as floats or float64 values."""
+    rows = [[Fraction(float(x)) for x in row] for row in linear]
+    shift = [Fraction(float(x)) for x in translation]
     worst = Fraction(0)
     for p, q in zip(src, dst):
         x, y, z = map(Fraction, p)
@@ -76,7 +78,7 @@ def measure(seed: int, cases: int) -> dict:
             out["refused"] += 1
             continue
         src, dst = case.src.tolist(), case.dst.tolist()
-        residual = max(carry(m._parts, src, dst, case.scale) for m in motions)
+        residual = max(carry(m.linear, m.translation, src, dst, case.scale) for m in motions)
         out["generic" if case.family == "generic" else "degenerate"].append(residual)
     return out
 
