@@ -23,14 +23,16 @@ sends d to -d, which halves w's component along d, as x does: the center
 lies on the mirror up to rounding, which `reconstruct` allows (_CENTER_SLACK).
 
 The kernel and the classifiers run on Python floats up to the record, built by
-`_record` (its axis by `geom._line`, its mirror by `geom._plane`), which keeps
-its vectors as floats (_v, _slide, _center), arrays only once read.  The module
-imports no numpy; `split_translation` refuses a split that overflows.  The eight
-record classes are the one table of classes: each carries its JSON name (NAME)
-and its own rebuild (_motion), so `reconstruct` and the CLI's encoder need no
-per-class branches.  The rebuilds run on those floats too: a mirror's flip is its one-plane
-fold (`motion._fold`), followed by the rotary turn with `motion._compose`; the glide measures
-its drift with `_dot3`.  Each hands its 12 floats to `motion._rigid` as they are.
+`_record` (its axis by `geom._line`, its mirror by `geom._plane` of a
+`geom._mirror` pair), which keeps its vectors as floats (_v, _slide, _center),
+arrays only once read.  The module imports no numpy; `split_translation`
+refuses a split that overflows.  The eight record classes are the one table of
+classes: each carries its JSON name (NAME) and its own rebuild (_motion), so
+`reconstruct` and the CLI's encoder need no per-class branches.  The rebuilds
+run on those floats too: a mirror's flip is its one-plane fold in closed form
+(`motion._reflection`), followed by the rotary turn with `motion._compose`;
+the glide measures its drift with `_dot3`.  Each hands its 12 floats to
+`motion._rigid` as they are.
 `rotation_from_plane_pair` stays public for cross-checking the kernel on
 mirror pairs; the library, the worked example included, does not call it.
 """
@@ -45,9 +47,9 @@ from typing import Union
 from .errors import InvalidClassParameters, NotAFixedPoint, ParallelDistinctMirrors, ParallelPlanes
 from .geom import DEFAULT_TOL, Line3, Plane, Tolerance, Vec3, intersect_planes
 from .geom import planes_equal, points_coincide, _canonical_sign, _cross3, _dot3
-from .geom import _Array, _floats, _finite, _fresh, _line, _plane, _unit, _vector
+from .geom import _Array, _floats, _finite, _fresh, _line, _mirror, _plane, _unit, _vector
 from .motion import AffineIsometry, Motion, apply, identity, plane_reflection, _ID, _as_affine
-from .motion import _compose, _fixed_point, _fold, _rigid, _rodrigues
+from .motion import _compose, _fixed_point, _fold, _reflection, _rigid, _rodrigues
 from .motion import _split
 
 # Validation slack for reconstruct(): parameter records are expected to come
@@ -179,7 +181,7 @@ class GlideReflection(_Record):
         _require(slide_len > 0.0, "glide slide must be nonzero")
         drift = abs(_dot3(slide, self.mirror._n))
         _require(drift <= _PARAM_EPS * slide_len, "glide slide must be parallel to the mirror")
-        m = _fold((self.mirror,))  # the reflection
+        m = _reflection(self.mirror._n, self.mirror.offset)
         return _rigid(m[:9] + [m[9] + slide[0], m[10] + slide[1], m[11] + slide[2]])
 
 
@@ -213,7 +215,7 @@ class RotaryReflection(_Record):
         on_mirror = miss <= _PARAM_EPS or miss <= _CENTER_SLACK * math.hypot(*center)
         _require(on_mirror, "rotary center must lie on the mirror")
         turn = _rodrigues(center, mirror._n, self.angle)
-        return _rigid(_compose(turn, _fold((mirror,))))  # flip, then turn
+        return _rigid(_compose(turn, _reflection(mirror._n, mirror.offset)))  # flip, then turn
 
 
 MotionClass = Union[
@@ -263,7 +265,7 @@ def rotation_from_plane_pair(
         raise ParallelDistinctMirrors(
             "parallel distinct mirrors compose to a translation, not a rotation"
         ) from exc
-    l = _fold((alpha, beta))
+    l = _fold(((alpha._n, alpha.offset), (beta._n, beta.offset)))
     cos = (l[0] + l[4] + l[8] - 1.0) / 2.0
     angle = _angle_about(_dot3(_skew_vector(l), axis._floats[1]), cos)
     return _record(Rotation, axis=axis, angle=angle)
@@ -362,7 +364,7 @@ def classify_fixed_point(m: Motion, c, tol: Tolerance = DEFAULT_TOL) -> MotionCl
     length = math.sqrt(_dot3(direction, direction))  # as Line3() and Plane() measure it
     if kind is Rotation:
         return _record(Rotation, axis=_line(c, [x / length for x in direction]), angle=angle)
-    mirror = _plane(direction, length, _dot3(c, direction))
+    mirror = _plane(_mirror(direction, length, _dot3(c, direction)))
     if kind is Reflection:
         return _record(Reflection, mirror=mirror)
     return _record(RotaryReflection, mirror=mirror, center=c, angle=angle)
@@ -413,7 +415,7 @@ def classify(m: Motion, tol: Tolerance = DEFAULT_TOL) -> MotionClass:
             return _record(Rotation, axis=axis, angle=angle)
         return _record(Screw, axis=axis, angle=angle, slide=n)
 
-    mirror = _plane(direction, length, 0.5 * _dot3(direction, n))
+    mirror = _plane(_mirror(direction, length, 0.5 * _dot3(direction, n)))
     if kind is RotaryReflection:
         center = _fixed_point(u, d, angle)
         return _record(RotaryReflection, mirror=mirror, center=center, angle=angle)

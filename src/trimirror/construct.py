@@ -5,9 +5,11 @@ motion of each orientation maps the first onto the second.  `three_reflections`
 builds the orientation-reversing one as a sequence of three mirrors, moving
 one point into place per stage; `second_motion` appends the destination
 triple's own plane to obtain the orientation-preserving partner, whose fold
-continues its prefix's fold by that one plane.  The walk runs on Python floats, and
-`geom._measure_triangle` measures each triangle once: PointTriple and the sequence
-keep it.
+continues its prefix's fold by that one plane.  The walk runs on Python floats:
+each mirror is a `geom.Mirror` pair of floats, from `geom._bisector` or
+`geom._measured_plane`, and the sequences keep them as they are, so no Plane is
+built unless a caller reads `planes`.  `geom._measure_triangle` measures each
+triangle once: PointTriple and the sequence keep it.
 """
 
 from __future__ import annotations
@@ -108,4 +110,4 @@ def second_motion(
     """
     kept = seq._dst  # three_reflections' pair and measurement of its dst, or None
     closing = _measured_plane(*(kept[1] if kept and kept[0].dst is dst else _measured(dst)), tol)
-    return _sequence(seq.planes + (closing,), _fold((closing,), seq._parts))
+    return _sequence(seq._mirrors + (closing,), _fold((closing,), seq._parts))

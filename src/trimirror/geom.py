@@ -8,19 +8,24 @@ to loosen or tighten them.
 Public functions and constructors validate their arguments once, then run a
 private kernel (`_coincide`, `_bisector`, `_reflect`, the triangle kernel
 `_triangle` with its checked form `_measure_triangle`, its verdict `_thin` and
-the plane `_measured_plane` it fixes, the plane kernel `_plane`, the line
+the plane `_measured_plane` it fixes, the plane kernel `_mirror`, the line
 kernel `_line`, the sign `_canonical_sign`, and `_scaled`, the one rescale, by
 an exact power of two) on the checked floats of `_floats`, which reads a
-float64 (3,) ndarray as it is.  Every dot, cross product and length in the
-module is written out on Python floats (`_dot3`, `_cross3`, `math.sqrt` or
-`math.hypot`, or spelt out in their operation order), `_unit` and the
-predicates included, and `intersect_planes` places its point by a closed form
-rather than a linear solve; numpy only reads input and builds what callers
-read.  Each value class (`_value_class`) checks its arguments in its own
-__init__ and stores the floats the kernels read (`Plane._n`, `Line3._floats`,
-`PointTriple._floats`); it holds no array: `_Array` builds a field's array
-with `_vector` on first read, in one step and read-only from birth (it cannot
-be made writable again), and keeps it; a copy builds its own.
+float64 ndarray of one axis by unpacking its floats.  `_mirror` checks a plane
+and gives it as a Mirror, its canonical unit normal and offset: the pair that
+`_bisector` and `_measured_plane` return, `_reflect` reads and a
+ReflectionSequence keeps; `_plane` wraps one as a Plane.  Every dot, cross
+product and length in the module is written out on Python floats (`_dot3`,
+`_cross3`, `math.sqrt` or `math.hypot`, or spelt out in their operation
+order), `_unit` and the predicates included, and `intersect_planes` places its
+point by a closed form rather than a linear solve; numpy only reads input and
+builds what callers read.  Each value class (`_value_class`) checks its
+arguments in its own __init__ and stores the floats the kernels read
+(`Plane._n`, `Line3._floats`, `PointTriple._floats`); it holds no array:
+`_Array` builds a field's array with `_vector` on first read, in one step and
+read-only from birth (it cannot be made writable again), and keeps it; a copy
+builds its own.  A ReflectionSequence builds its planes so too, with `_plane`
+from its mirrors.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import numpy as np
 from .errors import CoincidentPoints, CollinearPoints, ParallelPlanes
 
 Vec3 = np.ndarray
+Mirror = tuple[tuple[float, float, float], float]  # a plane's unit normal and offset: _mirror
 
 # Components at or below this magnitude are treated as zero when picking the
 # canonical sign of a unit vector, and unit vectors shorter than this are
@@ -50,12 +56,16 @@ def as_vec3(value) -> Vec3:
 
 
 def _floats(value) -> list[float]:
-    """as_vec3(value)'s checked floats; a float64 (3,) ndarray is read without np.asarray."""
-    if type(value) is not np.ndarray or value.dtype is not _FLOAT or value.shape != (3,):
+    """as_vec3(value)'s checked floats; a one-axis float64 ndarray is read without np.asarray,
+    its length checked by the unpack of its floats."""
+    if type(value) is not np.ndarray or value.dtype is not _FLOAT or value.ndim != 1:
         value = np.asarray(value, dtype=float)
         if value.shape != (3,):
             raise ValueError(f"expected 3 components, got shape {value.shape}")
-    x, y, z = v = value.tolist()
+    try:
+        x, y, z = v = value.tolist()
+    except ValueError:  # a float64 array of one axis whose length is not 3
+        raise ValueError(f"expected 3 components, got shape {value.shape}") from None
     if not math.isfinite(x * 0.0 + y * 0.0 + z * 0.0):  # as _finite, written out
         raise ValueError("vector components must be finite")
     return v
@@ -95,9 +105,10 @@ def _value_class(cls):
 
 
 class _Array:
-    """An array field that build(value) makes from the value's kept floats on first read,
-    into the value's __dict__, where later reads find it first; read on the class, it raises
-    AttributeError, so the dataclass field it stands in for has no default."""
+    """An array field, or a sequence's planes, that build(value) makes from the value's kept
+    floats on first read, into the value's __dict__, where later reads find it first; read on
+    the class, it raises AttributeError, so the dataclass field it stands in for has no
+    default."""
 
     def __init__(self, build) -> None:
         self.build = build
@@ -183,16 +194,16 @@ class Plane:
     def __init__(self, normal: Vec3, offset: float) -> None:
         n = _floats(normal)
         length = math.sqrt(_dot3(n, n))  # a raw normal must clear the floor; kernels judged theirs
-        _plane(n, length if length > _SIGN_EPS else 0.0, offset, self)
+        _plane(_mirror(n, length if length > _SIGN_EPS else 0.0, offset), self)
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
         return _dot3(self._n, _floats(point)) - self.offset
 
 
-def _plane(n, length: float, offset, plane: Plane | None = None) -> Plane:
-    """Plane(n, offset) for three floats n of length `length`; Plane() passes itself in."""
-    plane = object.__new__(Plane) if plane is None else plane
+def _mirror(n, length: float, offset) -> Mirror:
+    """Plane(n, offset)'s unit normal and offset, checked and of canonical sign, for three
+    floats n of length `length`: the pair a Plane keeps as `_n` and `offset`."""
     if not 0.0 < length < math.inf:
         _finite(n)  # a kernel's normal may have overflowed: report it as as_vec3 would
         raise ValueError("plane normal must have a nonzero, finite length")
@@ -202,8 +213,14 @@ def _plane(n, length: float, offset, plane: Plane | None = None) -> Plane:
     x, y, z = n[0] / length, n[1] / length, n[2] / length
     s = _canonical_sign(x, y, z)
     # adding 0.0 clears negative zeros left over from sign flips
-    n = (s * x + 0.0, s * y + 0.0, s * z + 0.0)
-    plane.__dict__.update(_n=n, offset=s * d + 0.0)  # past frozen setattr
+    return (s * x + 0.0, s * y + 0.0, s * z + 0.0), s * d + 0.0
+
+
+def _plane(mirror: Mirror, plane: Plane | None = None) -> Plane:
+    """The Plane of a `_mirror` pair, kept as it is; Plane() passes itself in."""
+    plane = object.__new__(Plane) if plane is None else plane
+    fields = plane.__dict__  # past frozen setattr
+    fields["_n"], fields["offset"] = mirror
     return plane
 
 
@@ -261,13 +278,14 @@ class PointTriple:
 
 def reflect_point(plane: Plane, point) -> Vec3:
     """Mirror image of `point` in `plane`; ValueError if it overflows."""
-    return _fresh(_reflect(plane, _floats(point)))
+    return _fresh(_reflect((plane._n, plane.offset), _floats(point)))
 
 
-def _reflect(plane: Plane, p) -> list[float]:
-    """p - 2 (n . p - offset) n for the floats p; unchecked, so it may overflow."""
-    n0, n1, n2 = plane._n
-    k = 2.0 * (n0 * p[0] + n1 * p[1] + n2 * p[2] - plane.offset)  # _dot3, written out
+def _reflect(mirror: Mirror, p) -> list[float]:
+    """p - 2 (n . p - offset) n for a `_mirror` pair and the floats p; unchecked, so it may
+    overflow."""
+    (n0, n1, n2), offset = mirror
+    k = 2.0 * (n0 * p[0] + n1 * p[1] + n2 * p[2] - offset)  # _dot3, written out
     return [p[0] - k * n0, p[1] - k * n1, p[2] - k * n2]
 
 
@@ -357,33 +375,35 @@ def perpendicular_bisector_plane(a, b, tol: Tolerance = DEFAULT_TOL) -> Plane:
     Raises CoincidentPoints when a and b agree within tol, since every plane
     through them would qualify.
     """
-    plane = _bisector(_floats(a), _floats(b), tol)
-    if plane is None:
+    mirror = _bisector(_floats(a), _floats(b), tol)
+    if mirror is None:
         raise CoincidentPoints("bisector plane needs two distinct points")
-    return plane
+    return _plane(mirror)
 
 
-def _bisector(a, b, tol: Tolerance) -> Plane | None:
-    """Bisector plane of checked float points, None where _coincide(a, b, tol) holds."""
+def _bisector(a, b, tol: Tolerance) -> Mirror | None:
+    """Bisector plane of checked float points as a `_mirror` pair, None where
+    _coincide(a, b, tol) holds."""
     (a0, a1, a2), (b0, b1, b2) = a, b
     x = x0, x1, x2 = b0 - a0, b1 - a1, b2 - a2
     if (length := math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)) <= tol.eps_len:  # _dot3s written out
         return None
-    return _plane(x, length, x0 * (0.5 * (a0 + b0)) + x1 * (0.5 * (a1 + b1))
-                  + x2 * (0.5 * (a2 + b2)))
+    return _mirror(x, length, x0 * (0.5 * (a0 + b0)) + x1 * (0.5 * (a1 + b1))
+                   + x2 * (0.5 * (a2 + b2)))
 
 
 def plane_through_points(a, b, c, tol: Tolerance = DEFAULT_TOL) -> Plane:
     """The unique plane through three noncollinear points."""
     a = _floats(a)
-    return _measured_plane(a, *_measure_triangle(a, _floats(b), _floats(c)), tol)
+    return _plane(_measured_plane(a, *_measure_triangle(a, _floats(b), _floats(c)), tol))
 
 
-def _measured_plane(a, n, measure, tol: Tolerance) -> Plane:
-    """The plane through a of the triangle that _measure_triangle measured as n, measure."""
+def _measured_plane(a, n, measure, tol: Tolerance) -> Mirror:
+    """The plane through a of the triangle that _measure_triangle measured as n, measure, as a
+    `_mirror` pair."""
     if _thin(measure, tol):
         raise CollinearPoints("three collinear points do not fix a plane")
-    return _plane(n, measure[0], _dot3(n, a))
+    return _mirror(n, measure[0], _dot3(n, a))
 
 
 def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:

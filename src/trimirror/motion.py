@@ -7,9 +7,12 @@ order (first, then second) by the 3x3 product `_compose`.  AffineIsometry() and 
 check L with `_orthogonal` (repair: `_mgs`), which tests L^T L - I alone; motions built
 from unit normals or axes are orthogonal and skip it.  Each keeps its parts as `_parts`, 12
 floats, L row-major, then t; arrays on first read.  All but AffineIsometry() are made by
-`_rigid`, which checks t.  A sequence folds its planes when built (`_fold`), reflecting the
-fold so far in each plane, not multiplying by its matrix; `_sequence` may be handed that
-fold, continued from a prefix.  One plane's fold is its reflection.
+`_rigid`, which checks t.  A sequence keeps its mirrors as floats, `_mirrors`, one
+`geom.Mirror` pair (unit normal, offset) per plane, and builds its Planes only when `planes`
+is read.  It folds its mirrors when built (`_fold`), reflecting the fold so far in each
+plane, not multiplying by its matrix; `_sequence` may be handed that fold, continued from a
+prefix.  A fold from the identity starts from `_reflection`, the one-plane fold in closed
+form, which is also every reflection's parts.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .geom import DEFAULT_TOL, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3, _finite
-from .geom import _Array, _fresh, _matrix, _value_class, _vector, _unit
+from .geom import DEFAULT_TOL, Mirror, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3
+from .geom import _Array, _finite, _fresh, _matrix, _plane, _value_class, _vector, _unit
 
 # Drift of L^T L - I, which alone decides: up to _ORTHO_PASS L is stored as given (|det L|
 # is then 1 within 3/2 of it plus 5 eps), up to _ORTHO_FIX it is silently re-orthonormalized,
@@ -111,26 +114,29 @@ def _rigid(parts) -> AffineIsometry:
 class ReflectionSequence:
     """Ordered mirror planes; the motion reflects in planes[0] first."""
 
-    planes: tuple[Plane, ...]
+    planes: tuple[Plane, ...] = _Array(lambda seq: tuple(map(_plane, seq._mirrors)))
 
     def __init__(self, planes: tuple[Plane, ...]) -> None:
         planes = tuple(planes)
         if not all(isinstance(p, Plane) for p in planes):
             raise ValueError("reflection sequence entries must be Plane values")
-        _sequence(planes, None, self)
+        self.__dict__["planes"] = planes  # kept as given, as if built
+        _sequence(tuple((p._n, p.offset) for p in planes), None, self)
 
     def __len__(self) -> int:
-        return len(self.planes)
+        return len(self._mirrors)
 
     def __iter__(self) -> Iterator[Plane]:
         return iter(self.planes)
 
 
-def _sequence(planes: tuple, parts=None, seq=None, dst=None) -> ReflectionSequence:
-    """ReflectionSequence(planes) for Planes, folded unless `parts` is their fold already;
+def _sequence(mirrors: tuple[Mirror, ...], parts=None, seq=None, dst=None) -> ReflectionSequence:
+    """ReflectionSequence of `_mirror` pairs, folded unless `parts` is their fold already;
     `dst` is a (TriplePair, measurement of its dst) that construct.second_motion may reuse."""
     seq = object.__new__(ReflectionSequence) if seq is None else seq
-    seq.__dict__.update(planes=planes, _parts=_fold(planes) if parts is None else parts, _dst=dst)
+    fields = seq.__dict__
+    fields["_mirrors"], fields["_parts"] = mirrors, _fold(mirrors) if parts is None else parts
+    fields["_dst"] = dst
     return seq
 
 
@@ -147,7 +153,7 @@ def translation(v) -> AffineIsometry:
 
 def plane_reflection(plane: Plane) -> AffineIsometry:
     """The reflection in `plane` as an affine map: the fold of that one plane."""
-    return _rigid(_fold((plane,)))
+    return _rigid(_reflection(plane._n, plane.offset))
 
 
 def _split(u, d) -> tuple[list[float], list[float]]:
@@ -230,18 +236,38 @@ def then(first: AffineIsometry, second: AffineIsometry) -> AffineIsometry:
     return _isometry(_compose(second._parts, first._parts))
 
 
-def _fold(planes: tuple, parts=_ID) -> list[float]:
-    """The planes folded from the identity or on from `parts`, by reflecting the fold."""
+def _reflection(n, offset: float) -> list[float]:
+    """The fold of the one mirror (n, offset) from the identity in closed form: `_fold`'s step
+    from `_ID`, bit for bit.
+
+    Twice n . each column of I is 2x, 2y, 2z: a zero product moves no nonzero sum, and a zero
+    sum's sign is lost in 1.0 - p and 0.0 - p.  Doubling is exact, so x (2y) = y (2x): L is
+    symmetric, each pair formed once.
+    """
+    x, y, z = n
+    u, v, w = 2.0 * x, 2.0 * y, 2.0 * z
+    b, c, f = 0.0 - x * v, 0.0 - x * w, 0.0 - y * w
+    k = 2.0 * (0.0 - offset)  # n . t for t = 0 is a zero, whose sign 0.0 - k x loses
+    return [1.0 - x * u, b, c, b, 1.0 - y * v, f, c, f, 1.0 - z * w,
+            0.0 - k * x, 0.0 - k * y, 0.0 - k * z]
+
+
+def _fold(mirrors: tuple[Mirror, ...], parts=None) -> list[float]:
+    """The `_mirror` pairs folded from the identity or on from `parts`, by reflecting the
+    fold; from the identity, the first mirror's fold is its `_reflection`."""
+    if parts is None:
+        if not mirrors:
+            return [*_ID]
+        parts, mirrors = _reflection(*mirrors[0]), mirrors[1:]
     a, b, c, d, e, f, g, h, i, t0, t1, t2 = parts
-    for plane in planes:
-        x, y, z = plane._n
+    for (x, y, z), offset in mirrors:
         u = 2.0 * (x * a + y * d + z * g)  # twice n . each column
         v = 2.0 * (x * b + y * e + z * h)
         w = 2.0 * (x * c + y * f + z * i)
         a, b, c = a - x * u, b - x * v, c - x * w
         d, e, f = d - y * u, e - y * v, f - y * w
         g, h, i = g - z * u, h - z * v, i - z * w
-        k = 2.0 * (x * t0 + y * t1 + z * t2 - plane.offset)  # t moves as _reflect moves a point
+        k = 2.0 * (x * t0 + y * t1 + z * t2 - offset)  # t moves as _reflect moves a point
         t0, t1, t2 = t0 - k * x, t1 - k * y, t2 - k * z
     return [a, b, c, d, e, f, g, h, i, t0, t1, t2]
 
@@ -250,7 +276,7 @@ def seq_to_affine(seq: ReflectionSequence) -> AffineIsometry:
     """The planes' motion.  k unit-normal reflections fold to L^T L - I within (29 k + 4) eps,
     so up to _FOLD_LIMIT planes _isometry would pass the fold as it is and is skipped; a longer
     sequence is validated, repaired if need be."""
-    return (_rigid if len(seq.planes) <= _FOLD_LIMIT else _isometry)(seq._parts)
+    return (_rigid if len(seq._mirrors) <= _FOLD_LIMIT else _isometry)(seq._parts)
 
 
 def _as_affine(motion: Motion) -> AffineIsometry:

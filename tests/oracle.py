@@ -558,7 +558,7 @@ def constructor_rotation_from_plane_pair(alpha: Plane, beta: Plane, tol: Toleran
     if planes_equal(alpha, beta, tol):
         return Identity()
     axis = intersect_planes(alpha, beta, tol)
-    l = _fold((alpha, beta))
+    l = _fold(((alpha._n, alpha.offset), (beta._n, beta.offset)))
     cos = (l[0] + l[4] + l[8] - 1.0) / 2.0
     return Rotation(axis=axis, angle=_angle_about(_dot3(_skew_vector(l), axis._floats[1]), cos))
 

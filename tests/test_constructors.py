@@ -7,12 +7,14 @@ tests pin the calling conventions that __init__ must keep: positional and
 keyword arguments, `tol` positional, TypeError for a missing or extra
 argument, and `dataclasses.replace` validating again.
 
-`geom._floats` reads a float64 ndarray of shape (3,) without np.asarray; every
-other input goes through np.asarray(value, dtype=float).  Both must give the
-floats, or the exception type and message, of the generic path, here written
-as it was before the fast path (`generic_floats`).  The written-out kernels
-(`_triangle`, `_bisector`, `_congruent`, `_canonical_sign`) must match their
-earlier forms, composed from 3-vector helpers, bit for bit.
+`geom._floats` reads a float64 ndarray of one axis without np.asarray, its
+length checked by unpacking its floats; every other input goes through
+np.asarray(value, dtype=float).  Both must give the floats, or the exception
+type and message, of the generic path, here written as it was before the fast
+path (`generic_floats`), and of the shape test the fast path once made.  The
+written-out kernels (`_triangle`, `_bisector`, `_congruent`,
+`_canonical_sign`) must match their earlier forms, composed from 3-vector
+helpers, bit for bit.
 """
 
 import dataclasses
@@ -35,7 +37,7 @@ from trimirror import (
 )
 from trimirror import geom
 from trimirror.construct import _congruent
-from trimirror.geom import _bisector, _canonical_sign, _floats, _triangle
+from trimirror.geom import _bisector, _canonical_sign, _floats, _triangle, as_vec3
 
 from oracle import loop_canonical_sign, zero_component_vectors
 
@@ -106,6 +108,43 @@ def test_floats_fast_path_matches_the_generic_path(monkeypatch):
     for value, outcome in zip(arrays, want):
         assert value.dtype is np.dtype(float)
         assert _outcome(_floats, value) == outcome, value
+
+
+def test_floats_unpack_keeps_the_shape_messages():
+    # a float64 ndarray of one axis is read by unpacking its floats, and one
+    # whose length is not 3 is refused with the message the shape test gave
+    # (the strings below); every other array takes np.asarray.  as_vec3 hands
+    # _floats a native float64 array of any shape.
+    rows = np.arange(12.0).reshape(4, 3)
+    floats = [1.5, -0.0, 2.25]
+    cases = [
+        (np.zeros(()), "expected 3 components, got shape ()"),
+        (np.zeros(0), "expected 3 components, got shape (0,)"),
+        (np.zeros(2), "expected 3 components, got shape (2,)"),
+        (np.zeros(4), "expected 3 components, got shape (4,)"),
+        (np.zeros((1, 3)), "expected 3 components, got shape (1, 3)"),
+        (np.zeros((3, 1)), "expected 3 components, got shape (3, 1)"),
+        (rows[1], [3.0, 4.0, 5.0]),
+        (rows[:, 1], "expected 3 components, got shape (4,)"),
+        (rows[::2, 2], "expected 3 components, got shape (2,)"),
+        (rows.ravel()[::4], [0.0, 4.0, 8.0]),  # a strided row view
+        (np.array(floats, dtype=">f8"), floats),
+        (np.zeros(2, dtype=">f8"), "expected 3 components, got shape (2,)"),
+        (np.array(floats, dtype=np.float32), floats),
+        (np.zeros(5, dtype=np.float32), "expected 3 components, got shape (5,)"),
+        (np.array(floats).view(_Sub), floats),
+        (np.array(floats[:2]).view(_Sub), "expected 3 components, got shape (2,)"),
+    ]
+    for value, want in cases:
+        for read in (as_vec3, _floats):
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as info:
+                    read(value)
+                assert type(info.value) is ValueError and str(info.value) == want, (read, value)
+            else:
+                got = read(value)
+                got = got.tolist() if isinstance(got, np.ndarray) else got
+                assert struct.pack("3d", *got) == struct.pack("3d", *want), (read, value)
 
 
 def test_constructors_keep_their_calling_conventions():
@@ -209,18 +248,18 @@ def test_written_out_kernels_match_their_composed_forms_bit_for_bit():
         edges = tuple(math.sqrt(_dot(e, e)) for e in (u, v, w))
         assert _bits(_triangle(a, b, c)) == _bits((n, (math.sqrt(_dot(n, n)), edges)))
         try:
-            plane = _bisector(a, b, tol)
+            mirror = _bisector(a, b, tol)
         except ValueError as exc:  # an overflowing chord or offset
-            plane = str(exc)
+            mirror = str(exc)
         mid = [0.5 * (p + q) for p, q in zip(a, b)]
         try:
             want = Plane(u, _dot(u, mid))
         except ValueError as exc:
             want = str(exc)
-        if isinstance(want, Plane) and isinstance(plane, Plane):
-            assert _bits((plane._n, plane.offset)) == _bits((want._n, want.offset)), (a, b)
+        if isinstance(want, Plane) and isinstance(mirror, tuple):
+            assert _bits(mirror) == _bits((want._n, want.offset)), (a, b)
         else:
-            assert plane == want, (a, b)
+            assert mirror == want, (a, b)
 
 
 def test_congruent_keeps_its_verdicts_nan_included():

@@ -564,19 +564,19 @@ def test_bisector_kernel_matches_exact_reference():
     spread = (1 + _R) / (1 - _LENGTH)
     for pts in _kernel_points(np.random.default_rng(71)):
         for a, b in ((pts[0], pts[1]), (pts[0], pts[2]), (pts[1], pts[2])):
-            plane = _bisector(a, b, tol)
+            normal_got, offset_got = _bisector(a, b, tol)
             fa, fb = list(map(Fraction, a)), list(map(Fraction, b))
             x = [q - p for p, q in zip(fa, fb)]
             m = [(p + q) / 2 for p, q in zip(fa, fb)]
             length = exact_root(sum(t * t for t in x))
             normal, offset = [xi / length for xi in x], sum(s * t for s, t in zip(x, m)) / length
-            got = [Fraction(g) for g in plane.normal.tolist()]
+            got = [Fraction(g) for g in normal_got]
             sign = 1 if sum(g * e for g, e in zip(got, normal)) > 0 else -1
             for g, want in zip(got, normal):
                 assert abs(g - sign * want) <= (spread * (1 + _R) - 1) * abs(want), (a, b)
             dot_miss = _gamma(5) * sum(abs(s * t) for s, t in zip(x, m))
             slack = dot_miss / length * spread + (spread - 1) * abs(offset)
-            assert abs(Fraction(plane.offset) - sign * offset) <= slack, (a, b)
+            assert abs(Fraction(offset_got) - sign * offset) <= slack, (a, b)
 
 
 def test_reflect_kernel_matches_exact_reference():
@@ -590,7 +590,7 @@ def test_reflect_kernel_matches_exact_reference():
         plane = Plane(rng.normal(size=3), float(rng.normal()) * 10.0 ** rng.uniform(-3.0, 6.0))
         n, offset = [Fraction(x) for x in plane.normal.tolist()], Fraction(plane.offset)
         for p in pts:
-            got, fp = _reflect(plane, p), list(map(Fraction, p))
+            got, fp = _reflect((plane._n, plane.offset), p), list(map(Fraction, p))
             d = sum(s * t for s, t in zip(n, fp)) - offset
             dk = 2 * (_gamma(3) * sum(abs(s * t) for s, t in zip(n, fp)) * (1 + _R) + _R * abs(d))
             for g, ni, pi in zip(got, n, fp):

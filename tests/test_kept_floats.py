@@ -2,16 +2,17 @@
 
 Each value the library builds keeps the Python floats its kernels read
 (`Plane._n`, `Line3._floats`, `PointTriple._floats`, `TriplePair._floats`,
-`AffineIsometry._parts`, and a class record's `_v`, `_slide` or `_center`),
-and builds each public array field from them when a caller first reads it
-(`geom._Array`).  These tests check that a fresh value holds no array, that
-every kept float equals its array's `.tolist()` bit for bit, signed zeros
-included, that a later read returns the same array, and that every array is
-read-only from birth: `setflags(write=True)` raises on it, where it would
-succeed on an array frozen with `setflags(write=False)`.  Copies, pickles,
-`dataclasses.replace`, `repr`, frozen assignment and the constructors'
-signatures behave as they did with arrays built at construction, except that a
-copy holds no array of its own: it builds them, read-only, when first read.
+`AffineIsometry._parts`, a sequence's `_mirrors`, and a class record's `_v`,
+`_slide` or `_center`), and builds each public array field from them when a
+caller first reads it (`geom._Array`); a sequence builds its planes so too.
+These tests check that a fresh value holds no array, that every kept float
+equals its array's `.tolist()` bit for bit, signed zeros included, that a
+later read returns the same array, and that every array is read-only from
+birth: `setflags(write=True)` raises on it, where it would succeed on an array
+frozen with `setflags(write=False)`.  Copies, pickles, `dataclasses.replace`,
+`repr`, frozen assignment and the constructors' signatures behave as they did
+with arrays built at construction, except that a copy holds no array of its
+own: it builds them, read-only, when first read.
 The inputs are the benchmark's own generated cases (perfbench/gen.py imports
 only numpy) and the public constructors.
 """
@@ -23,6 +24,7 @@ import itertools
 import math
 import pickle
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +62,7 @@ from trimirror import (
 )
 from trimirror.errors import InvalidClassParameters
 from trimirror.example import ANCHOR, CENTER
+from trimirror.geom import _plane
 from trimirror.motion import _FOLD_LIMIT
 
 import oracle
@@ -137,6 +140,45 @@ def test_construct_values_keep_their_floats_and_read_only_arrays():
     assert checked == N_CASES * (6 + 3 + 4 + 2 + 2)
 
 
+def test_construct_op_builds_planes_only_when_read(monkeypatch):
+    # the benchmark's op, the pair, three_reflections, second_motion and
+    # seq_to_affine of both, keeps each mirror as its floats and builds no
+    # Plane; a caller's first read of .planes builds them from those floats,
+    # with the bytes of the mirror walk through the public functions
+    built = []
+
+    def counted(mirror, plane=None):
+        built.append(mirror)
+        return _plane(mirror, plane)
+
+    for name, module in list(sys.modules.items()):  # every Plane builder of the library
+        if name.split(".")[0] == "trimirror" and hasattr(module, "_plane"):
+            monkeypatch.setattr(module, "_plane", counted)
+    done = []
+    for case in itertools.islice(gen.construct_triples(1), 2000):
+        pair = TriplePair(PointTriple(*case.src), tuple(case.dst))
+        first = three_reflections(pair)
+        second = second_motion(first, pair.dst)
+        seq_to_affine(first), seq_to_affine(second)
+        assert "planes" not in vars(first) and "planes" not in vars(second), case
+        done.append((pair, first, second))
+    assert not built
+    for pair, first, second in done:
+        for seq in (first, second):
+            planes = seq.planes
+            assert seq.planes is planes and len(planes) == len(seq._mirrors) == len(seq)
+            for plane, (n, offset) in zip(planes, seq._mirrors):
+                assert plane._n is n and plane.offset is offset
+    assert len(built) == 7 * len(done)
+    monkeypatch.undo()
+    for pair, first, second in done:
+        walked = oracle.walk_three_reflections(pair)[0].planes
+        want = list(map(oracle.plane_bytes, walked)) + [
+            oracle.plane_bytes(plane_through_points(*pair.dst))]
+        assert list(map(oracle.plane_bytes, second.planes)) == want, pair
+        assert list(map(oracle.plane_bytes, first.planes)) == want[:3], pair
+
+
 @pytest.mark.parametrize("stream", ["classify_mixed", "classify_seams"])
 def test_classify_values_keep_their_floats_and_read_only_arrays(stream):
     seen, rebuilt = set(), 0
@@ -186,13 +228,16 @@ def _public_values() -> list:
         RotaryReflection(mirror=Plane((0, 0, 1), 0.0), center=(1.0, 2.0, 0.0), angle=0.5),
     ]
     values.append(seq_to_affine(ReflectionSequence((plane, Plane((1, 0, 1), 2.0)))))
+    pair = TriplePair(triple, ((0, 0, 0), (0, 1, 0), (1, 0, 0)))  # A in place, B and C swap
+    first = three_reflections(pair)  # its planes and its partner's are not yet built
+    values += [first, second_motion(first, pair.dst)]
     return values
 
 
 def test_public_constructors_keep_their_floats_and_read_only_arrays():
     values = _public_values()
     assert not _held_arrays(values)
-    assert sum(map(_check, values)) == 47
+    assert sum(map(_check, values)) == 54
     plane = values[0]
     assert plane._n == (0.0, 1.0, 0.0) and plane.offset == 0.0
     for array in PROBE_POINTS + (ANCHOR, CENTER):
@@ -275,9 +320,11 @@ def test_copies_round_trip_before_and_after_a_read(how):
         after = _COPIES[how](value)  # of a value whose arrays have been read
         # a copy holds no array: it builds its own, read-only (a copied array
         # would be writable); a shallow copy shares the value's planes, lines
-        # and triples, arrays and all, as replace() does
+        # and triples, arrays and all, as replace() does, and a sequence's
+        # tuple of planes or its pair (_dst)
         own = after if how in ("deepcopy", "pickle") else [
-            x for x in vars(after).values() if not dataclasses.is_dataclass(x)]
+            x for x in vars(after).values() if not any(
+                map(dataclasses.is_dataclass, x if isinstance(x, tuple) else (x,)))]
         assert not _held_arrays(own), (how, value)
         assert _state(after) == _state(value), (how, value)
         assert _check(after) == _check(value), (how, value)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -33,8 +34,8 @@ from trimirror import (
 from trimirror.classify import Reflection, reconstruct
 from trimirror.example import make_f, make_g, make_h
 from trimirror.geom import Line3, coplanar, _reflect, _unit
-from trimirror.motion import _ORTHO_FIX, _ORTHO_PASS, _fixed_point, _fold, _mgs, _orthogonal
-from trimirror.motion import _rodrigues
+from trimirror.motion import _ID, _ORTHO_FIX, _ORTHO_PASS, _fixed_point, _fold, _mgs, _orthogonal
+from trimirror.motion import _reflection, _rodrigues
 
 import oracle
 
@@ -324,7 +325,8 @@ def test_fold_step_matches_exact_reference():
     fold = _fold(())
     for i, normal in enumerate(normals):
         plane = Plane(normal, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0))
-        flip, shift = oracle.rows_of(_fold((plane,))), _fold((plane,))[9:]
+        mirror = plane._n, plane.offset
+        flip, shift = oracle.rows_of(_fold((mirror,))), _fold((mirror,))[9:]
         n, offset = [Fraction(x) for x in plane.normal.tolist()], Fraction(plane.offset)
         for row in range(3):
             for col in range(3):
@@ -335,8 +337,8 @@ def test_fold_step_matches_exact_reference():
                 assert abs(Fraction(flip[row][col]) - exact) <= slack, (normal, row, col)
             exact = 2 * offset * n[row]
             assert abs(Fraction(shift[row]) - exact) <= r * abs(exact), (normal, row)
-        step = _fold((plane,), fold)
-        assert step[9:] == _reflect(plane, fold[9:]), normal
+        step = _fold((mirror,), fold)
+        assert step[9:] == _reflect(mirror, fold[9:]), normal
         l = [[Fraction(x) for x in row] for row in oracle.rows_of(fold)]
         t = [Fraction(x) for x in fold[9:]]
         for row in range(3):
@@ -352,20 +354,34 @@ def test_fold_step_matches_exact_reference():
 
 
 def test_one_plane_fold_is_its_reflection_bit_for_bit():
-    # A fold starts from the identity's values with no product: on them the
-    # step gives I - 2 n n^T and 2 offset n as numpy computes them, bit for
-    # bit, with zero shift components +0.0.  Zero normal components make zero
-    # products, where a -0.0 would show in the bytes, at either signed zero offset
+    # Every fold from the identity starts with _reflection, the one-plane fold
+    # in closed form, which leaves out the step's products with the identity's
+    # ones and zeros: pinned bit for bit against the general step continued
+    # from the identity's parts.  A zero component makes zero products, where a
+    # -0.0 would show in the bytes, and so do offsets of either signed zero.
+    # The mirrors are Plane's canonical pairs and the raw unit normals, either
+    # sign (leading negative and -0.0 components), with zero components, tiny
+    # negative ones in (-1e-12, 0), which the canonical sign skips, and
+    # subnormal ones.
     rng = np.random.default_rng(64)
-    normals = oracle.zero_component_vectors(rng) + list(rng.normal(size=(2000, 3)))
-    for n in normals:
-        for offset in (0.0, -0.0, 1.0, 1.5, -2.5,
-                       float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
-            plane = Plane(n, offset)
-            (flip, shift), parts = oracle.numpy_reflection_parts(plane), _fold((plane,))
-            linear, moved = oracle.rows_of(parts), parts[9:]
-            assert np.array(linear).tobytes() == flip.tobytes(), (n, offset)
-            assert np.array(moved).tobytes() == (shift + 0.0).tobytes(), (n, offset)
+    vectors = oracle.zero_component_vectors(rng) + list(rng.normal(size=(500, 3)))
+    for v in rng.normal(size=(300, 3)):
+        for k in range(3):  # one component, then two, tiny and negative or subnormal
+            for small in (-rng.uniform(0.0, 1e-12), rng.choice((1, -1)) * 2.0 ** -1074
+                          * 2.0 ** rng.integers(0, 52)):
+                vectors.append(v.copy())
+                vectors[-1][k] = small
+                vectors.append(vectors[-1].copy())
+                vectors[-1][(k + 1) % 3] = small
+    bits = struct.Struct("12d").pack
+    for v in vectors:
+        length = math.sqrt(float(v @ v))
+        raw = tuple(x / length for x in v.tolist())
+        flipped = tuple(-x for x in raw)
+        for offset in (0.0, -0.0, 1.0, -2.5, float(rng.normal()) * 10.0 ** rng.uniform(-6.0, 6.0)):
+            plane = Plane(v, offset)
+            for mirror in ((plane._n, plane.offset), (raw, offset), (flipped, offset)):
+                assert bits(*_reflection(*mirror)) == bits(*_fold((mirror,), _ID)), mirror
 
 
 def test_every_reflection_builder_gives_the_same_bytes():

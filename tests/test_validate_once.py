@@ -142,7 +142,7 @@ def test_rebuilds_stay_orthogonal_far_below_the_repair_threshold():
     for v in _normals(rng):
         offset = float(rng.uniform(-3.0, 3.0))
         plane, axis = Plane(v, offset), Line3(rng.normal(size=3), v)
-        flip = _fold((plane,))  # the reflection
+        flip = _fold(((plane._n, plane.offset),))  # the reflection
         _assert_within(flip, 22.0, ("flip", v))
         center = [x - offset * y for x, y in zip(rng.normal(size=3), plane._n)]
         for angle in _angles(rng):
