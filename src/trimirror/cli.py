@@ -10,9 +10,10 @@ Subcommands:
 
 Motion descriptions are JSON documents with a "kind" field: rotation
 (point, dir, angle), translation (v), reflection (normal, offset),
-inversion (center), or sequence (steps, applied in listed order).  Angles
-may be numbers or the tokens "pi", "-pi", "pi/6" and so on.  Exit status is
-0 on success, 2 for malformed input, 3 for violated geometric preconditions.
+inversion (center), or sequence (steps, applied in listed order).  A point or
+vector holds three JSON numbers, an offset one; an angle is a number or a token
+"pi", "-pi", "pi/6" and so on.  Exit status is 0 on success, 2 for malformed
+input, 3 for violated geometric preconditions.
 
 `main` resolves --tol once, before any subcommand reads input, into args.tol.
 The module imports no numpy: the arrays it prints are geom's Vec3 values.
@@ -50,12 +51,17 @@ class SpecError(ValueError):
     """Malformed or inconsistent input document."""
 
 
+def _number(value) -> bool:
+    """Whether a JSON value is a number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_angle(value) -> float:
     """Angle from a JSON number or a pi-token string like "pi/6" or "-pi"."""
     if isinstance(value, bool):
         raise SpecError("angle must be a number or a pi token")
     match = isinstance(value, str) and _ANGLE_TOKEN.match(value.strip())
-    if not (match or isinstance(value, (int, float))):
+    if not (match or _number(value)):
         raise SpecError(f"cannot parse angle {value!r}")
     try:  # float() refuses an int past the largest double, int() may refuse over 4300 digits
         number = float(int(match.group(2) or "1")) if match else float(value)
@@ -73,14 +79,17 @@ def parse_angle(value) -> float:
 def _vec_field(doc: dict, key: str):
     if key not in doc:
         raise SpecError(f"missing field {key!r}")
-    try:
-        return as_vec3(doc[key])
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int past the largest double
+    try:  # TypeError: an object for a number; OverflowError: an int past the largest double
+        v = as_vec3(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"field {key!r}: {exc}") from exc
+    if not all(map(_number, doc[key])):  # numpy reads "1" and true as numbers too
+        raise SpecError(f"field {key!r} must hold three numbers")
+    return v
 
 
 def _num_field(doc: dict, key: str) -> float:
-    if key not in doc or isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+    if key not in doc or not _number(doc[key]):
         raise SpecError(f"field {key!r} must be a number")
     return float(doc[key])
 

@@ -11,7 +11,8 @@ private kernel (`_coincide`, `_bisector`, `_reflect`, the triangle kernel
 the plane `_measured_plane` it fixes, the plane kernel `_mirror`, the line
 kernel `_line`, the sign `_canonical_sign`, and `_scaled`, the one rescale, by
 an exact power of two) on the checked floats of `_floats`, which reads a
-float64 ndarray of one axis by unpacking its floats.  `_mirror` checks a plane
+float64 ndarray of one axis by unpacking its floats and converts any other input
+with `_real`, which refuses a complex value.  `_mirror` checks a plane
 and gives it as a Mirror, its canonical unit normal and offset: the pair that
 `_bisector` and `_measured_plane` return, `_reflect` reads and a
 ReflectionSequence keeps; `_plane` wraps one as a Plane.  Every dot, cross
@@ -50,16 +51,26 @@ _FLOAT = np.dtype(float)
 
 def as_vec3(value) -> Vec3:
     """Coerce to a fresh finite float64 vector of shape (3,)."""
-    v = np.array(value, dtype=float)
+    v = np.array(_real(value))
     _floats(v)  # the shape and finiteness checks
     return v
+
+
+def _real(value) -> np.ndarray:
+    """np.asarray(value, dtype=float), which a float64 ndarray skips; ValueError for a complex
+    value, whose imaginary part the cast would drop with only a ComplexWarning."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT:
+        return value
+    if np.asarray(value).dtype.kind == "c":
+        raise ValueError("components must be real, not complex")
+    return np.asarray(value, dtype=float)
 
 
 def _floats(value) -> list[float]:
     """as_vec3(value)'s checked floats; a one-axis float64 ndarray is read without np.asarray,
     its length checked by the unpack of its floats."""
     if type(value) is not np.ndarray or value.dtype is not _FLOAT or value.ndim != 1:
-        value = np.asarray(value, dtype=float)
+        value = _real(value)
         if value.shape != (3,):
             raise ValueError(f"expected 3 components, got shape {value.shape}")
     try:

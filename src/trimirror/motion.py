@@ -24,7 +24,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .geom import DEFAULT_TOL, Mirror, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3
-from .geom import _Array, _finite, _fresh, _matrix, _plane, _value_class, _vector, _unit
+from .geom import _Array, _finite, _fresh, _matrix, _plane, _real, _value_class, _vector, _unit
 
 # Drift of L^T L - I, which alone decides: up to _ORTHO_PASS L is stored as given (|det L|
 # is then 1 within 3/2 of it plus 5 eps), up to _ORTHO_FIX it is silently re-orthonormalized,
@@ -73,7 +73,7 @@ class AffineIsometry:
     translation: Vec3 = _Array(lambda m: _vector(m._parts[9:]))
 
     def __init__(self, linear: np.ndarray, translation: Vec3) -> None:
-        l = np.asarray(linear, dtype=float)
+        l = _real(linear)
         l = _orthogonal(l.ravel().tolist() if l.shape == (3, 3) else None)  # before the shift
         self.__dict__["_parts"] = l + _floats(translation)
 

@@ -121,6 +121,9 @@ def test_motion_from_spec_rejects_malformed():
         {"kind": "rotation", "point": [0, 0, 0], "dir": [0, 0, 0], "angle": 1.0},
         {"kind": "rotation", "point": [0, 0], "dir": [0, 0, 1], "angle": 1.0},
         {"kind": "translation"},
+        {"kind": "translation", "v": ["1", "2", "3"]},
+        {"kind": "translation", "v": [True, False, True]},
+        {"kind": "translation", "v": [1, 2, {}]},
         {"kind": "reflection", "normal": [0, 0, 1], "offset": "one"},
         {"kind": "sequence", "steps": []},
         {"kind": "sequence", "steps": "nope"},
@@ -342,6 +345,20 @@ def test_exit_codes(tmp_path, capsys):
     listed = _write(tmp_path, "listed.json", [1, 2, 3])
     assert main(["triples", "--src", listed, "--dst", src]) == 2
     assert capsys.readouterr().err == "error: triple description must be a JSON object\n"
+    # numpy would read "1" and true as numbers: a point or vector holds JSON numbers only
+    worded = _write(tmp_path, "worded.json", {"A": [0, 0, "0"], "B": [1, 0, 0], "C": [0, 1, 0]})
+    assert main(["triples", "--src", worded, "--dst", src]) == 2
+    assert capsys.readouterr().err == "error: field 'A' must hold three numbers\n"
+    for name, v in (("strings", ["1", "2", "3"]), ("booleans", [True, False, True])):
+        path = _write(tmp_path, f"{name}.json", {"kind": "translation", "v": v})
+        assert main(["compose", "--input", path]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err == "error: field 'v' must hold three numbers\n", name
+    # an object for a component is malformed input too, not a TypeError
+    nested = _write(tmp_path, "nested.json", {"kind": "translation", "v": [1, 2, {}]})
+    assert main(["compose", "--input", nested]) == 2
+    assert capsys.readouterr().err.startswith("error: field 'v': ")
 
     # tolerances too loose for the worked example: at 1 and 2 the rotation
     # part no longer classifies as a rotation, at 10 the orbit points coincide

@@ -429,8 +429,9 @@ _GOOD_POINTS = ((1, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 1), (3, 0, 0), (0, 1, 2)
         ((0.0, np.inf, 1.0), "^vector components must be finite$"),
         ((0.0, 1.0, -np.inf), "^vector components must be finite$"),
         ((1.0, 2.0), r"^expected 3 components, got shape \(2,\)$"),
+        (np.array([0.0, 1.0 + 1.0j, 1.0]), "^components must be real, not complex$"),
     ],
-    ids=["nan", "inf", "-inf", "shape2"],
+    ids=["nan", "inf", "-inf", "shape2", "complex"],
 )
 def test_public_entry_points_reject_bad_points(name, bad, message):
     count, call = _POINT_ENTRY_POINTS[name]
@@ -803,7 +804,7 @@ def _library_calls():
 def test_library_builds_no_motion_or_identity_matrix_through_the_public_constructors():
     # AffineIsometry(...) converts and re-checks its parts and np.eye(3) builds
     # a fresh matrix each call; library code calls motion._isometry or motion._rigid
-    # on the float rows and floats it has just computed and passes the rows motion._EYE.
+    # on the 12 floats it has just computed, and passes the identity's parts motion._ID.
     sites = [c[:3] for c in _library_calls() if c[2] in ("AffineIsometry", "np.eye", "numpy.eye")]
     assert not sites, f"calls {sites}"
 
@@ -816,8 +817,8 @@ def test_library_builds_no_value_or_record_through_the_public_constructors():
               "Translation", "Rotation", "Screw", "Reflection", "GlideReflection", "Inversion",
               "RotaryReflection")
     sites = [c[:3] for c in _library_calls() if c[2] in values]
-    # numpy builds what callers read, in geom (as_vec3, _vector, _matrix) and motion
-    # (AffineIsometry's input, apply's point); no other module imports it
+    # numpy reads input and builds what callers read, in geom (_real, as_vec3, _fresh,
+    # _vector, _matrix); motion imports it for annotations; no other module imports it
     importers = set()
     for path in pathlib.Path(trimirror.__file__).parent.glob("*.py"):
         for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

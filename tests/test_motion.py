@@ -582,6 +582,7 @@ def test_affine_isometry_rejects_large_drift():
         (np.eye(3), (np.inf, 0.0, 0.0), "components must be finite"),
         (np.eye(3), (0.0, 0.0, -np.inf), "components must be finite"),
         (np.eye(3), np.zeros(4), r"expected 3 components, got shape \(4,\)"),
+        (np.eye(3) + 0j, np.zeros(3), "components must be real, not complex"),
     ],
 )
 def test_affine_isometry_rejects_malformed_parts(linear, shift, message):
