@@ -79,6 +79,8 @@ def parse_angle(value) -> float:
 def _vec_field(doc: dict, key: str):
     if key not in doc:
         raise SpecError(f"missing field {key!r}")
+    if isinstance(doc[key], list) and None in doc[key]:  # numpy would read null as NaN
+        raise SpecError(f"field {key!r} must hold three numbers")
     try:  # TypeError: an object for a number; OverflowError: an int past the largest double
         v = as_vec3(doc[key])
     except (TypeError, ValueError, OverflowError) as exc:

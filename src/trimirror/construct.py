@@ -9,13 +9,14 @@ continues its prefix's fold by that one plane.  The walk runs on Python floats:
 each mirror is a `geom.Mirror` pair of floats, from `geom._bisector` or
 `geom._measured_plane`, and the sequences keep them as they are, so no Plane is
 built unless a caller reads `planes`.  `geom._measure_triangle` measures each
-triangle once: PointTriple and the sequence keep it.
+triangle once: PointTriple and the sequence keep it.  A TriplePair keeps its dst as
+floats too, and builds `dst` on first read as the rows of one read-only array.
 """
 
 from __future__ import annotations
 
 from .errors import CollinearPoints, DegenerateSource, NotCongruent
-from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _value_class, _vector
+from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _rows, _value_class
 from .geom import _bisector, _measure_triangle, _measured_plane, _reflect, _thin
 from .motion import ReflectionSequence, _fold, _sequence
 
@@ -25,7 +26,7 @@ class TriplePair:
     """A source PointTriple and the three points it should be carried onto."""
 
     src: PointTriple
-    dst: tuple[Vec3, Vec3, Vec3] = _Array(lambda pair: tuple(map(_vector, pair._floats)))
+    dst: tuple[Vec3, Vec3, Vec3] = _Array(lambda pair: _rows(*pair._floats))
 
     def __init__(self, src: PointTriple, dst: tuple[Vec3, Vec3, Vec3]) -> None:
         if not isinstance(src, PointTriple):
@@ -33,7 +34,8 @@ class TriplePair:
         dst = tuple(dst)
         if len(dst) != 3:
             raise ValueError("dst must hold exactly three points")
-        self.__dict__.update(src=src, _floats=list(map(_floats, dst)))
+        fields = self.__dict__  # past frozen setattr
+        fields["src"], fields["_floats"] = src, (_floats(dst[0]), _floats(dst[1]), _floats(dst[2]))
 
 
 def _measured(triple) -> tuple[list[float], tuple, tuple]:

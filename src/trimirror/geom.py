@@ -20,13 +20,12 @@ product and length in the module is written out on Python floats (`_dot3`,
 `_cross3`, `math.sqrt` or `math.hypot`, or spelt out in their operation
 order), `_unit` and the predicates included, and `intersect_planes` places its
 point by a closed form rather than a linear solve; numpy only reads input and
-builds what callers read.  Each value class (`_value_class`) checks its
-arguments in its own __init__ and stores the floats the kernels read
-(`Plane._n`, `Line3._floats`, `PointTriple._floats`); it holds no array:
-`_Array` builds a field's array with `_vector` on first read, in one step and
-read-only from birth (it cannot be made writable again), and keeps it; a copy
-builds its own.  A ReflectionSequence builds its planes so too, with `_plane`
-from its mirrors.
+builds what callers read.  Each value class (`_value_class`) checks its arguments
+in its own __init__ and stores the floats the kernels read (`Plane._n`, `Line3._floats`,
+`PointTriple._floats`); it holds no array: `_Array` builds a field's array on first
+read, read-only from birth (it cannot be made writable again), and keeps it; a copy
+builds its own.  `_vector` builds one, and `_rows` a TriplePair's dst, the three rows
+of one buffer.  A ReflectionSequence builds its planes so too, with `_plane`.
 """
 
 from __future__ import annotations
@@ -108,6 +107,11 @@ def _matrix(parts) -> np.ndarray:
     return np.ndarray((3, 3), float, _pack9(*parts[:9]))
 
 
+def _rows(a, b, c) -> tuple[Vec3, Vec3, Vec3]:
+    """Three points' floats as the rows of one read-only 3x3 array, as _matrix builds it."""
+    return (m := np.ndarray((3, 3), float, _pack9(*a, *b, *c)))[0], m[1], m[2]
+
+
 def _value_class(cls):
     """dataclass(frozen=True, eq=False) that keeps cls's own __init__; its return annotation
     becomes None, as in a generated __init__, where postponed evaluation made it 'None'."""
@@ -116,10 +120,10 @@ def _value_class(cls):
 
 
 class _Array:
-    """An array field, or a sequence's planes, that build(value) makes from the value's kept
-    floats on first read, into the value's __dict__, where later reads find it first; read on
-    the class, it raises AttributeError, so the dataclass field it stands in for has no
-    default."""
+    """An array field, a pair's dst rows or a sequence's planes, that build(value) makes from
+    the value's kept floats on first read, into the value's __dict__, where later reads find it
+    first; read on the class, it raises AttributeError, so the dataclass field it stands in for
+    has no default."""
 
     def __init__(self, build) -> None:
         self.build = build
@@ -205,20 +209,20 @@ class Plane:
     def __init__(self, normal: Vec3, offset: float) -> None:
         n = _floats(normal)
         length = math.sqrt(_dot3(n, n))  # a raw normal must clear the floor; kernels judged theirs
-        _plane(_mirror(n, length if length > _SIGN_EPS else 0.0, offset), self)
+        _plane(_mirror(n, length if length > _SIGN_EPS else 0.0, float(offset)), self)
 
     def signed_distance(self, point) -> float:
         """Distance from the plane, positive on the side the normal points to."""
         return _dot3(self._n, _floats(point)) - self.offset
 
 
-def _mirror(n, length: float, offset) -> Mirror:
+def _mirror(n, length: float, offset: float) -> Mirror:
     """Plane(n, offset)'s unit normal and offset, checked and of canonical sign, for three
-    floats n of length `length`: the pair a Plane keeps as `_n` and `offset`."""
+    floats n of length `length` and a float offset: the pair a Plane keeps as `_n`, `offset`."""
     if not 0.0 < length < math.inf:
         _finite(n)  # a kernel's normal may have overflowed: report it as as_vec3 would
         raise ValueError("plane normal must have a nonzero, finite length")
-    d = float(offset) / length
+    d = offset / length
     if not math.isfinite(d):
         raise ValueError("plane offset must be finite")
     x, y, z = n[0] / length, n[1] / length, n[2] / length
@@ -281,7 +285,8 @@ class PointTriple:
         n, measure = _measure_triangle(a, b, c)
         if _thin(measure, tol or DEFAULT_TOL):
             raise CollinearPoints("triple does not span a plane")
-        self.__dict__.update(_floats=floats, _measure=measure, _normal=n)  # construct re-tests
+        fields = self.__dict__  # past frozen setattr; construct re-tests the measure at its tol
+        fields["_floats"], fields["_measure"], fields["_normal"] = floats, measure, n
 
     def points(self) -> tuple[Vec3, Vec3, Vec3]:
         return self.a, self.b, self.c

@@ -24,7 +24,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .geom import DEFAULT_TOL, Mirror, Plane, Tolerance, Vec3, points_coincide, _floats, _dot3
-from .geom import _Array, _finite, _fresh, _matrix, _plane, _real, _value_class, _vector, _unit
+from .geom import _Array, _fresh, _matrix, _plane, _real, _value_class, _vector, _unit
 
 # Drift of L^T L - I, which alone decides: up to _ORTHO_PASS L is stored as given (|det L|
 # is then 1 within 3/2 of it plus 5 eps), up to _ORTHO_FIX it is silently re-orthonormalized,
@@ -104,7 +104,8 @@ def _isometry(parts) -> AffineIsometry:
 
 def _rigid(parts) -> AffineIsometry:
     """x -> L x + t for 12 floats parts whose L _orthogonal would keep; t may overflow: checked."""
-    _finite(parts[9:])
+    if not math.isfinite(parts[9] * 0.0 + parts[10] * 0.0 + parts[11] * 0.0):  # as _finite
+        raise ValueError("vector components must be finite")
     m = object.__new__(AffineIsometry)
     m.__dict__["_parts"] = parts
     return m

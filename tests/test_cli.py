@@ -124,6 +124,7 @@ def test_motion_from_spec_rejects_malformed():
         {"kind": "translation", "v": ["1", "2", "3"]},
         {"kind": "translation", "v": [True, False, True]},
         {"kind": "translation", "v": [1, 2, {}]},
+        {"kind": "translation", "v": [1, 2, None]},
         {"kind": "reflection", "normal": [0, 0, 1], "offset": "one"},
         {"kind": "sequence", "steps": []},
         {"kind": "sequence", "steps": "nope"},
@@ -349,7 +350,12 @@ def test_exit_codes(tmp_path, capsys):
     worded = _write(tmp_path, "worded.json", {"A": [0, 0, "0"], "B": [1, 0, 0], "C": [0, 1, 0]})
     assert main(["triples", "--src", worded, "--dst", src]) == 2
     assert capsys.readouterr().err == "error: field 'A' must hold three numbers\n"
-    for name, v in (("strings", ["1", "2", "3"]), ("booleans", [True, False, True])):
+    # and it would read null as NaN, which the finiteness check would report
+    nulled = _write(tmp_path, "nulled.json", {"A": [0, 0, None], "B": [1, 0, 0], "C": [0, 1, 0]})
+    assert main(["triples", "--src", nulled, "--dst", src]) == 2
+    assert capsys.readouterr().err == "error: field 'A' must hold three numbers\n"
+    for name, v in (("strings", ["1", "2", "3"]), ("booleans", [True, False, True]),
+                    ("nulls", [1, 2, None])):
         path = _write(tmp_path, f"{name}.json", {"kind": "translation", "v": v})
         assert main(["compose", "--input", path]) == 2, name
         captured = capsys.readouterr()

@@ -108,6 +108,26 @@ def test_plane_rejects_degenerate_input():
         Plane((1, 0, 0), np.inf)
 
 
+def test_plane_reads_its_offset_as_a_float():
+    # Plane() converts the caller's offset with float() and the plane kernel
+    # divides that float; the kernels pass their offsets as floats already
+    for offset in (3, np.float64(2.5), np.float32(0.1), -0.0, True):
+        plane = Plane((0.0, 0.0, -2.0), offset)
+        assert type(plane.offset) is float, offset
+        want = -float(offset) / 2.0 + 0.0  # a zero offset is +0.0
+        assert (plane.offset, math.copysign(1.0, plane.offset)) == (want, math.copysign(1.0, want))
+    message = "^plane offset must be finite$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # float(np.float64(inf)) and 1e308 / 1e-3 do not warn
+        for offset in (math.inf, -math.inf, math.nan, np.float64(np.inf), np.float32(np.nan)):
+            with pytest.raises(ValueError, match=message):
+                Plane((1.0, 0.0, 0.0), offset)
+        with pytest.raises(ValueError, match=message):  # finite, but past the float range once
+            Plane((1e-3, 0.0, 0.0), 1e308)  # divided by the normal's length
+    with pytest.raises(OverflowError):
+        Plane((1.0, 0.0, 0.0), 10**400)
+
+
 def test_small_well_shaped_triangles_fix_a_plane():
     # the 1e-12 floor applies to a normal a caller passes to Plane(); the
     # kernels' normals were already judged by collinear() or by eps_len

@@ -4,7 +4,8 @@ Each value the library builds keeps the Python floats its kernels read
 (`Plane._n`, `Line3._floats`, `PointTriple._floats`, `TriplePair._floats`,
 `AffineIsometry._parts`, a sequence's `_mirrors`, and a class record's `_v`,
 `_slide` or `_center`), and builds each public array field from them when a
-caller first reads it (`geom._Array`); a sequence builds its planes so too.
+caller first reads it (`geom._Array`); a sequence builds its planes so too,
+and a TriplePair its dst as the three rows of one 3x3 array (`geom._rows`).
 These tests check that a fresh value holds no array, that every kept float
 equals its array's `.tolist()` bit for bit, signed zeros included, that a
 later read returns the same array, and that every array is read-only from
@@ -177,6 +178,63 @@ def test_construct_op_builds_planes_only_when_read(monkeypatch):
             oracle.plane_bytes(plane_through_points(*pair.dst))]
         assert list(map(oracle.plane_bytes, second.planes)) == want, pair
         assert list(map(oracle.plane_bytes, first.planes)) == want[:3], pair
+
+
+def _assert_dst_rows(pair, dst) -> None:
+    """dst, a read of pair.dst, is three read-only float64 rows of one 3x3 array, whose
+    buffer is immutable bytes, holding pair's kept floats."""
+    assert type(dst) is tuple and len(dst) == 3
+    matrix = dst[0].base
+    assert type(matrix) is np.ndarray and matrix.shape == (3, 3) and type(matrix.base) is bytes
+    for row in dst:
+        assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == (3,)
+        assert row.base is matrix and not row.flags.writeable
+        for array in (row, row.base):
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+    assert b"".join(row.tobytes() for row in dst) == _bits(pair._floats)
+
+
+def test_pair_dst_is_three_read_only_rows_of_one_buffer():
+    for case in itertools.islice(gen.construct_triples(1), N_CASES):
+        pair = TriplePair(PointTriple(*case.src), tuple(case.dst))
+        dst = pair.dst
+        _assert_dst_rows(pair, dst)
+        assert pair.dst is dst  # a second read finds the tuple the first one built
+        for copied in (copy.copy(pair), pickle.loads(pickle.dumps(pair))):
+            rows = copied.dst  # built anew, read-only, from the copy's kept floats
+            assert rows is not dst and rows[0].base is not dst[0].base
+            _assert_dst_rows(copied, rows)
+            assert _bits(copied._floats) == _bits(pair._floats)
+
+
+def test_construct_op_builds_one_array_buffer(monkeypatch):
+    # the benchmark's op reads pair.dst, which builds the one buffer of its
+    # three rows; nothing else in the op packs a buffer, calls _vector or
+    # hands numpy a sequence to read
+    cases = list(itertools.islice(gen.construct_triples(1), N_CASES))
+    geom, calls = sys.modules["trimirror.geom"], []
+
+    def counted(name, build):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+        return call
+
+    for name in ("_pack3", "_pack9"):  # every buffer _vector, _matrix and _rows build
+        monkeypatch.setattr(geom, name, counted("buffer", getattr(geom, name)))
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trimirror" and hasattr(module, "_vector"):
+            monkeypatch.setattr(module, "_vector", counted("_vector", module._vector))
+    for name in ("array", "asarray", "frombuffer"):
+        monkeypatch.setattr(np, name, counted("np." + name, getattr(np, name)))
+    for case in cases:
+        del calls[:]
+        pair = TriplePair(PointTriple(*case.src), tuple(case.dst))
+        first = three_reflections(pair)
+        second = second_motion(first, pair.dst)
+        seq_to_affine(first), seq_to_affine(second)
+        assert calls == ["buffer"], case
 
 
 @pytest.mark.parametrize("stream", ["classify_mixed", "classify_seams"])

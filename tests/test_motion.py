@@ -31,11 +31,11 @@ from trimirror import (
     translation,
     vec3,
 )
-from trimirror.classify import Reflection, reconstruct
+from trimirror.classify import Reflection, Translation, reconstruct
 from trimirror.example import make_f, make_g, make_h
 from trimirror.geom import Line3, coplanar, _reflect, _unit
 from trimirror.motion import _ID, _ORTHO_FIX, _ORTHO_PASS, _fixed_point, _fold, _mgs, _orthogonal
-from trimirror.motion import _reflection, _rodrigues
+from trimirror.motion import _reflection, _rigid, _rodrigues
 
 import oracle
 
@@ -713,6 +713,32 @@ def test_library_constructors_check_the_shift_they_compute():
                 rotation_about_axis((1.7e308, 1.7e308, 0.0), (1.0, 1.0, 0.0), angle)
         with pytest.raises(ValueError, match=message):
             then(translation((1e308, 0.0, 0.0)), translation((1e308, 0.0, 0.0)))
+
+
+def test_rigid_checks_each_shift_component_where_it_is():
+    # _rigid reads t[0], t[1] and t[2] in place of a slice: a fold whose shift
+    # overflows in any one of them is refused with as_vec3's message, on floats,
+    # so without a warning; a large finite shift is kept as it is
+    message = "^vector components must be finite$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for axis in range(3):
+            n = [0.0, 0.0, 0.0]
+            n[axis] = 1.0
+            far = ReflectionSequence((Plane(n, 1e308), Plane(n, -1e308)))  # t overflows
+            with pytest.raises(ValueError, match=message):
+                seq_to_affine(far)
+            near = seq_to_affine(ReflectionSequence((Plane(n, 2.0**1020), Plane(n, -2.0**1020))))
+            assert near._parts[9:] == [-(2.0**1022) * x + 0.0 for x in n], axis  # exact
+            for bad in (math.inf, -math.inf, math.nan):
+                parts = list(_ID)
+                parts[9 + axis] = bad
+                with pytest.raises(ValueError, match=message):
+                    _rigid(parts)
+        # a Translation rebuilds through _rigid with its shift as given
+        shift = (1.7e308, -1.7e308, -0.0)
+        rebuilt = reconstruct(Translation(v=shift))
+        assert struct.pack("3d", *rebuilt._parts[9:]) == struct.pack("3d", *shift)
 
 
 def _verdict(validate, linear):
