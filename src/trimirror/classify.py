@@ -40,7 +40,6 @@ mirror pairs; the library, the worked example included, does not call it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -62,7 +61,7 @@ _PARAM_EPS = 1e-9
 # _fixed_point's d x v term (exact along d, and |cot||v| / 2 <= |x|), 3 r |x| from
 # k = u . d and 13 r |x| from the rest of the offset (d . k d) / 2, |d|^2 - 1 included,
 # and 3 r |x| from the dot product that measures the miss: at most 24 r |x| in all.
-_CENTER_SLACK = 12.0 * sys.float_info.epsilon
+_CENTER_SLACK = 12.0 * math.ulp(1.0)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -8,11 +8,11 @@ Subcommands:
   iterate    tabulate an orbit of a motion as CSV or JSON
   example    print the worked composite-motion report as JSON
 
-Motion descriptions are JSON documents with a "kind" field: rotation
-(point, dir, angle), translation (v), reflection (normal, offset),
-inversion (center), or sequence (steps, applied in listed order).  A point or
-vector holds three JSON numbers, an offset one; an angle is a number or a token
-"pi", "-pi", "pi/6" and so on.  Exit status is 0 on success, 2 for malformed
+Motion descriptions are JSON documents with a "kind" field: rotation (point, dir, angle),
+translation (v), reflection (normal, offset), inversion (center), or sequence (steps,
+applied in listed order).  A point or vector holds three JSON numbers, tested as JSON before
+numpy reads it, an offset one; an angle is a number or a token "pi", "-pi", "pi/6" and so
+on.  iterate refuses a negative --count.  Exit status is 0 on success, 2 for malformed
 input, 3 for violated geometric preconditions.
 
 `main` resolves --tol once, before any subcommand reads input, into args.tol.
@@ -58,8 +58,6 @@ def _number(value) -> bool:
 
 def parse_angle(value) -> float:
     """Angle from a JSON number or a pi-token string like "pi/6" or "-pi"."""
-    if isinstance(value, bool):
-        raise SpecError("angle must be a number or a pi token")
     match = isinstance(value, str) and _ANGLE_TOKEN.match(value.strip())
     if not (match or _number(value)):
         raise SpecError(f"cannot parse angle {value!r}")
@@ -79,15 +77,13 @@ def parse_angle(value) -> float:
 def _vec_field(doc: dict, key: str):
     if key not in doc:
         raise SpecError(f"missing field {key!r}")
-    if isinstance(doc[key], list) and None in doc[key]:  # numpy would read null as NaN
+    value = doc[key]  # tested before numpy, which reads "1" and true as numbers, null as NaN
+    if not (isinstance(value, list) and len(value) == 3 and all(map(_number, value))):
         raise SpecError(f"field {key!r} must hold three numbers")
-    try:  # TypeError: an object for a number; OverflowError: an int past the largest double
-        v = as_vec3(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+    try:  # a non-finite number; OverflowError: an int past the largest double
+        return as_vec3(value)
+    except (ValueError, OverflowError) as exc:
         raise SpecError(f"field {key!r}: {exc}") from exc
-    if not all(map(_number, doc[key])):  # numpy reads "1" and true as numbers too
-        raise SpecError(f"field {key!r} must hold three numbers")
-    return v
 
 
 def _num_field(doc: dict, key: str) -> float:
@@ -228,10 +224,7 @@ def _parse_start(text: str):
 
 def cmd_iterate(args) -> int:
     motion = motion_from_spec(_load_json(args.input))
-    start = _parse_start(args.start)
-    if args.count < 0:
-        raise SpecError("count must be nonnegative")
-    points = iterate(motion, start, args.count)
+    points = iterate(motion, _parse_start(args.start), args.count)  # refuses a negative count
     if args.format == "json":
         _emit({"points": [_json(p) for p in points]})
         return 0

@@ -173,6 +173,22 @@ def test_angle_collapses_below_the_angle_floor():
     rotary = _rotary_motion(Plane(z, 0.0), (0, 0, 0), np.pi - 1e-10)
     assert isinstance(classify(rotary, tol), Inversion)
     assert isinstance(classify_fixed_point(rotary, (0, 0, 0), tol), Inversion)
+    # each of the kernel's three angle collapses takes an angle equal to eps_angle and
+    # keeps the class one ulp below it: the record's angle, read at a finer floor, is
+    # its distance from the collapse, and the comparison is <=, not <
+    axis, fine = (0.3, -0.2, 0.9), Tolerance(eps_len=1e-9, eps_angle=1e-12)
+    mirror = Plane(axis, 0.0)
+    for motion, kept, collapsed, gap in (
+        (rotation_about_axis((0, 0, 0), axis, 1e-4), Rotation, Identity, abs),
+        (_rotary_motion(mirror, (0, 0, 0), 1e-4), RotaryReflection, Reflection, abs),
+        (_rotary_motion(mirror, (0, 0, 0), np.pi - 1e-4), RotaryReflection, Inversion,
+         lambda a: abs(abs(a) - math.pi)),
+    ):
+        record = classify(motion, fine)
+        assert isinstance(record, kept)
+        floor = gap(record.angle)
+        assert isinstance(classify(motion, Tolerance(1e-9, floor)), collapsed), kept
+        assert isinstance(classify(motion, Tolerance(1e-9, math.nextafter(floor, 0))), kept)
 
 
 def _through(c, *normals) -> ReflectionSequence:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -330,8 +331,9 @@ def test_exit_codes(tmp_path, capsys):
     g = _write(tmp_path, "g.json", G_SPEC)
     assert main(["iterate", "--input", g, "--start", "1,0"]) == 2
     capsys.readouterr()
+    # example.iterate is the one place a negative count is refused
     assert main(["iterate", "--input", g, "--start", "1,0,0", "--count", "-2"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: iterate count must be nonnegative\n"
     assert main(["iterate", "--input", g, "--start", "1,x,3"]) == 2
     assert capsys.readouterr().err.startswith("error: start point: ")
 
@@ -354,8 +356,10 @@ def test_exit_codes(tmp_path, capsys):
     nulled = _write(tmp_path, "nulled.json", {"A": [0, 0, None], "B": [1, 0, 0], "C": [0, 1, 0]})
     assert main(["triples", "--src", nulled, "--dst", src]) == 2
     assert capsys.readouterr().err == "error: field 'A' must hold three numbers\n"
+    # the field is tested as JSON before numpy reads it: a list of exactly three numbers
     for name, v in (("strings", ["1", "2", "3"]), ("booleans", [True, False, True]),
-                    ("nulls", [1, 2, None])):
+                    ("nulls", [1, 2, None]), ("scalar", 5), ("short", [1, 2]),
+                    ("ragged", [[1], 2, 3])):
         path = _write(tmp_path, f"{name}.json", {"kind": "translation", "v": v})
         assert main(["compose", "--input", path]) == 2, name
         captured = capsys.readouterr()
@@ -364,7 +368,15 @@ def test_exit_codes(tmp_path, capsys):
     # an object for a component is malformed input too, not a TypeError
     nested = _write(tmp_path, "nested.json", {"kind": "translation", "v": [1, 2, {}]})
     assert main(["compose", "--input", nested]) == 2
-    assert capsys.readouterr().err.startswith("error: field 'v': ")
+    assert capsys.readouterr().err == "error: field 'v' must hold three numbers\n"
+    # three numbers as_vec3 then refuses keep the field's name
+    endless = _write(tmp_path, "endless.json", {"kind": "translation", "v": [1, 2, math.inf]})
+    assert main(["compose", "--input", endless]) == 2
+    assert capsys.readouterr().err == "error: field 'v': vector components must be finite\n"
+    # _number refuses a bool angle, as it refuses a bool component
+    turned = _write(tmp_path, "turned.json", {**QUARTER_TURN_Z, "angle": True})
+    assert main(["compose", "--input", turned]) == 2
+    assert capsys.readouterr().err == "error: cannot parse angle True\n"
 
     # tolerances too loose for the worked example: at 1 and 2 the rotation
     # part no longer classifies as a rotation, at 10 the orbit points coincide

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -60,6 +61,16 @@ def test_congruent_triples_flags():
     assert congruent_triples(
         ((0, 0, 0), (1, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 1, 0), (-1, 0, 0))
     )
+    # one leg 0.5 longer: the edges differ by at most 0.5 exactly, which eps_len = 0.5
+    # allows and the next float below it does not; each relabelling of the points puts
+    # that edge in another of the three comparisons
+    right = ((0, 0, 0), (3, 0, 0), (0, 4, 0))
+    longer = ((0, 0, 0), (3.5, 0, 0), (0, 4, 0))
+    below = Tolerance(eps_len=math.nextafter(0.5, 0))
+    for k in range(3):
+        turned, turned_longer = right[k:] + right[:k], longer[k:] + longer[:k]
+        assert congruent_triples(turned, turned_longer, Tolerance(eps_len=0.5)), k
+        assert not congruent_triples(turned, turned_longer, below), k
 
 
 def test_identity_correspondence_gives_triple_plane_three_times():

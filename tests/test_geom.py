@@ -39,7 +39,7 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
-from trimirror.geom import _bisector, _measure_triangle, _reflect, _triangle, _unit
+from trimirror.geom import DEFAULT_TOL, _bisector, _measure_triangle, _reflect, _triangle, _unit
 
 from oracle import exact_root, loop_canonical_sign, plane_bytes, zero_component_vectors
 
@@ -345,6 +345,14 @@ def test_collinear_symmetry():
 def test_coplanar_predicate():
     assert coplanar((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
     assert not coplanar((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # d a height h above the right triangle a, b, c of legs L: (b - a) x (c - a) . (d - a)
+    # is L^2 h and the widest edge squared 2 L^2, so the tetrahedron is flat for
+    # h <= 12 eps_len at any L; twice that height is not
+    for scale in (1.0, 1e3):
+        for factor, flat in ((0.5, True), (2.0, False)):
+            h = factor * 12.0 * DEFAULT_TOL.eps_len
+            d = (0.3 * scale, 0.3 * scale, h)
+            assert coplanar((0, 0, 0), (scale, 0, 0), (0, scale, 0), d) is flat, (scale, factor)
 
 
 def test_overflowing_measurements_are_rescaled_or_refused():
