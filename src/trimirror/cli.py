@@ -8,11 +8,12 @@ Subcommands:
   iterate    tabulate an orbit of a motion as CSV or JSON
   example    print the worked composite-motion report as JSON
 
-Motion descriptions are JSON documents with a "kind" field: rotation (point, dir, angle),
-translation (v), reflection (normal, offset), inversion (center), or sequence (steps,
-applied in listed order).  A point or vector holds three JSON numbers, tested as JSON before
-numpy reads it, an offset one; an angle is a number or a token "pi", "-pi", "pi/6" and so
-on.  iterate refuses a negative --count.  Exit status is 0 on success, 2 for malformed
+Motion descriptions are JSON documents with a "kind" field: rotation
+(point, dir, angle), translation (v), reflection (normal, offset),
+inversion (center), or sequence (steps, applied in listed order).  A point or
+vector holds three JSON numbers, tested as JSON before numpy reads it, an
+offset one; an angle is a number or a token
+"pi", "-pi", "pi/6" and so on.  Exit status is 0 on success, 2 for malformed
 input, 3 for violated geometric preconditions.
 
 `main` resolves --tol once, before any subcommand reads input, into args.tol.

@@ -111,6 +111,5 @@ def second_motion(
     PointTriple or any three noncollinear points.
     """
     kept = seq._dst  # three_reflections' pair and measurement of its dst, or None
-    hit = kept and kept[0].__dict__.get("dst") is dst  # unread, pair.dst cannot be dst: no build
-    closing = _measured_plane(*(kept[1] if hit else _measured(dst)), tol)
+    closing = _measured_plane(*(kept[1] if kept and kept[0].dst is dst else _measured(dst)), tol)
     return _sequence(seq._mirrors + (closing,), _fold((closing,), seq._parts))

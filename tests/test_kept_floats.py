@@ -237,18 +237,6 @@ def test_construct_op_builds_one_array_buffer(monkeypatch):
         assert calls == ["buffer"], case
 
 
-def test_second_motion_builds_no_pair_dst_on_a_miss():
-    # second_motion reuses three_reflections' measurement only for the tuple a read of
-    # pair.dst returned; any other destination is measured afresh, and its test reads
-    # no unread pair.dst, so the pair's rows stay unbuilt
-    for case in itertools.islice(gen.construct_triples(1), N_CASES):
-        pair = TriplePair(PointTriple(*case.src), tuple(case.dst))
-        first = three_reflections(pair)
-        for dst in (PointTriple(*case.dst), tuple(np.array(p) for p in case.dst)):
-            second_motion(first, dst)
-            assert "dst" not in vars(pair), case
-
-
 @pytest.mark.parametrize("stream", ["classify_mixed", "classify_seams"])
 def test_classify_values_keep_their_floats_and_read_only_arrays(stream):
     seen, rebuilt = set(), 0
