@@ -15,7 +15,7 @@ floats too, and builds `dst` on first read as the rows of one read-only array.
 
 from __future__ import annotations
 
-from .errors import CollinearPoints, DegenerateSource, NotCongruent
+from .errors import DegenerateSource, NotCongruent
 from .geom import DEFAULT_TOL, PointTriple, Tolerance, Vec3, _Array, _floats, _rows, _value_class
 from .geom import _bisector, _measure_triangle, _measured_plane, _reflect, _thin
 from .motion import ReflectionSequence, _fold, _sequence
@@ -26,7 +26,7 @@ class TriplePair:
     """A source PointTriple and the three points it should be carried onto."""
 
     src: PointTriple
-    dst: tuple[Vec3, Vec3, Vec3] = _Array(lambda pair: _rows(*pair._floats))
+    dst: tuple[Vec3, Vec3, Vec3] = _Array(_rows)
 
     def __init__(self, src: PointTriple, dst: tuple[Vec3, Vec3, Vec3]) -> None:
         if not isinstance(src, PointTriple):
@@ -89,10 +89,8 @@ def three_reflections(pair: TriplePair, tol: Tolerance = DEFAULT_TOL) -> Reflect
         # B is already in place; reflect in a plane through A' and B'.  When C
         # happens to lie on line(A', B') that plane would be underdetermined,
         # but in that case the source plane itself contains both images.
-        try:
-            beta = _measured_plane(a2, *_measure_triangle(a2, b2, c), tol)
-        except CollinearPoints:
-            beta = _measured_plane(a, n, measure, tol)
+        c_triangle = (a2, *_measure_triangle(a2, b2, c))
+        beta = _measured_plane(*((a, n, measure) if _thin(c_triangle[2], tol) else c_triangle), tol)
 
     c_stage = _reflect(beta, _reflect(alpha, c))
     gamma = _bisector(c_stage, c2, tol) or _measured_plane(*dst_triangle, tol)

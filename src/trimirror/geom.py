@@ -7,12 +7,12 @@ to loosen or tighten them.
 
 Public functions and constructors validate their arguments once, then run a
 private kernel (`_coincide`, `_bisector`, `_reflect`, the triangle kernel
-`_triangle` with its checked form `_measure_triangle`, its verdict `_thin` and
-the plane `_measured_plane` it fixes, the plane kernel `_mirror`, the line
-kernel `_line`, the sign `_canonical_sign`, and `_scaled`, the one rescale, by
-an exact power of two) on the checked floats of `_floats`, which reads a
-float64 ndarray of one axis by unpacking its floats and converts any other input
-with `_real`, which refuses a complex value.  `_mirror` checks a plane
+`_measure_triangle`, its verdict `_thin` and the plane `_measured_plane` it
+fixes, the plane kernel `_mirror`, the line kernel `_line`, the sign
+`_canonical_sign`, and `_scaled`, the one rescale, by an exact power of two) on
+the checked floats of `_floats`, which reads a float64 ndarray by unpacking its
+floats, the unpack its shape test, and converts any other input with `_real`,
+which refuses a complex value.  `_mirror` checks a plane
 and gives it as a Mirror, its canonical unit normal and offset: the pair that
 `_bisector` and `_measured_plane` return, `_reflect` reads and a
 ReflectionSequence keeps; `_plane` wraps one as a Plane.  Every dot, cross
@@ -45,7 +45,7 @@ Mirror = tuple[tuple[float, float, float], float]  # a plane's unit normal and o
 # canonical sign of a unit vector, and unit vectors shorter than this are
 # rejected as degenerate.
 _SIGN_EPS = 1e-12
-_FLOAT = np.dtype(float)
+_FLOAT, _NDARRAY = np.dtype(float), np.ndarray
 
 
 def as_vec3(value) -> Vec3:
@@ -58,7 +58,7 @@ def as_vec3(value) -> Vec3:
 def _real(value) -> np.ndarray:
     """np.asarray(value, dtype=float), which a float64 ndarray skips; ValueError for a complex
     value, whose imaginary part the cast would drop with only a ComplexWarning."""
-    if type(value) is np.ndarray and value.dtype is _FLOAT:
+    if type(value) is _NDARRAY and value.dtype is _FLOAT:
         return value
     if np.asarray(value).dtype.kind == "c":
         raise ValueError("components must be real, not complex")
@@ -66,19 +66,18 @@ def _real(value) -> np.ndarray:
 
 
 def _floats(value) -> list[float]:
-    """as_vec3(value)'s checked floats; a one-axis float64 ndarray is read without np.asarray,
-    its length checked by the unpack of its floats."""
-    if type(value) is not np.ndarray or value.dtype is not _FLOAT or value.ndim != 1:
+    """as_vec3(value)'s checked floats; a float64 ndarray is read without np.asarray, its shape
+    tested by the unpack of its floats: a scalar or a length other than 3 fails the unpack, a
+    second axis the finiteness sum, which a row's list cannot join."""
+    if type(value) is not _NDARRAY or value.dtype is not _FLOAT:
         value = _real(value)
-        if value.shape != (3,):
-            raise ValueError(f"expected 3 components, got shape {value.shape}")
     try:
         x, y, z = v = value.tolist()
-    except ValueError:  # a float64 array of one axis whose length is not 3
+        if math.isfinite(x * 0.0 + y * 0.0 + z * 0.0):  # as _finite, written out
+            return v
+    except (TypeError, ValueError):  # a float64 array whose shape is not (3,)
         raise ValueError(f"expected 3 components, got shape {value.shape}") from None
-    if not math.isfinite(x * 0.0 + y * 0.0 + z * 0.0):  # as _finite, written out
-        raise ValueError("vector components must be finite")
-    return v
+    raise ValueError("vector components must be finite")
 
 
 def _finite(v):
@@ -104,12 +103,14 @@ def _vector(floats) -> Vec3:
 
 def _matrix(parts) -> np.ndarray:
     """_vector's 3x3 twin for the first nine floats of parts, row-major."""
-    return np.ndarray((3, 3), float, _pack9(*parts[:9]))
+    return _NDARRAY((3, 3), _FLOAT, _pack9(*parts[:9]))
 
 
-def _rows(a, b, c) -> tuple[Vec3, Vec3, Vec3]:
-    """Three points' floats as the rows of one read-only 3x3 array, as _matrix builds it."""
-    return (m := np.ndarray((3, 3), float, _pack9(*a, *b, *c)))[0], m[1], m[2]
+def _rows(value) -> tuple[Vec3, Vec3, Vec3]:
+    """The three points of value._floats as the rows of one read-only 3x3 array, as _matrix
+    builds it: a TriplePair's dst."""
+    a, b, c = value._floats
+    return (m := _NDARRAY((3, 3), _FLOAT, _pack9(*a, *b, *c)))[0], m[1], m[2]
 
 
 def _value_class(cls):
@@ -324,30 +325,25 @@ def collinear(a, b, c, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _thin(_measure_triangle(_floats(a), _floats(b), _floats(c))[1], tol)
 
 
-def _triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]]]:
-    """n = (b - a) x (c - a) of checked float points, and the doubled area |n| with the edges."""
+def _measure_triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]]]:
+    """n = (b - a) x (c - a) of checked float points, and the doubled area |n| with the edges.
+
+    Where a square or product overflowed, the measure is found without one: n is
+    the cross product of the edges over `_scaled`'s s, times s^2, both steps
+    exact; math.hypot takes each length without squaring, so a thin triangle's
+    small area is kept.  An area or edge past the float range is refused with
+    as_vec3's message.
+    """
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c  # _cross3 and _dot3, written out
     u0, u1, u2, v0, v1, v2 = b0 - a0, b1 - a1, b2 - a2, c0 - a0, c1 - a1, c2 - a2
     w0, w1, w2 = c0 - b0, c1 - b1, c2 - b2
     n = x, y, z = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
-    edges = (math.sqrt(u0 * u0 + u1 * u1 + u2 * u2), math.sqrt(v0 * v0 + v1 * v1 + v2 * v2),
-             math.sqrt(w0 * w0 + w1 * w1 + w2 * w2))
-    return n, (math.sqrt(x * x + y * y + z * z), edges)
-
-
-def _measure_triangle(a, b, c) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]]]:
-    """_triangle(a, b, c), or where a square or product overflowed, its measure found without one.
-
-    n is the cross product of the edges over `_scaled`'s s, times s^2, both
-    steps exact; math.hypot takes each length without squaring, so a thin
-    triangle's small area is kept.  An area or edge past the float range is
-    refused with as_vec3's message.
-    """
-    triangle = _triangle(a, b, c)
-    area, (e0, e1, e2) = triangle[1]
+    e0, e1, e2 = (math.sqrt(u0 * u0 + u1 * u1 + u2 * u2), math.sqrt(v0 * v0 + v1 * v1 + v2 * v2),
+                  math.sqrt(w0 * w0 + w1 * w1 + w2 * w2))
+    area = math.sqrt(x * x + y * y + z * z)
     if math.isfinite(area * 0.0 + e0 + e1 + e2):  # finite edges are below 1.4e154: no sum overflows
-        return triangle
-    u, v, w = ([q - p for p, q in zip(f, t)] for f, t in ((a, b), (a, c), (b, c)))
+        return n, (area, (e0, e1, e2))
+    u, v, w = (u0, u1, u2), (v0, v1, v2), (w0, w1, w2)
     s, (us, vs) = _scaled(u, v)
     n = _cross3(us, vs)
     measure = math.hypot(*n) * s * s, (math.hypot(*u), math.hypot(*v), math.hypot(*w))
@@ -419,7 +415,7 @@ def _measured_plane(a, n, measure, tol: Tolerance) -> Mirror:
     `_mirror` pair."""
     if _thin(measure, tol):
         raise CollinearPoints("three collinear points do not fix a plane")
-    return _mirror(n, measure[0], _dot3(n, a))
+    return _mirror(n, measure[0], n[0] * a[0] + n[1] * a[1] + n[2] * a[2])  # _dot3, written out
 
 
 def intersect_planes(p: Plane, q: Plane, tol: Tolerance = DEFAULT_TOL) -> Line3:

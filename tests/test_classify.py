@@ -743,6 +743,17 @@ def _random_orthogonal_parts(rng):
         yield -q
 
 
+def _quarter_turns(rng):
+    """Seeded quarter turns about random axes whose kernel cosine (a + e + i - 1) / 2 rounds
+    to exactly 0.0, where the kernel leaves its `cos > 0.0` skew branch, and their negations,
+    rotary reflections whose negated rows are the turn."""
+    for _ in range(400):
+        r, _ = oracle.numpy_rotation_parts((0.0, 0.0, 0.0), oracle.random_unit(rng), math.pi / 2)
+        if (r[0, 0] + r[1, 1] + r[2, 2] - 1.0) / 2.0 == 0.0:
+            yield r
+            yield -r
+
+
 def _kernel_matches_two_pass(rows, tol: Tolerance, zero: float = -0.0) -> type:
     """The kernel's class of rows, read by the kernel row-major, once its class, direction
     and angle keep every bit of the two-pass reference's; zero=0.0 compares the direction
@@ -766,6 +777,9 @@ def test_linear_kernel_matches_two_pass_reference_bit_for_bit():
     parts = itertools.chain(_seam_linear_parts(rng), _random_orthogonal_parts(rng))
     seen = {_kernel_matches_two_pass(linear.tolist(), Tolerance()) for linear in parts}
     assert seen == {Identity, Rotation, Reflection, Inversion, RotaryReflection}
+    # a cosine of exactly 0.0 takes the diagonal column, in the kernel as in the reference
+    quarter = [_kernel_matches_two_pass(r.tolist(), Tolerance()) for r in _quarter_turns(rng)]
+    assert len(quarter) > 100 and set(quarter) == {Rotation, RotaryReflection}
 
 
 def _near_signed_identities(tol: Tolerance):

@@ -7,14 +7,14 @@ tests pin the calling conventions that __init__ must keep: positional and
 keyword arguments, `tol` positional, TypeError for a missing or extra
 argument, and `dataclasses.replace` validating again.
 
-`geom._floats` reads a float64 ndarray of one axis without np.asarray, its
-length checked by unpacking its floats; every other input goes through
+`geom._floats` reads a float64 ndarray without np.asarray, its shape checked
+by unpacking its floats; every other input goes through
 np.asarray(value, dtype=float).  Both must give the floats, or the exception
 type and message, of the generic path, here written as it was before the fast
 path (`generic_floats`), and of the shape test the fast path once made.  The
-written-out kernels (`_triangle`, `_bisector`, `_congruent`,
-`_canonical_sign`) must match their earlier forms, composed from 3-vector
-helpers, bit for bit.
+written-out kernels (`_measure_triangle` where no square overflows,
+`_bisector`, `_congruent`, `_canonical_sign`) must match their earlier forms,
+composed from 3-vector helpers, bit for bit.
 """
 
 import dataclasses
@@ -37,7 +37,7 @@ from trimirror import (
 )
 from trimirror import geom
 from trimirror.construct import _congruent
-from trimirror.geom import _bisector, _canonical_sign, _floats, _triangle, as_vec3
+from trimirror.geom import _bisector, _canonical_sign, _floats, _measure_triangle, as_vec3
 
 from oracle import loop_canonical_sign, zero_component_vectors
 
@@ -111,10 +111,11 @@ def test_floats_fast_path_matches_the_generic_path(monkeypatch):
 
 
 def test_floats_unpack_keeps_the_shape_messages():
-    # a float64 ndarray of one axis is read by unpacking its floats, and one
-    # whose length is not 3 is refused with the message the shape test gave
-    # (the strings below); every other array takes np.asarray.  as_vec3 hands
-    # _floats a native float64 array of any shape.
+    # a float64 ndarray is read by unpacking its floats, and one whose shape
+    # is not (3,) is refused with the message the shape test gave (the strings
+    # below): a length other than 3 fails the unpack, and a second axis of
+    # length 3 the finiteness sum of its rows; every other array takes
+    # np.asarray.  as_vec3 hands _floats a native float64 array of any shape.
     rows = np.arange(12.0).reshape(4, 3)
     floats = [1.5, -0.0, 2.25]
     cases = [
@@ -124,6 +125,8 @@ def test_floats_unpack_keeps_the_shape_messages():
         (np.zeros(4), "expected 3 components, got shape (4,)"),
         (np.zeros((1, 3)), "expected 3 components, got shape (1, 3)"),
         (np.zeros((3, 1)), "expected 3 components, got shape (3, 1)"),
+        (np.zeros((3, 3)), "expected 3 components, got shape (3, 3)"),
+        (np.zeros((3, 0)), "expected 3 components, got shape (3, 0)"),
         (rows[1], [3.0, 4.0, 5.0]),
         (rows[:, 1], "expected 3 components, got shape (4,)"),
         (rows[::2, 2], "expected 3 components, got shape (2,)"),
@@ -240,13 +243,15 @@ def test_written_out_kernels_match_their_composed_forms_bit_for_bit():
     rng = np.random.default_rng(2202)
     points = list(rng.normal(size=(900, 3)) * 10.0 ** rng.uniform(-8.0, 160.0, size=(900, 1)))
     points += zero_component_vectors(rng) + [np.array([1.7e308, -1.7e308, 0.0])]
-    tol = Tolerance(1e-300, 1e-300)
+    tol, finite = Tolerance(1e-300, 1e-300), 0
     for a, b, c in zip(points, points[1:], points[2:]):
         a, b, c = a.tolist(), b.tolist(), c.tolist()
         u, v, w = ([q - p for p, q in zip(s, t)] for s, t in ((a, b), (a, c), (b, c)))
         n = _cross(u, v)
         edges = tuple(math.sqrt(_dot(e, e)) for e in (u, v, w))
-        assert _bits(_triangle(a, b, c)) == _bits((n, (math.sqrt(_dot(n, n)), edges)))
+        if math.isfinite(math.sqrt(_dot(n, n)) + sum(edges)):  # else the overflow path measures
+            finite += 1
+            assert _bits(_measure_triangle(a, b, c)) == _bits((n, (math.sqrt(_dot(n, n)), edges)))
         try:
             mirror = _bisector(a, b, tol)
         except ValueError as exc:  # an overflowing chord or offset
@@ -260,6 +265,7 @@ def test_written_out_kernels_match_their_composed_forms_bit_for_bit():
             assert _bits(mirror) == _bits((want._n, want.offset)), (a, b)
         else:
             assert mirror == want, (a, b)
+    assert finite >= 400  # 419 of the 947 triangles; the others overflow a square
 
 
 def test_congruent_keeps_its_verdicts_nan_included():

@@ -39,7 +39,7 @@ from trimirror import (
     vec3,
 )
 from trimirror.errors import CoincidentPoints, CollinearPoints, ParallelPlanes
-from trimirror.geom import DEFAULT_TOL, _bisector, _measure_triangle, _reflect, _triangle, _unit
+from trimirror.geom import DEFAULT_TOL, _bisector, _measure_triangle, _reflect, _unit
 
 from oracle import exact_root, loop_canonical_sign, plane_bytes, zero_component_vectors
 
@@ -564,7 +564,7 @@ def test_triangle_kernel_matches_exact_reference():
     # length (_LENGTH).  The doubled area is the length of the float n, which
     # misses |N| by n's miss plus _LENGTH |n|, both bounded in the 1-norm.
     for a, b, c in _kernel_points(np.random.default_rng(70)):
-        n, (area, edges) = _triangle(a, b, c)
+        n, (area, edges) = _measure_triangle(a, b, c)
         fa, fb, fc = (list(map(Fraction, p)) for p in (a, b, c))
         u, v, w = ([q - p for p, q in zip(s, t)] for s, t in ((fa, fb), (fa, fc), (fb, fc)))
         misses = []

@@ -44,6 +44,29 @@ def test_summarize_counts_wins_in_each_metric_direction():
     # a tie counts for neither side
     assert got["op_p50_us"]["wins"] == 2 and got["op_p50_us"]["ratio"] == 0.9
     assert got["ops_per_s"]["pairs"] == 3
+    # three pairs are too few to claim a gain, whatever they show
+    assert not got["ops_per_s"]["claimable"] and not got["op_p50_us"]["claimable"]
+
+
+def _pairs(base: list[float], head: list[float]) -> list[dict]:
+    return [{"base": _result(op_p50_us=b), "head": _result(op_p50_us=h)} for b, h in zip(base, head)]
+
+
+def test_summarize_claims_a_gain_on_nine_wins_of_ten_past_the_base_iqr():
+    def claim(base, wins, by):
+        """wins and claimable when the first `wins` pairs are `by` lower, the rest 1.0 higher."""
+        head = [b - by for b in base[:wins]] + [b + 1.0 for b in base[wins:]]
+        got = pair_bench.summarize(_pairs(base, head), {"op_p50_us": "lower"})["op_p50_us"]
+        return got["wins"], got["claimable"]
+
+    ten = [float(v) for v in range(10, 20)]  # median 14.5, inclusive IQR 4.5
+    assert claim(ten, 9, 5.0) == (9, True)  # the median moves by 5.0, past the IQR
+    assert claim(ten, 8, 5.0) == (8, False)  # as far, but eight wins are not enough
+    assert claim(ten, 10, 4.0) == (10, False)  # ten wins, but within the IQR
+    assert claim(ten, 0, 5.0) == (0, False)  # a higher median, for a lower-is-better metric
+    twenty = [float(v) for v in range(10, 30)]  # median 19.5, inclusive IQR 9.5
+    assert claim(twenty, 18, 12.0) == (18, True)  # twenty pairs need eighteen wins
+    assert claim(twenty, 17, 12.0) == (17, False)
 
 
 def test_failures_reports_a_missing_fail_ratio_whatever_the_run_order():

@@ -15,8 +15,11 @@ last stdout line of a run is its JSON result.
 
 The output holds, per workload and metric: each side's median and quartiles
 (inclusive method: the median of 10 values is the mean of the middle two),
-the ratio of the medians (head over base), and the number of pairs the head
-side won, by the direction in BENCHMARK.json.  It also holds every run's
+the ratio of the medians (head over base), the number of pairs the head
+side won, by the direction in BENCHMARK.json, and `claimable`: whether the
+runs show a gain, which takes at least 10 pairs, wins in at least 9 of each
+10, and a head median better than the base median by more than the base's
+IQR.  It also holds every run's
 metrics with its seed and order, each side's git revision and a sha256 of its
 src/ tree, and the machine.  The file is rewritten after every pair, so an
 interrupted session leaves the pairs it finished.
@@ -121,7 +124,8 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's spread, the ratio of medians and the head's wins.
+    """Per metric: each side's spread, the ratio of medians, the head's wins and whether they
+    show a gain.
 
     `runs` holds one {"base": result, "head": result} per pair; a metric is
     summarized when every run of both sides reports it and its direction is known.
@@ -132,13 +136,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         base = [r["base"]["metrics"][name]["value"] for r in runs]
         head = [r["head"]["metrics"][name]["value"] for r in runs]
         sign = 1.0 if better[name] == "higher" else -1.0
+        sides = {"base": spread(base), "head": spread(head)}
+        wins = sum(sign * (h - b) > 0.0 for b, h in zip(base, head))
+        gain = sign * (sides["head"]["median"] - sides["base"]["median"])
+        pairs = len(runs)
         out[name] = {
             "better": better[name],
-            "base": spread(base),
-            "head": spread(head),
+            **sides,
             "ratio": statistics.median(head) / statistics.median(base),
-            "wins": sum(sign * (h - b) > 0.0 for b, h in zip(base, head)),
-            "pairs": len(runs),
+            "wins": wins,
+            "claimable": pairs >= 10 and 10 * wins >= 9 * pairs and gain > sides["base"]["iqr"],
+            "pairs": pairs,
         }
     return out
 
